@@ -21,20 +21,8 @@ from .errors import (
     ThetaTwistError,
     UnsupportedWeight,
     WeightIncongruent,
-    ZeroElement,
 )
-from .ffield import (
-    QuadElt,
-    Residue,
-    find_nonresidue,
-    is_prime,
-    legendre,
-    mod_pow,
-    mult_order,
-    primes_upto,
-    quad_mult_order,
-    sqrt_mod,
-)
+from .ffield import is_prime, legendre, primes_upto
 from .galrep import (
     AMBIGUOUS,
     NONSPLIT,

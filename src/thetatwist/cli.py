@@ -1,14 +1,17 @@
 """Command-line front door: qexp, twist-search, verify-poly, screen, tables.
 
-Exit codes are a stable contract: 0 success, 2 usage or unsupported input,
-3 search found nothing, 4 I/O problems, 5 verification failure.  All output
-is deterministic; --format json emits machine-readable documents that
-round-trip through the corresponding from_json_dict constructors.
+Exit codes are a stable contract: 0 success, 2 usage or unsupported input
+(including a scan with no prime to check), 3 search found nothing, 4 I/O
+problems, 5 verification failure.  All output is deterministic; --format
+json emits machine-readable documents that round-trip through the
+corresponding from_json_dict constructors.  Warnings go to stderr as one
+"warning: ..." line each.
 """
 
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import NotFound, ThetaTwistError, UnsupportedWeight
 from .galrep import screen_exceptional
@@ -233,22 +236,28 @@ _HANDLERS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
-    except UnsupportedWeight as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except (OSError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ThetaTwistError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _HANDLERS[args.command](args)
+        except UnsupportedWeight as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except NotFound as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_FOUND
+        except (OSError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (ThetaTwistError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 def entry():

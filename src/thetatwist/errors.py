@@ -13,10 +13,6 @@ class ModulusMismatch(ThetaTwistError):
     """
 
 
-class ZeroElement(ThetaTwistError):
-    """Multiplicative order requested for the zero element."""
-
-
 class UnsupportedWeight(ThetaTwistError):
     """Weight outside the supported one-dimensional cusp-space list."""
 

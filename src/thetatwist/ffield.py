@@ -1,17 +1,9 @@
-"""Exact arithmetic in F_ell and its quadratic extension F_{ell^2}.
+"""Integer helpers for arithmetic mod a prime ell.
 
-Residue holds a single value mod ell; QuadElt holds a0 + a1*sqrt(c) where c
-is a fixed quadratic non-residue, so F_{ell^2} = F_ell(sqrt(c)).  Both types
-are immutable after construction and every operation is pure.  The modulus is
-carried per value and checked on every binary operation: a single run fixes
-one prime, so a mismatch is always a bug and raises ModulusMismatch.
-
-Multiplicative orders are computed by factoring the group order (ell-1 or
-ell^2-1) with trial division and stripping prime factors.  Moduli up to about
-10^6 are supported; beyond that trial division becomes the bottleneck.
+Values mod ell are plain Python ints; every function here takes and returns
+ints.  Factorization is trial division, which keeps moduli up to about 10^6
+(and group orders ell +- 1) cheap.
 """
-
-from .errors import ModulusMismatch, ZeroElement
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -72,268 +64,9 @@ def factorize(n):
     return out
 
 
-class Residue:
-    """An element of F_ell, stored as an integer in [0, ell)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"moduli differ: {self.modulus} vs {other.modulus}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * pow(v, -1, self.modulus), self.modulus)
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, exp):
-        if not isinstance(exp, int):
-            return NotImplemented
-        return Residue(pow(self.value, exp, self.modulus), self.modulus)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Residue({self.value}, {self.modulus})"
-
-
-def mod_pow(base, exp):
-    """base^exp in F_ell for a nonnegative integer exponent."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return Residue(pow(base.value, exp, base.modulus), base.modulus)
-
-
-def legendre(a):
-    """Legendre symbol of a: 0 for zero, 1 for nonzero squares, -1 otherwise."""
-    m = a.modulus
-    if m == 2:
-        raise ValueError("Legendre symbol needs an odd modulus")
-    if a.value == 0:
-        return 0
-    s = pow(a.value, (m - 1) // 2, m)
-    return 1 if s == 1 else -1
-
-
-def find_nonresidue(ell):
-    """Smallest positive quadratic non-residue mod ell (deterministic)."""
-    check_prime(ell)
+def legendre(a, ell):
+    """Legendre symbol (a / ell): 0 if ell | a, 1 for nonzero squares, -1 otherwise."""
     if ell == 2:
-        raise ValueError("no quadratic non-residue mod 2")
-    c = 2
-    while True:
-        r = Residue(c, ell)
-        if legendre(r) == -1:
-            return r
-        c += 1
-
-
-def sqrt_mod(a):
-    """A square root of a in F_ell (Tonelli-Shanks).
-
-    Raises ValueError if a is not a square.  The returned root is determined
-    by the algorithm; the other root is its negative.
-    """
-    m = a.modulus
-    if a.value == 0:
-        return a
-    if legendre(a) != 1:
-        raise ValueError(f"{a.value} is not a square mod {m}")
-    if m % 4 == 3:
-        return Residue(pow(a.value, (m + 1) // 4, m), m)
-    q, s = m - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = find_nonresidue(m).value
-    c = pow(z, q, m)
-    x = pow(a.value, (q + 1) // 2, m)
-    t = pow(a.value, q, m)
-    r = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % m
-            i += 1
-        b = pow(c, 1 << (r - i - 1), m)
-        x = x * b % m
-        c = b * b % m
-        t = t * c % m
-        r = i
-    return Residue(x, m)
-
-
-def mult_order(a):
-    """Smallest n >= 1 with a^n = 1, by stripping prime factors of ell-1."""
-    if a.value == 0:
-        raise ZeroElement("order of zero is undefined")
-    m = a.modulus
-    n = m - 1
-    for p in factorize(n):
-        while n % p == 0 and pow(a.value, n // p, m) == 1:
-            n //= p
-    return n
-
-
-class QuadElt:
-    """a0 + a1*sqrt(c) in F_{ell^2}, with c a fixed non-residue mod ell."""
-
-    __slots__ = ("a0", "a1", "c")
-
-    def __init__(self, a0, a1, c):
-        if a0.modulus != a1.modulus or a0.modulus != c.modulus:
-            raise ModulusMismatch("components carry different moduli")
-        self.a0 = a0
-        self.a1 = a1
-        self.c = c
-
-    @property
-    def modulus(self):
-        return self.a0.modulus
-
-    def _check(self, other):
-        if self.modulus != other.modulus or self.c != other.c:
-            raise ModulusMismatch("elements live in different extensions")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuadElt(self.a0 + other.a0, self.a1 + other.a1, self.c)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuadElt(self.a0 - other.a0, self.a1 - other.a1, self.c)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QuadElt(
-            self.a0 * other.a0 + self.c * self.a1 * other.a1,
-            self.a0 * other.a1 + self.a1 * other.a0,
-            self.c,
-        )
-
-    def __neg__(self):
-        return QuadElt(-self.a0, -self.a1, self.c)
-
-    def conjugate(self):
-        return QuadElt(self.a0, -self.a1, self.c)
-
-    def norm(self):
-        """a0^2 - c*a1^2, an element of the base field."""
-        return self.a0 * self.a0 - self.c * self.a1 * self.a1
-
-    def inverse(self):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("zero is not invertible")
-        ninv = n.inverse()
-        return QuadElt(self.a0 * ninv, -self.a1 * ninv, self.c)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, exp):
-        if not isinstance(exp, int):
-            return NotImplemented
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        result = QuadElt(Residue(1, self.modulus), Residue(0, self.modulus), self.c)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def is_one(self):
-        return self.a0.value == 1 and self.a1.value == 0
-
-    def __bool__(self):
-        return bool(self.a0) or bool(self.a1)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadElt):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.c == other.c
-            and self.a0 == other.a0
-            and self.a1 == other.a1
-        )
-
-    def __hash__(self):
-        return hash((self.a0, self.a1, self.c))
-
-    def __repr__(self):
-        return f"QuadElt({self.a0.value} + {self.a1.value}*sqrt({self.c.value}), mod {self.modulus})"
-
-
-def quad_mult_order(x):
-    """Smallest n >= 1 with x^n = 1 in F_{ell^2}; n divides ell^2 - 1."""
-    if not x:
-        raise ZeroElement("order of zero is undefined")
-    m = x.modulus
-    n = m * m - 1
-    for p in factorize(n):
-        while n % p == 0 and (x ** (n // p)).is_one():
-            n //= p
-    return n
+        raise ValueError("Legendre symbol needs an odd modulus")
+    s = pow(a, (ell - 1) // 2, ell)
+    return -1 if s == ell - 1 else s

@@ -1,13 +1,16 @@
 """Frobenius conjugacy data derived from characteristic polynomials.
 
 For an unramified prime p the attached Frobenius has characteristic
-polynomial x^2 - a_p x + p^{k-1} over F_ell.  Its image in PGL_2(F_ell) is
-classified by the discriminant: a split class (distinct eigenvalues in
-F_ell), a nonsplit class (conjugate eigenvalues in F_{ell^2}), or ambiguous
-when the discriminant vanishes (scalar vs. non-semisimple cannot be told
-apart from trace and determinant alone).  The projective order of the class
-is the multiplicative order of the eigenvalue ratio, and it determines the
-cycle type of the class acting on the ell+1 points of the projective line.
+polynomial x^2 - a_p x + p^{k-1} over F_ell, held as the ints (trace, det).
+Its image in PGL_2(F_ell) is classified by the discriminant t^2 - 4d: split
+(distinct eigenvalues in F_ell) when it is a nonzero square, nonsplit
+(conjugate eigenvalues in F_{ell^2}) when it is a non-square, and ambiguous
+when it vanishes (scalar vs. non-semisimple cannot be told apart from trace
+and determinant alone).  The projective order of the class is the order of
+the eigenvalue ratio r, read off the projective invariant t^2/d = r + 1/r + 2
+with a Lucas sequence, so the classification never leaves integer arithmetic
+mod ell.  The order determines the cycle type of the class on the ell+1
+points of the projective line.
 
 screen_exceptional runs three bounded congruence tests (reducible, dihedral,
 small projective image) against the coefficients of delta_k.  These are
@@ -18,18 +21,7 @@ proofs; the report records the prime bound that was scanned.
 from dataclasses import dataclass, asdict
 
 from .errors import RamifiedPrime
-from .ffield import (
-    Residue,
-    QuadElt,
-    check_prime,
-    find_nonresidue,
-    is_prime,
-    legendre,
-    mult_order,
-    primes_upto,
-    quad_mult_order,
-    sqrt_mod,
-)
+from .ffield import check_prime, factorize, is_prime, legendre, primes_upto
 from .qseries import delta_k
 
 SPLIT = "split"
@@ -39,15 +31,12 @@ AMBIGUOUS = "ambiguous"
 
 @dataclass(frozen=True)
 class CharpolData:
-    """Trace and determinant of Frobenius at p: x^2 - trace*x + det."""
+    """Trace and determinant of Frobenius at p: x^2 - trace*x + det over F_ell."""
 
     p: int
-    trace: Residue
-    det: Residue
-
-    @property
-    def ell(self):
-        return self.trace.modulus
+    ell: int
+    trace: int
+    det: int
 
 
 def charpol_data(k, ell, p, a_p):
@@ -57,10 +46,7 @@ def charpol_data(k, ell, p, a_p):
         raise ValueError(f"{p} is not prime")
     if p == ell:
         raise RamifiedPrime(f"p = ell = {p} is ramified")
-    t = a_p if isinstance(a_p, Residue) else Residue(a_p, ell)
-    if t.modulus != ell:
-        raise ValueError("a_p carries the wrong modulus")
-    return CharpolData(p=p, trace=t, det=Residue(pow(p, k - 1, ell), ell))
+    return CharpolData(p=p, ell=ell, trace=a_p % ell, det=pow(p, k - 1, ell))
 
 
 @dataclass(frozen=True)
@@ -75,40 +61,44 @@ class FrobeniusClass:
         return self.kind == AMBIGUOUS
 
 
-def frobenius_class(c, ell=None):
+def _lucas_v(s, n, ell):
+    """V_n mod ell for V_0 = 2, V_1 = s, V_{m+1} = s*V_m - V_{m-1}.
+
+    Ladder over the bits of n on the pair (V_m, V_{m+1}), using
+    V_{2m} = V_m^2 - 2 and V_{2m+1} = V_m*V_{m+1} - s.
+    """
+    v, w = 2, s
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = (v * w - s) % ell, (w * w - 2) % ell
+        else:
+            v, w = (v * v - 2) % ell, (v * w - s) % ell
+    return v
+
+
+def frobenius_class(c):
     """Classify the Frobenius class from trace and determinant.
 
-    Split: the discriminant t^2 - 4d is a nonzero square; the projective
-    order is the order of the root ratio in F_ell (either ratio, the order is
-    the same).  Nonsplit: the discriminant is a non-square; the order of
-    lambda/conj(lambda) is computed in F_{ell^2}.  Zero discriminant gives
-    the ambiguous class.
+    Zero discriminant t^2 - 4d gives the ambiguous class.  Otherwise the
+    eigenvalue ratio r (either one) has order dividing N = ell - 1 when the
+    discriminant is a square (split) and N = ell + 1 when it is not
+    (nonsplit).  With s = t^2/d - 2 = r + 1/r, the Lucas value
+    V_m(s) = r^m + r^-m equals 2 exactly when (r^m - 1)^2 = 0, so the
+    projective order is the least m | N with V_m(s) = 2, found by stripping
+    the prime factors of N.
     """
-    if ell is None:
-        ell = c.ell
-    elif ell != c.ell:
-        raise ValueError("modulus disagrees with the stored data")
-    t, d = c.trace, c.det
+    ell, t, d = c.ell, c.trace % c.ell, c.det % c.ell
     if not d:
         raise ValueError("determinant must be a unit")
-    disc = t * t - 4 * d
-    sign = legendre(disc)
+    sign = legendre(t * t - 4 * d, ell)
     if sign == 0:
         return FrobeniusClass(AMBIGUOUS)
-    inv2 = Residue(2, ell).inverse()
-    if sign == 1:
-        s = sqrt_mod(disc)
-        r1 = (t + s) * inv2
-        r2 = (t - s) * inv2
-        n = mult_order(r1 / r2)
-        assert (ell - 1) % n == 0, "split order must divide ell - 1"
-        return FrobeniusClass(SPLIT, n)
-    c0 = find_nonresidue(ell)
-    s = sqrt_mod(disc / c0)
-    lam = QuadElt(t * inv2, s * inv2, c0)
-    n = quad_mult_order(lam / lam.conjugate())
-    assert n >= 2 and (ell + 1) % n == 0, "nonsplit order must divide ell + 1"
-    return FrobeniusClass(NONSPLIT, n)
+    kind, n = (SPLIT, ell - 1) if sign == 1 else (NONSPLIT, ell + 1)
+    s = (t * t * pow(d, -1, ell) - 2) % ell
+    for q in factorize(n):
+        while n % q == 0 and _lucas_v(s, n // q, ell) == 2:
+            n //= q
+    return FrobeniusClass(kind, n)
 
 
 def predicted_degree_pattern(fc, ell):
@@ -156,9 +146,13 @@ def screen_exceptional(k, ell, bound, series=None):
     small image: every non-ambiguous projective order lies in {1,...,5}
     (the orders occurring in the exceptional polyhedral subgroups).
     The verdict is "likely unexceptional" only when all three are clear.
+    Raises ValueError when no prime p != ell lies in the scan, since every
+    test would then pass vacuously.
     """
     f = series if series is not None else delta_k(k, ell, bound)
     primes = [p for p in primes_upto(bound) if p != ell]
+    if not primes:
+        raise ValueError(f"no prime p <= {bound} other than ell = {ell} to screen")
     a = {p: f.coeff(p) for p in primes}
 
     reducible_j = None
@@ -169,7 +163,7 @@ def screen_exceptional(k, ell, bound, series=None):
             reducible_j = j
             break
 
-    nonres = [p for p in primes if legendre(Residue(p, ell)) == -1]
+    nonres = [p for p in primes if legendre(p, ell) == -1]
     dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
 
     orders = set()

@@ -371,7 +371,8 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     For each unramified prime the observed distinct-degree multiset must
     equal the predicted cycle type (either admissible pattern counts as a
     pass for ambiguous classes).  With fail_fast the scan stops at the first
-    FAIL, which is enough for mutation testing.
+    FAIL, which is enough for mutation testing.  Raises ValueError when no
+    prime was compared, since an empty scan would otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
@@ -412,6 +413,11 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
         outcomes.append((p, status, observed, predicted))
         if fail_fast and status == FAIL:
             break
+    if counts["match"] + counts["ambiguous_pass"] + counts["fail"] == 0:
+        raise ValueError(
+            f"no prime p <= {pmax} could be checked "
+            f"({counts['skipped_ramified']} ramified, {counts['skipped_ell']} ell skip)"
+        )
     return VerificationReport(
         k=k,
         ell=ell,

@@ -114,12 +114,30 @@ def test_verify_poly_mutated_file_exits_5(capsys, tmp_path):
     assert "INCONSISTENT" in out
 
 
-def test_verify_poly_tiny_pmax_no_crash(capsys):
-    code, out, _ = run(
+def test_verify_poly_empty_scan_exits_2(capsys):
+    # no prime <= 1, so nothing was compared: no verdict, a usage error
+    code, out, err = run(
         capsys, "verify-poly", "--weight", "16", "--ell", "13", "--pmax", "1"
     )
-    assert code == 0
-    assert "pmax=1" in out
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "p <= 1" in err
+
+
+def test_verify_poly_nonmonic_file_warns_readably(capsys, tmp_path):
+    bad = tmp_path / "nonmonic.txt"
+    bad.write_text("2*x^{14}+x+1")
+    code, out, err = run(
+        capsys,
+        "verify-poly", "--weight", "16", "--ell", "13",
+        "--pmax", "20", "--poly-file", str(bad),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "warning: leading coefficient is 2, not 1",
+        "error: labeled records must be monic",
+    ]
 
 
 def test_verify_poly_missing_data_dir_exits_4(capsys, tmp_path):
@@ -138,6 +156,15 @@ def test_screen_text(capsys):
     )
     assert code == 0
     assert "reducible=True" in out and "j=0" in out
+
+
+def test_screen_empty_scan_exits_2(capsys):
+    code, out, err = run(
+        capsys, "screen", "--weight", "12", "--ell", "691", "--pbound", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "p <= 1" in err
 
 
 def test_screen_json_roundtrip(capsys):

@@ -1,19 +1,4 @@
-import pytest
-
-from thetatwist.errors import ModulusMismatch, ZeroElement
-from thetatwist.ffield import (
-    QuadElt,
-    Residue,
-    factorize,
-    find_nonresidue,
-    is_prime,
-    legendre,
-    mod_pow,
-    mult_order,
-    primes_upto,
-    quad_mult_order,
-    sqrt_mod,
-)
+from thetatwist.ffield import factorize, is_prime, legendre, primes_upto
 
 import oracles
 
@@ -55,165 +40,19 @@ def test_factorize():
         assert prod == n
 
 
-def test_residue_arithmetic():
-    a = Residue(7, 13)
-    b = Residue(9, 13)
-    assert (a + b).value == 3
-    assert (a - b).value == 11
-    assert (a * b).value == 63 % 13
-    assert (-a).value == 6
-    assert (a / b) * b == a
-    assert a + 6 == 0
-    assert 2 * a == Residue(1, 13)
-    assert a.inverse() * a == 1
-    with pytest.raises(ZeroDivisionError):
-        Residue(0, 13).inverse()
-
-
-def test_residue_modulus_mismatch_is_hard_fault():
-    with pytest.raises(ModulusMismatch):
-        Residue(1, 13) + Residue(1, 11)
-    with pytest.raises(ModulusMismatch):
-        Residue(1, 13) * Residue(1, 17)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(Residue(2, 13), 15) == 8
-    for a in range(1, 13):
-        assert mod_pow(Residue(a, 13), 0) == 1
-    assert mod_pow(Residue(5, 11), 10) == 1
-    with pytest.raises(ValueError):
-        mod_pow(Residue(2, 13), -1)
-
-
 def test_legendre_examples():
-    assert legendre(Residue(4, 13)) == 1
-    assert legendre(Residue(0, 13)) == 0
-    assert legendre(Residue(6, 13)) == -1
+    assert legendre(4, 13) == 1
+    assert legendre(0, 13) == 0
+    assert legendre(6, 13) == -1
     # enumerate the squares mod 13 independently
     squares = {x * x % 13 for x in range(1, 13)}
     assert squares == {1, 3, 4, 9, 10, 12}
     for a in range(1, 13):
-        assert legendre(Residue(a, 13)) == (1 if a in squares else -1)
+        assert legendre(a, 13) == (1 if a in squares else -1)
 
 
 def test_legendre_multiplicative():
     for ell in SMALL_PRIMES:
         for a in range(1, ell):
             for b in range(1, ell):
-                assert legendre(Residue(a * b, ell)) == legendre(
-                    Residue(a, ell)
-                ) * legendre(Residue(b, ell))
-
-
-def test_sqrt_mod():
-    for ell in SMALL_PRIMES:
-        for a in range(ell):
-            r = Residue(a, ell)
-            if legendre(r) == -1:
-                with pytest.raises(ValueError):
-                    sqrt_mod(r)
-            else:
-                s = sqrt_mod(r)
-                assert s * s == r
-
-
-def test_mult_order_examples():
-    assert mult_order(Residue(1, 13)) == 1
-    assert mult_order(Residue(12, 13)) == 2
-    assert mult_order(Residue(2, 13)) == 12
-    with pytest.raises(ZeroElement):
-        mult_order(Residue(0, 13))
-
-
-def test_mult_order_exhaustive():
-    for ell in [5, 7, 11, 13, 17, 19]:
-        for a in range(1, ell):
-            n = mult_order(Residue(a, ell))
-            assert n == oracles.brute_order(a, ell)
-            assert (ell - 1) % n == 0
-            assert pow(a, n, ell) == 1
-            for d in range(1, n):
-                if n % d == 0:
-                    assert pow(a, d, ell) != 1
-
-
-def test_find_nonresidue():
-    assert find_nonresidue(13) == 2
-    assert find_nonresidue(11) == 2
-    assert find_nonresidue(17) == 3
-    for ell in primes_upto(200):
-        if ell == 2:
-            continue
-        c = find_nonresidue(ell)
-        assert legendre(c) == -1
-        # smallest positive one
-        for smaller in range(2, c.value):
-            assert legendre(Residue(smaller, ell)) != -1
-
-
-def test_find_nonresidue_rejects_composite():
-    with pytest.raises(ValueError):
-        find_nonresidue(15)
-
-
-def _quad(a0, a1, c, ell):
-    return QuadElt(Residue(a0, ell), Residue(a1, ell), Residue(c, ell))
-
-
-def test_quadelt_matches_table_multiplication():
-    for ell in [5, 7, 11, 13]:
-        c = find_nonresidue(ell).value
-        for a0 in range(ell):
-            for a1 in range(ell):
-                for b0 in range(ell):
-                    for b1 in range(ell):
-                        prod = _quad(a0, a1, c, ell) * _quad(b0, b1, c, ell)
-                        expect = oracles.quad_mul((a0, a1), (b0, b1), c, ell)
-                        assert (prod.a0.value, prod.a1.value) == expect
-
-
-def test_quadelt_inverse_and_division():
-    for ell in [5, 7, 11, 13]:
-        c = find_nonresidue(ell).value
-        one = _quad(1, 0, c, ell)
-        for a0 in range(ell):
-            for a1 in range(ell):
-                x = _quad(a0, a1, c, ell)
-                if not x:
-                    with pytest.raises(ZeroDivisionError):
-                        x.inverse()
-                    continue
-                assert x * x.inverse() == one
-                assert (x / x).is_one()
-
-
-def test_quad_mult_order_examples():
-    ell = 13
-    c = find_nonresidue(ell).value
-    assert c == 2
-    assert quad_mult_order(_quad(1, 0, c, ell)) == 1
-    assert quad_mult_order(_quad(ell - 1, 0, c, ell)) == 2
-    # sqrt(c) squares to c, so its order is twice the order of c
-    root = _quad(0, 1, c, ell)
-    assert quad_mult_order(root) == oracles.brute_quad_order((0, 1), c, ell)
-    assert quad_mult_order(root) == 2 * mult_order(Residue(c, ell))
-    with pytest.raises(ZeroElement):
-        quad_mult_order(_quad(0, 0, c, ell))
-
-
-def test_quad_mult_order_exhaustive():
-    for ell in [5, 7, 11, 13]:
-        c = find_nonresidue(ell).value
-        for a0 in range(ell):
-            for a1 in range(ell):
-                if (a0, a1) == (0, 0):
-                    continue
-                n = quad_mult_order(_quad(a0, a1, c, ell))
-                assert n == oracles.brute_quad_order((a0, a1), c, ell)
-                assert (ell * ell - 1) % n == 0
-
-
-def test_quadelt_mismatch():
-    with pytest.raises(ModulusMismatch):
-        _quad(1, 0, 2, 13) * _quad(1, 0, 2, 11)
+                assert legendre(a * b, ell) == legendre(a, ell) * legendre(b, ell)

@@ -1,7 +1,7 @@
 import pytest
 
 from thetatwist.errors import RamifiedPrime
-from thetatwist.ffield import Residue, primes_upto
+from thetatwist.ffield import factorize, primes_upto
 from thetatwist.galrep import (
     AMBIGUOUS,
     NONSPLIT,
@@ -19,7 +19,7 @@ import oracles
 
 
 def _cd(t, d, ell):
-    return CharpolData(p=0, trace=Residue(t, ell), det=Residue(d, ell))
+    return CharpolData(p=0, ell=ell, trace=t, det=d)
 
 
 def test_charpol_data_example():
@@ -99,17 +99,42 @@ def test_predicted_degree_pattern_sums():
 
 
 def test_pattern_matches_companion_matrix_orbits():
-    # spot check here; the acceptance suite runs the full exhaustive sweep
-    for ell in [5, 7]:
+    # the acceptance suite sweeps ell <= 13; this extends it to larger ell,
+    # where the orders have more divisors to strip
+    for ell in [5, 7, 17, 19, 23, 29, 31]:
         for t in range(ell):
             for d in range(1, ell):
                 fc = frobenius_class(_cd(t, d, ell))
                 observed = oracles.companion_orbits(t, d, ell)
                 predicted = predicted_degree_pattern(fc, ell)
                 if fc.kind == AMBIGUOUS:
-                    assert observed in predicted
+                    assert observed in predicted, (ell, t, d)
                 else:
-                    assert observed == predicted
+                    assert observed == predicted, (ell, t, d)
+                    assert fc.order == max(observed), (ell, t, d)
+
+
+def test_frobenius_class_large_ell():
+    # ell - 1 = 2 * 3 * 166667 and ell + 1 = 2^2 * 53^2 * 89
+    ell = 1000003
+    for d in (1, 2, 3, 5, 999999, 123457):
+        fc = frobenius_class(_cd(0, d, ell))
+        assert fc.order == 2, d
+    kinds = set()
+    for t in range(1, 40):
+        for d in (1, 2, 7, 500001, ell - 1):
+            fc = frobenius_class(_cd(t * 7919, d, ell))
+            if fc.kind == AMBIGUOUS:
+                continue
+            kinds.add(fc.kind)
+            n = ell - 1 if fc.kind == SPLIT else ell + 1
+            assert fc.order >= 2 and n % fc.order == 0, (t, d, fc)
+    assert kinds == {SPLIT, NONSPLIT}
+    # a split class with known eigenvalues 3 and 1: the order is that of 3
+    fc = frobenius_class(_cd(4, 3, ell))
+    assert fc.kind == SPLIT
+    assert pow(3, fc.order, ell) == 1
+    assert all(pow(3, fc.order // q, ell) != 1 for q in factorize(fc.order))
 
 
 def test_screen_unexceptional_pairs():
