@@ -6,8 +6,11 @@ representation.  verify_record checks it against the eigenform of weight k:
 for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
 (a_p mod ell, p^{k-1} mod ell).  Primes where the reduction is not
-squarefree are skipped as ramified (detected by gcd with the derivative, so
-no huge integer discriminant is ever formed), and p = ell is always skipped.
+squarefree are skipped as ramified (ddf detects them by gcd with the
+derivative, so no huge integer discriminant is ever formed), and p = ell is
+always skipped.  ddf applies the Frobenius map as a linear operator on
+packed integer rows (polyarith), so each degree step costs one C-level dot
+product instead of a fresh modular exponentiation.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -17,8 +20,10 @@ in ascending order with the zero polynomial written as the empty tuple.
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from operator import mul as _imul
 from pathlib import Path
 
+from . import polyarith
 from .errors import (
     DuplicateTerm,
     ModulusMismatch,
@@ -192,17 +197,6 @@ def _strip(c):
     return c
 
 
-def _mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _strip([x % p for x in out])
-
-
 def _divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -218,8 +212,8 @@ def _divmod(a, b, p):
         if c:
             c = c * inv % p
             q[shift] = c
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
+            top = shift + db + 1
+            a[shift:top] = [(x - c * y) % p for x, y in zip(a[shift:top], b)]
     return q, _strip(a)
 
 
@@ -241,18 +235,6 @@ def _deriv(a, p):
     return _strip([i * a[i] % p for i in range(1, len(a))])
 
 
-def _powmod(base, e, f, p):
-    # base^e mod f by square and multiply
-    result = _divmod([1], f, p)[1]
-    base = _divmod(base, f, p)[1]
-    while e:
-        if e & 1:
-            result = _divmod(_mul(result, base, p), f, p)[1]
-        base = _divmod(_mul(base, base, p), f, p)[1]
-        e >>= 1
-    return result
-
-
 def poly_gcd_mod(f, g):
     """Monic gcd of two polynomials over the same F_p (Euclid)."""
     if f.modulus != g.modulus:
@@ -268,38 +250,81 @@ def is_squarefree_mod(f):
     return len(g) == 1
 
 
+def _frobenius_rows(f, p):
+    """Packed rows x^(i*p) mod f, i < n, for a monic f of degree n >= 2.
+
+    Products mod f are one packed product (polyarith) whose high half is
+    folded back with the packed reduction rows x^(n+j) mod f, so every step
+    is a C-level sum(map(mul, ...)) over ints.  Returns (rows, width): a
+    combination sum(h_i * rows[i]) with h_i in [0, p) unpacks at that width
+    to the image of h under the Frobenius map h -> h^p mod f.
+    """
+    n = len(f) - 1
+    width = polyarith.slot_width(n * (p - 1) ** 2)
+    pack, unpack = polyarith.pack, polyarith.unpack
+
+    def times_x(h):
+        return unpack(pack([0] + h[:-1], width) + h[-1] * reduce_rows[0], width, n, p)
+
+    def mulmod(a, b):
+        c = polyarith.mul(a, b, p)
+        return unpack(pack(c[:n], width) + sum(map(_imul, c[n:], reduce_rows)), width, n, p)
+
+    row = [-c % p for c in f[:n]]  # x^n mod f
+    reduce_rows = [pack(row, width)]
+    for _ in range(n - 2):
+        row = times_x(row)
+        reduce_rows.append(pack(row, width))
+
+    xp = [0, 1] + [0] * (n - 2)  # x^p mod f by square and multiply
+    for bit in bin(p)[3:]:
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = times_x(xp)
+    rows = [pack([1] + [0] * (n - 1), width), pack(xp, width)]
+    power = xp
+    for _ in range(n - 2):
+        power = mulmod(power, xp)
+        rows.append(pack(power, width))
+    return rows, width
+
+
 def ddf(f):
     """Degree multiset of the irreducible factors of a squarefree monic f.
 
     Distinct-degree factorization: for d = 1, 2, ... compute
     gcd(f, x^{p^d} - x mod f), peel off the degree-d part, and stop once
     2d exceeds the remaining degree, which is then itself irreducible.
-    Only the degrees are returned, never the factors.
+    x^{p^d} mod f is kept modulo the original f of degree n and advanced by
+    the Frobenius map h -> sum h_i x^{ip}, one packed matrix-vector product
+    per degree step (von zur Gathen-Shoup); since the remaining part divides
+    f, the gcd is unchanged.  Only the degrees are returned, never the
+    factors.
     """
     p = f.modulus
     if not is_squarefree_mod(f):
         raise NotSquarefree("input polynomial is not squarefree")
     work = _monic(f.coeffs, p)
-    total = len(work) - 1
+    n = len(work) - 1
+    if n < 2:  # a constant has no factors, a linear f is irreducible
+        return (1,) * n
+    rows, width = _frobenius_rows(work, p)
     out = []
-    h = [0, 1]  # the Frobenius iterate x^{p^d} mod f, starting at x
+    h = [0, 1] + [0] * (n - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
     d = 0
-    while len(work) - 1 > 0 and 2 * (d + 1) <= len(work) - 1:
+    while 2 * (d + 1) <= len(work) - 1:
         d += 1
-        h = _powmod(h, p, work, p)
+        h = polyarith.unpack(sum(map(_imul, h, rows)), width, n, p)
         diff = list(h)
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
         diff[1] = (diff[1] - 1) % p
         g = _gcd(work, _strip(diff), p)
         if len(g) > 1:
             out.extend([d] * ((len(g) - 1) // d))
             work = _divmod(work, g, p)[0]
-            h = _divmod(h, work, p)[1]
     if len(work) - 1 > 0:
         out.append(len(work) - 1)
     result = tuple(sorted(out))
-    assert sum(result) == total, "factor degrees must sum to deg f"
+    assert sum(result) == n, "factor degrees must sum to deg f"
     return result
 
 
@@ -391,14 +416,14 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
             counts["skipped_ell"] += 1
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
-        fp = reduce_mod(record, p)
-        if not is_squarefree_mod(fp):
+        try:
+            observed = ddf(reduce_mod(record, p))
+        except NotSquarefree:
             counts["skipped_ramified"] += 1
             outcomes.append((p, SKIPPED_RAMIFIED, None, None))
             continue
         fc = frobenius_class(charpol_data(k, ell, p, f.coeff(p)))
         predicted = predicted_degree_pattern(fc, ell)
-        observed = ddf(fp)
         if fc.is_ambiguous:
             status = AMBIGUOUS_PASS if observed in predicted else FAIL
         else:
@@ -443,7 +468,14 @@ def load_poly_file(path, k=None, ell=None):
 
 
 def bundled_record(k, ell, data_dir=None):
-    """The shipped Table row for (k, ell), parsed and label-validated."""
+    """The shipped Table row for (k, ell), parsed and label-validated.
+
+    Without data_dir, a label outside BUNDLED_LABELS raises ValueError naming
+    the bundled ones; a file missing under data_dir raises OSError.
+    """
+    if data_dir is None and (k, ell) not in BUNDLED_LABELS:
+        labels = ", ".join(f"({a}, {b})" for a, b in BUNDLED_LABELS)
+        raise ValueError(f"no bundled record for (k, ell) = ({k}, {ell}); bundled: {labels}")
     rec = load_poly_file(data_path(k, ell, data_dir), k=k, ell=ell)
     rec.validate_label()
     return rec

@@ -5,7 +5,9 @@ a_0..a_{n0} as plain integers in [0, ell).  All arithmetic stays in F_ell;
 the Eisenstein constants and 1728 are invertible for ell >= 5, so no
 big-integer stage is ever needed.  Binary operations truncate to the smaller
 precision, and reading a coefficient past the recorded precision raises
-rather than silently returning zero.
+rather than silently returning zero.  A series product is one multiplication
+of packed integers (Kronecker substitution, see polyarith), not a
+coefficient-by-coefficient Cauchy loop.
 
 The generators provided here are the weight 4 and 6 Eisenstein series, the
 one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26} (as
@@ -16,8 +18,8 @@ nominal weight without touching coefficients.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul as _mul
 
+from . import polyarith
 from .errors import (
     InsufficientPrecision,
     ModulusMismatch,
@@ -117,15 +119,6 @@ class QExpansion:
     def __mul__(self, other):
         return series_mul(self, other)
 
-    def __pow__(self, exp):
-        if not isinstance(exp, int) or exp < 0:
-            return NotImplemented
-        ft = FormType(1, 0, TRIVIAL) if self.form_type is not None else None
-        result = QExpansion(self.ell, [1] + [0] * self.precision, ft)
-        for _ in range(exp):
-            result = series_mul(result, self)
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -162,20 +155,17 @@ class QExpansion:
 
 
 def series_mul(f, g):
-    """Cauchy product truncated to the smaller precision."""
+    """Cauchy product truncated to the smaller precision.
+
+    Both coefficient lists are packed into ints and multiplied once
+    (Kronecker substitution, see polyarith); the first n + 1 slots of the
+    product are the truncated series.
+    """
     f._check(g)
     n = min(f.precision, g.precision)
-    ell = f.ell
-    a = f.coeffs[: n + 1]
-    b = g.coeffs[: n + 1]
-    br = b[::-1]
-    lb = len(b)
-    out = []
-    for k in range(n + 1):
-        j0 = lb - 1 - k
-        out.append(sum(map(_mul, a[: k + 1], br[j0 : j0 + k + 1])) % ell)
+    out = polyarith.mul(f.coeffs[: n + 1], g.coeffs[: n + 1], f.ell, n + 1)
     ft = f._combined_type(g, lambda k1, k2: k1 + k2)
-    return QExpansion(ell, out, ft)
+    return QExpansion(f.ell, out, ft)
 
 
 def _sigma_mod(j, n0, ell):

@@ -23,6 +23,15 @@ def poly_mul_int(a, b, nmax):
     return out
 
 
+def poly_mul_mod(a, b, m):
+    """Full schoolbook product of two coefficient lists, reduced mod m."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return [c % m for c in out]
+
+
 def eta24_int(nmax):
     """Coefficients of q * prod_{m>=1} (1 - q^m)^24 over Z, indices 0..nmax."""
     f = [0] * (nmax + 1)

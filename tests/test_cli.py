@@ -150,6 +150,15 @@ def test_verify_poly_missing_data_dir_exits_4(capsys, tmp_path):
     assert "pk16_l13.txt" in err
 
 
+def test_verify_poly_unbundled_label_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify-poly", "--weight", "12", "--ell", "5", "--pmax", "20"
+    )
+    assert code == 2
+    assert out == ""
+    assert "(12, 5)" in err and "(22, 11)" in err and "Errno" not in err
+
+
 def test_screen_text(capsys):
     code, out, _ = run(
         capsys, "screen", "--weight", "12", "--ell", "691", "--pbound", "60"
