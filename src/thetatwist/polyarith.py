@@ -13,7 +13,8 @@ Slots of 1, 2, 4 or 8 bytes go through array and memoryview; wider slots
 (moduli above about 2^32 / sqrt(len)) go through int.to_bytes and
 int.from_bytes.  Both sides use the native byte order, so slot i holds c_i
 counted from the start of the byte string; unpack must therefore be told the
-full slot count of the value, and returns its leading slots.
+full slot count of the value, and returns its leading slots; split keeps
+the leading slots packed and unpacks the rest.
 """
 
 import sys
@@ -38,17 +39,32 @@ def pack(coeffs, width):
     return int.from_bytes(b"".join(c.to_bytes(width, _ORDER) for c in coeffs), _ORDER)
 
 
+def _slots(data, width, m):
+    """Every slot of a byte buffer, each mod m."""
+    code = _CODES.get(width)
+    if code is not None:
+        return [c % m for c in data.cast(code)]
+    return [
+        int.from_bytes(data[i : i + width], _ORDER) % m
+        for i in range(0, len(data), width)
+    ]
+
+
 def unpack(value, width, size, m, count=None):
     """The first count (default all) of the size slots of value, each mod m."""
     count = size if count is None else count
-    data = value.to_bytes(size * width, _ORDER)
-    code = _CODES.get(width)
-    if code is not None:
-        return [c % m for c in memoryview(data).cast(code)[:count]]
-    return [
-        int.from_bytes(data[i : i + width], _ORDER) % m
-        for i in range(0, count * width, width)
-    ]
+    data = memoryview(value.to_bytes(size * width, _ORDER))
+    return _slots(data[: count * width], width, m)
+
+
+def split(value, width, size, at, m):
+    """Value's first at slots as a packed int, and its other size - at slots mod m.
+
+    The leading slots stay packed, unreduced, for further packed sums.
+    """
+    data = memoryview(value.to_bytes(size * width, _ORDER))
+    cut = at * width
+    return int.from_bytes(data[:cut], _ORDER), _slots(data[cut:], width, m)
 
 
 def mul(a, b, m, count=None):

@@ -10,7 +10,9 @@ squarefree are skipped as ramified (ddf detects them by gcd with the
 derivative, so no huge integer discriminant is ever formed), and p = ell is
 always skipped.  ddf applies the Frobenius map as a linear operator on
 packed integer rows (polyarith), so each degree step costs one C-level dot
-product instead of a fresh modular exponentiation.
+product instead of a fresh modular exponentiation, and it tests a block of
+b = ceil(sqrt(n/2)) degrees with one gcd against the product of their
+Frobenius differences, refining degree by degree only the blocks that hit.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -20,6 +22,7 @@ in ascending order with the zero polynomial written as the empty tuple.
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from math import isqrt
 from operator import mul as _imul
 from pathlib import Path
 
@@ -71,13 +74,19 @@ class ProjPolyRecord:
 
 @dataclass(frozen=True)
 class ModPoly:
-    """Polynomial over F_p: ascending coefficients, stripped, () for zero."""
+    """Polynomial over F_p: ascending coefficients, stripped, () for zero.
+
+    A modulus that is not prime raises ValueError: the gcds and the DDF
+    pattern are only meaningful over a field.
+    """
 
     modulus: int
     coeffs: tuple
 
     def __post_init__(self):
         p = self.modulus
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         c = [x % p for x in self.coeffs]
         while c and c[-1] == 0:
             c.pop()
@@ -182,9 +191,7 @@ def parse_poly(text, k=None, ell=None):
 
 
 def reduce_mod(record, p):
-    """Reduce a record's coefficients into [0, p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Reduce a record's coefficients into [0, p); p must be prime."""
     return ModPoly(p, record.coeffs)
 
 
@@ -225,9 +232,25 @@ def _monic(a, p):
 
 
 def _gcd(a, b, p):
-    a, b = list(a), list(b)
+    """Monic gcd of two coefficient lists with entries in [0, p).
+
+    One loop of Euclid: a is reduced by b in place, one leading coefficient
+    popped per shift, so no quotient is formed; gcd(a, 0) = monic(a) and
+    gcd(0, 0) = [].
+    """
+    a, b = list(a), _strip(list(b))
     while b:
-        a, b = b, _divmod(a, b, p)[1]
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop()
+            if c:
+                c = c * inv % p
+                s = len(a) - db
+                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return _monic(a, p)
 
 
@@ -250,25 +273,33 @@ def is_squarefree_mod(f):
     return len(g) == 1
 
 
-def _frobenius_rows(f, p):
-    """Packed rows x^(i*p) mod f, i < n, for a monic f of degree n >= 2.
+def _frobenius(f, p):
+    """(frobenius, mulmod) for a monic f of degree n >= 2 over F_p.
 
-    Products mod f are one packed product (polyarith) whose high half is
-    folded back with the packed reduction rows x^(n+j) mod f, so every step
-    is a C-level sum(map(mul, ...)) over ints.  Returns (rows, width): a
-    combination sum(h_i * rows[i]) with h_i in [0, p) unpacks at that width
-    to the image of h under the Frobenius map h -> h^p mod f.
+    frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
+    lists of length n with entries in [0, p).  Both work on packed ints
+    (polyarith) with one slot width, from the bound 2n(p - 1)^2.  A product
+    is one packed multiplication; its low n slots stay packed and its high
+    n - 1 slots are folded back with the packed reduction rows x^(n+j) mod f,
+    one C-level sum(map(mul, ...)).  The Frobenius map is the same kind of
+    sum over the packed rows x^(i*p) mod f, i < n.
     """
     n = len(f) - 1
-    width = polyarith.slot_width(n * (p - 1) ** 2)
-    pack, unpack = polyarith.pack, polyarith.unpack
+    width = polyarith.slot_width(2 * n * (p - 1) ** 2)
+    pack, unpack, split = polyarith.pack, polyarith.unpack, polyarith.split
 
     def times_x(h):
         return unpack(pack([0] + h[:-1], width) + h[-1] * reduce_rows[0], width, n, p)
 
+    def reduce(c):  # a product of two packed n-slot values, mod f
+        low, high = split(c, width, 2 * n - 1, n, p)
+        return unpack(low + sum(map(_imul, high, reduce_rows)), width, n, p)
+
     def mulmod(a, b):
-        c = polyarith.mul(a, b, p)
-        return unpack(pack(c[:n], width) + sum(map(_imul, c[n:], reduce_rows)), width, n, p)
+        return reduce(pack(a, width) * pack(b, width))
+
+    def frobenius(h):
+        return unpack(sum(map(_imul, h, rows)), width, n, p)
 
     row = [-c % p for c in f[:n]]  # x^n mod f
     reduce_rows = [pack(row, width)]
@@ -278,27 +309,36 @@ def _frobenius_rows(f, p):
 
     xp = [0, 1] + [0] * (n - 2)  # x^p mod f by square and multiply
     for bit in bin(p)[3:]:
-        xp = mulmod(xp, xp)
+        xp = reduce(pack(xp, width) ** 2)
         if bit == "1":
             xp = times_x(xp)
-    rows = [pack([1] + [0] * (n - 1), width), pack(xp, width)]
-    power = xp
+    xp = pack(xp, width)
+    rows = [pack([1] + [0] * (n - 1), width), xp]
     for _ in range(n - 2):
-        power = mulmod(power, xp)
-        rows.append(pack(power, width))
-    return rows, width
+        rows.append(pack(reduce(rows[-1] * xp), width))
+    return frobenius, mulmod
 
 
 def ddf(f):
     """Degree multiset of the irreducible factors of a squarefree monic f.
 
-    Distinct-degree factorization: for d = 1, 2, ... compute
-    gcd(f, x^{p^d} - x mod f), peel off the degree-d part, and stop once
-    2d exceeds the remaining degree, which is then itself irreducible.
-    x^{p^d} mod f is kept modulo the original f of degree n and advanced by
-    the Frobenius map h -> sum h_i x^{ip}, one packed matrix-vector product
-    per degree step (von zur Gathen-Shoup); since the remaining part divides
-    f, the gcd is unchanged.  Only the degrees are returned, never the
+    Distinct-degree factorization: the product of the irreducible factors of
+    degree d divides x^{p^d} - x, and a factor of degree e divides
+    x^{p^d} - x exactly when e | d.  x^{p^d} mod f is kept modulo the
+    original f of degree n and advanced by the Frobenius map
+    h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
+    (von zur Gathen-Shoup); since the remaining part divides f, every gcd
+    with it is unchanged.
+
+    Degrees are taken in blocks of b = ceil(sqrt(n/2)): one gcd of the
+    remaining part with the product of u_d = x^{p^d} - x mod f over the
+    block finds every factor whose degree lies in it (all smaller degrees
+    are already gone).  Most blocks give 1 and cost one gcd instead of b
+    (Shoup 1995).  The hit g of a block leaves the remaining part at once
+    and is refined in ascending d by gcd(g, u_d), each hit peeled from g;
+    what is left of g at the last degree of the block has that degree.
+    The scan stops once 2(d + 1) exceeds the remaining degree, which is
+    then itself irreducible.  Only the degrees are returned, never the
     factors.
     """
     p = f.modulus
@@ -308,19 +348,33 @@ def ddf(f):
     n = len(work) - 1
     if n < 2:  # a constant has no factors, a linear f is irreducible
         return (1,) * n
-    rows, width = _frobenius_rows(work, p)
+    frobenius, mulmod = _frobenius(work, p)
+    b = isqrt((n + 1) // 2 - 1) + 1  # ceil(sqrt(n / 2))
     out = []
     h = [0, 1] + [0] * (n - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
     d = 0
     while 2 * (d + 1) <= len(work) - 1:
-        d += 1
-        h = polyarith.unpack(sum(map(_imul, h, rows)), width, n, p)
-        diff = list(h)
-        diff[1] = (diff[1] - 1) % p
-        g = _gcd(work, _strip(diff), p)
-        if len(g) > 1:
-            out.extend([d] * ((len(g) - 1) // d))
-            work = _divmod(work, g, p)[0]
+        block = []
+        while len(block) < b and 2 * (d + 1) <= len(work) - 1:
+            d += 1
+            h = frobenius(h)
+            u = list(h)
+            u[1] = (u[1] - 1) % p
+            product = mulmod(product, u) if block else u
+            block.append(u)
+        g = _gcd(work, product, p)
+        if len(g) == 1:
+            continue
+        work = _divmod(work, g, p)[0]
+        first = d - len(block) + 1
+        for e, u in enumerate(block[:-1], first):
+            if len(g) == 1:
+                break
+            hit = _gcd(g, u, p)
+            if len(hit) > 1:
+                out.extend([e] * ((len(hit) - 1) // e))
+                g = _divmod(g, hit, p)[0]
+        out.extend([d] * ((len(g) - 1) // d))
     if len(work) - 1 > 0:
         out.append(len(work) - 1)
     result = tuple(sorted(out))

@@ -65,8 +65,14 @@ class TwistCertificate:
     extended_terms: int
     prime_checks: tuple
 
-    def validate(self, level=1):
-        """Re-check every stored invariant; raises ValueError on violation."""
+    def validate(self, level=1, series=None):
+        """Re-check every stored invariant; raises ValueError on violation.
+
+        The stored checks alone are only self-consistent.  Given
+        series=(f1, f2), the q-expansions of weights k1 and k2 mod ell to
+        precision at least the bound, each stored (p, lhs, rhs) must also
+        equal (a_p(f1), p^i a_p(f2) mod ell), re-derived from the series.
+        """
         if not 0 <= self.i <= self.ell - 2:
             raise ValueError(f"exponent {self.i} outside [0, {self.ell - 2}]")
         if not weight_congruent(self.k1, self.k2, self.i, self.ell):
@@ -85,6 +91,17 @@ class TwistCertificate:
         required = {p for p in primes_upto(self.bound) if (level * self.ell) % p != 0}
         if seen != required:
             raise ValueError("stored primes do not cover the required range")
+        if series is None:
+            return
+        f1, f2 = series
+        if f1.ell != self.ell or f2.ell != self.ell:
+            raise ValueError(f"series are not mod {self.ell}")
+        for p, lhs, rhs in self.prime_checks:
+            derived = (f1.coeff(p), pow(p, self.i, self.ell) * f2.coeff(p) % self.ell)
+            if (lhs, rhs) != derived:
+                raise ValueError(
+                    f"stored check at p={p} is {(lhs, rhs)}, the series give {derived}"
+                )
 
     def to_json_dict(self):
         return {

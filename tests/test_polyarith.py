@@ -5,7 +5,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from thetatwist.polyarith import mul, pack, slot_width, unpack
+from thetatwist.polyarith import mul, pack, slot_width, split, unpack
 
 import oracles
 
@@ -58,3 +58,6 @@ def test_pack_unpack_roundtrip(width):
     value = pack(coeffs, width)
     assert unpack(value, width, len(coeffs), 2**(8 * width)) == coeffs
     assert unpack(value, width, len(coeffs), 2**(8 * width), 2) == coeffs[:2]
+    low, high = split(value, width, len(coeffs), 2, 7)
+    assert low == pack(coeffs[:2], width)
+    assert high == [c % 7 for c in coeffs[2:]]

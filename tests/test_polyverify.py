@@ -90,10 +90,21 @@ def test_reduce_mod():
         reduce_mod(rec, 4)
 
 
+def test_modpoly_rejects_composite_modulus():
+    with pytest.raises(ValueError, match="15 is not prime"):
+        ddf(ModPoly(15, (1, 0, 1)))
+    with pytest.raises(ValueError, match="15 is not prime"):
+        poly_gcd_mod(ModPoly(15, (1, 0, 1)), ModPoly(15, (2, 1)))
+
+
 def test_poly_gcd_mod():
     f = ModPoly(5, (4, 0, 3))  # 3x^2 + 4
     zero = ModPoly(5, ())
     assert poly_gcd_mod(f, zero).coeffs == (3, 0, 1)  # monic(f)
+    assert poly_gcd_mod(zero, f).coeffs == (3, 0, 1)
+    assert poly_gcd_mod(zero, zero).coeffs == ()
+    assert poly_gcd_mod(zero, ModPoly(5, (3,))).coeffs == (1,)
+    assert poly_gcd_mod(ModPoly(5, (3,)), f).coeffs == (1,)
     x2m1 = ModPoly(5, (4, 0, 1))
     xm1 = ModPoly(5, (4, 1))
     assert poly_gcd_mod(x2m1, xm1).coeffs == (4, 1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from thetatwist.errors import (
@@ -167,3 +169,17 @@ def test_certificate_validate_catches_corruption():
     )
     with pytest.raises(ValueError):
         incongruent.validate()
+
+
+def test_certificate_validate_rederives_from_series():
+    _, _, cert = twist_search(16, 13, extended=200)
+    forged = dataclasses.replace(
+        cert, prime_checks=tuple((p, 0, 0) for p, _, _ in cert.prime_checks)
+    )
+    forged.validate()  # self-consistent: every stored lhs equals its rhs
+    series = (delta_k(16, 13, 15), delta_k(12, 13, 15))
+    cert.validate(series=series)
+    with pytest.raises(ValueError):
+        forged.validate(series=series)
+    with pytest.raises(ValueError):
+        cert.validate(series=(delta_k(16, 17, 25), delta_k(12, 17, 25)))
