@@ -16,7 +16,7 @@ print(f"E6  mod {ELL}:", e6.coeffs)
 
 f = delta_k(12, ELL, 10)
 print(f"\ndelta_12 mod {ELL} (the tau values reduced):", f.coeffs)
-print("tagged as type (N, k, eps) =", f.form_type)
+print("tagged with weight k =", f.weight)
 
 tf = theta(f)
 print(f"\ntheta delta_12: a_n = n * a_n, weight jumps by ell + 1 = {ELL + 1}")
@@ -31,7 +31,7 @@ print("hasse * delta_12 == delta_12:", (a * f).coeffs == f.coeffs)
 # delta_16 = theta^2 delta_12 mod 13, checkable up to the bound
 g = delta_k(16, ELL, 10)
 t2f = theta_power(f, 2)
-m = sturm_bound(1, max(16, 12 + 2 * (ELL + 1)))
+m = sturm_bound(max(16, 12 + 2 * (ELL + 1)))
 print(f"\nSturm-type bound for the comparison: m = {m}")
 print(f"delta_16 == theta^2 delta_12 up to m: {equal_upto(g, t2f, m)}")
 print("first coefficients:", g.coeffs[:6], "vs", t2f.coeffs[:6])

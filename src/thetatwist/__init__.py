@@ -45,19 +45,16 @@ from .polyverify import (
     is_squarefree_mod,
     load_poly_file,
     parse_poly,
-    poly_gcd_mod,
     reduce_mod,
     verify_record,
 )
 from .qseries import (
     SUPPORTED_WEIGHTS,
-    FormType,
     QExpansion,
     delta_k,
     eisenstein,
     equal_upto,
     hasse,
-    index_gamma1,
     series_mul,
     sturm_bound,
     theta,

@@ -138,7 +138,7 @@ class ScreeningReport:
         return cls(**d)
 
 
-def screen_exceptional(k, ell, bound, series=None):
+def screen_exceptional(k, ell, bound):
     """Scan primes p <= bound for congruences that betray a small image.
 
     reducible: some fixed j has a_p = p^j + p^{k-1-j} for every tested p.
@@ -149,7 +149,7 @@ def screen_exceptional(k, ell, bound, series=None):
     Raises ValueError when no prime p != ell lies in the scan, since every
     test would then pass vacuously.
     """
-    f = series if series is not None else delta_k(k, ell, bound)
+    f = delta_k(k, ell, bound)
     primes = [p for p in primes_upto(bound) if p != ell]
     if not primes:
         raise ValueError(f"no prime p <= {bound} other than ell = {ell} to screen")

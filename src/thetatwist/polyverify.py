@@ -29,7 +29,6 @@ from pathlib import Path
 from . import polyarith
 from .errors import (
     DuplicateTerm,
-    ModulusMismatch,
     NonMonicWarning,
     NotSquarefree,
     ParseError,
@@ -258,13 +257,6 @@ def _deriv(a, p):
     return _strip([i * a[i] % p for i in range(1, len(a))])
 
 
-def poly_gcd_mod(f, g):
-    """Monic gcd of two polynomials over the same F_p (Euclid)."""
-    if f.modulus != g.modulus:
-        raise ModulusMismatch(f"moduli differ: {f.modulus} vs {g.modulus}")
-    return ModPoly(f.modulus, _gcd(f.coeffs, g.coeffs, f.modulus))
-
-
 def is_squarefree_mod(f):
     """True iff gcd(f, f') = 1; a vanishing derivative is handled by the gcd."""
     if f.is_zero():
@@ -455,6 +447,8 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
+    if record.k is not None and record.k != k:
+        raise ValueError("record label disagrees with requested k")
     f = series if series is not None else delta_k(k, ell, pmax)
     outcomes = []
     failures = []

@@ -14,9 +14,11 @@ one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26} (as
 monomials in E4, E6 and the discriminant form), the theta operator q d/dq,
 and the weight ell-1 form with q-expansion 1 whose multiplication shifts
 nominal weight without touching coefficients.
+
+Everything is level 1 with trivial character, so the only type a series
+carries is an optional weight tag, a plain int.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polyarith
@@ -25,9 +27,7 @@ from .errors import (
     ModulusMismatch,
     UnsupportedWeight,
 )
-from .ffield import check_prime, factorize
-
-TRIVIAL = "trivial"
+from .ffield import check_prime
 
 #: weights k with dim S_k(SL_2(Z)) = 1, as exponent pairs (a, b) in
 #: delta_k = Delta * E4^a * E6^b
@@ -43,27 +43,22 @@ _DELTA_EXPONENTS = {
 SUPPORTED_WEIGHTS = tuple(sorted(_DELTA_EXPONENTS))
 
 
-@dataclass(frozen=True)
-class FormType:
-    """Type (N, k, eps) of a form: level, weight, nebentypus descriptor."""
-
-    level: int = 1
-    weight: int = 0
-    eps: str = TRIVIAL
+def _same_weight(f, g):
+    return f.weight if f.weight == g.weight else None
 
 
 class QExpansion:
-    """Truncated q-series over F_ell, optionally tagged with a form type."""
+    """Truncated q-series over F_ell, optionally tagged with a weight."""
 
-    __slots__ = ("ell", "coeffs", "form_type")
+    __slots__ = ("ell", "coeffs", "weight")
 
-    def __init__(self, ell, coeffs, form_type=None):
+    def __init__(self, ell, coeffs, weight=None):
         coeffs = tuple(c % ell for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self.ell = ell
         self.coeffs = coeffs
-        self.form_type = form_type
+        self.weight = weight
 
     @property
     def precision(self):
@@ -82,39 +77,28 @@ class QExpansion:
             raise InsufficientPrecision(
                 f"cannot extend precision {self.precision} to {n0}"
             )
-        return QExpansion(self.ell, self.coeffs[: n0 + 1], self.form_type)
+        return QExpansion(self.ell, self.coeffs[: n0 + 1], self.weight)
 
     def _check(self, other):
         if self.ell != other.ell:
             raise ModulusMismatch(f"moduli differ: {self.ell} vs {other.ell}")
 
-    def _combined_type(self, other, weight_action):
-        a, b = self.form_type, other.form_type
-        if a is None or b is None:
-            return None
-        if a.level != b.level or a.eps != b.eps:
-            return None
-        w = weight_action(a.weight, b.weight)
-        return None if w is None else FormType(a.level, w, a.eps)
-
     def __add__(self, other):
         self._check(other)
         n = min(self.precision, other.precision)
         coeffs = [x + y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        ft = self._combined_type(other, lambda k1, k2: k1 if k1 == k2 else None)
-        return QExpansion(self.ell, coeffs, ft)
+        return QExpansion(self.ell, coeffs, _same_weight(self, other))
 
     def __sub__(self, other):
         self._check(other)
         n = min(self.precision, other.precision)
         coeffs = [x - y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        ft = self._combined_type(other, lambda k1, k2: k1 if k1 == k2 else None)
-        return QExpansion(self.ell, coeffs, ft)
+        return QExpansion(self.ell, coeffs, _same_weight(self, other))
 
     def scale(self, scalar):
         """Multiply every coefficient by a scalar in F_ell."""
         s = scalar % self.ell
-        return QExpansion(self.ell, [s * c for c in self.coeffs], self.form_type)
+        return QExpansion(self.ell, [s * c for c in self.coeffs], self.weight)
 
     def __mul__(self, other):
         return series_mul(self, other)
@@ -125,33 +109,31 @@ class QExpansion:
         return (
             self.ell == other.ell
             and self.coeffs == other.coeffs
-            and self.form_type == other.form_type
+            and self.weight == other.weight
         )
 
     def __hash__(self):
-        return hash((self.ell, self.coeffs, self.form_type))
+        return hash((self.ell, self.coeffs, self.weight))
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.precision >= 6 else ""
-        k = self.form_type.weight if self.form_type else None
-        return f"QExpansion(ell={self.ell}, prec={self.precision}, k={k}, [{head}{tail}])"
+        return f"QExpansion(ell={self.ell}, prec={self.precision}, k={self.weight}, [{head}{tail}])"
 
     def to_json_dict(self):
-        ft = self.form_type
         return {
             "ell": self.ell,
-            "N": ft.level if ft else None,
-            "k": ft.weight if ft else None,
+            "N": None if self.weight is None else 1,
+            "k": self.weight,
             "coeffs": list(self.coeffs),
         }
 
     @classmethod
     def from_json_dict(cls, d):
-        ft = None
-        if d.get("k") is not None:
-            ft = FormType(d.get("N") or 1, d["k"])
-        return cls(d["ell"], d["coeffs"], ft)
+        """Inverse of to_json_dict; rejects any level but 1."""
+        if d.get("N") not in (None, 1):
+            raise ValueError(f"level {d['N']} is not supported, only level 1")
+        return cls(d["ell"], d["coeffs"], d.get("k"))
 
 
 def series_mul(f, g):
@@ -164,8 +146,8 @@ def series_mul(f, g):
     f._check(g)
     n = min(f.precision, g.precision)
     out = polyarith.mul(f.coeffs[: n + 1], g.coeffs[: n + 1], f.ell, n + 1)
-    ft = f._combined_type(g, lambda k1, k2: k1 + k2)
-    return QExpansion(f.ell, out, ft)
+    weight = None if f.weight is None or g.weight is None else f.weight + g.weight
+    return QExpansion(f.ell, out, weight)
 
 
 def _sigma_mod(j, n0, ell):
@@ -189,7 +171,7 @@ def eisenstein(k, ell, n0):
     const, j = (240, 3) if k == 4 else (-504, 5)
     sig = _sigma_mod(j, n0, ell)
     coeffs = [1] + [const * sig[m] for m in range(1, n0 + 1)]
-    return QExpansion(ell, coeffs, FormType(1, k))
+    return QExpansion(ell, coeffs, k)
 
 
 @lru_cache(maxsize=None)
@@ -220,17 +202,15 @@ def delta_k(k, ell, n0):
     for _ in range(b):
         f = series_mul(f, e6)
     assert f.coeffs[0] == 0 and f.coeffs[1] == 1, "normalization broke"
-    return QExpansion(ell, f.coeffs, FormType(1, k))
+    return QExpansion(ell, f.coeffs, k)
 
 
 def theta(f):
     """q d/dq: a_n -> n*a_n; shifts the weight tag by ell + 1."""
     ell = f.ell
     coeffs = [n * c for n, c in enumerate(f.coeffs)]
-    ft = f.form_type
-    if ft is not None:
-        ft = FormType(ft.level, ft.weight + ell + 1, ft.eps)
-    return QExpansion(ell, coeffs, ft)
+    weight = None if f.weight is None else f.weight + ell + 1
+    return QExpansion(ell, coeffs, weight)
 
 
 def theta_power(f, i):
@@ -241,10 +221,8 @@ def theta_power(f, i):
         return f
     ell = f.ell
     coeffs = [pow(n, i, ell) * c for n, c in enumerate(f.coeffs)]
-    ft = f.form_type
-    if ft is not None:
-        ft = FormType(ft.level, ft.weight + i * (ell + 1), ft.eps)
-    return QExpansion(ell, coeffs, ft)
+    weight = None if f.weight is None else f.weight + i * (ell + 1)
+    return QExpansion(ell, coeffs, weight)
 
 
 def hasse(ell, n0):
@@ -254,34 +232,20 @@ def hasse(ell, n0):
     which is what lets forms of congruent weights be compared directly.
     """
     check_prime(ell)
-    return QExpansion(ell, [1] + [0] * n0, FormType(1, ell - 1))
+    return QExpansion(ell, [1] + [0] * n0, ell - 1)
 
 
-def index_gamma1(N):
-    """Index of the level-N congruence subgroup Gamma_1(N) in SL_2(Z)."""
-    if N < 1:
-        raise ValueError("level must be positive")
-    if N == 1:
-        return 1
-    if N == 2:
-        return 3
-    idx = N * N
-    for p in factorize(N):
-        idx = idx // (p * p) * (p * p - 1)
-    return idx
-
-
-def sturm_bound(N, k):
-    """Coefficient index up to which forms of compatible type must agree."""
-    return max(1, k * index_gamma1(N) // 12)
+def sturm_bound(k):
+    """Coefficient index up to which level-1 forms of weight k must agree."""
+    return max(1, k // 12)
 
 
 def equal_upto(f, g, m):
     """Whether f and g agree as forms up to and including coefficient m.
 
-    When both carry form-type tags the tags must be compatible: same level
-    and character, and weights congruent mod ell - 1 (incongruent weights can
-    never be equal as mod-ell forms, whatever the coefficients say).  Index 0
+    When both carry weight tags the weights must be congruent mod ell - 1
+    (incongruent weights can never be equal as mod-ell forms, whatever the
+    coefficients say).  Index 0
     is compared too, so Eisenstein-vs-cusp comparisons fail immediately.
     """
     if f.ell != g.ell:
@@ -290,10 +254,7 @@ def equal_upto(f, g, m):
         raise InsufficientPrecision(
             f"need precision {m}, have {f.precision} and {g.precision}"
         )
-    ta, tb = f.form_type, g.form_type
-    if ta is not None and tb is not None:
-        if ta.level != tb.level or ta.eps != tb.eps:
-            return False
-        if (ta.weight - tb.weight) % (f.ell - 1) != 0:
+    if f.weight is not None and g.weight is not None:
+        if (f.weight - g.weight) % (f.ell - 1) != 0:
             return False
     return f.coeffs[: m + 1] == g.coeffs[: m + 1]

@@ -2,7 +2,7 @@
 
 Two normalized eigenforms f1, f2 of weights k1, k2 satisfy f1 = theta^i f2
 mod ell exactly when k1 = k2 + 2i (mod ell-1) and a_p(f1) = p^i a_p(f2) for
-every prime p up to ell(ell+1)[SL_2(Z):Gamma_1(N)]/12 (p not dividing N*ell).
+every prime p != ell up to the level-1 bound ell(ell+1)/12.
 check_twist certifies one candidate pair; twist_search scans (k', i) in a
 fixed deterministic order and returns the first pair that passes, which
 reduces a weight k > ell+1 form to one of weight k' <= ell+1 with an
@@ -20,7 +20,7 @@ from .errors import (
     WeightIncongruent,
 )
 from .ffield import check_prime, primes_upto
-from .qseries import SUPPORTED_WEIGHTS, delta_k, index_gamma1
+from .qseries import SUPPORTED_WEIGHTS, delta_k
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
 #: The (22, 11) row is printed there with i = 1, which fails the weight
@@ -42,9 +42,9 @@ def weight_congruent(k1, k2, i, ell):
     return (k1 - k2 - 2 * i) % (ell - 1) == 0
 
 
-def twist_bound(N, ell):
-    """Prime bound ell(ell+1)[SL_2(Z):Gamma_1(N)]/12 for the pairwise check."""
-    return ell * (ell + 1) * index_gamma1(N) // 12
+def twist_bound(ell):
+    """Prime bound ell(ell+1)/12 for the pairwise check at level 1."""
+    return ell * (ell + 1) // 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class TwistCertificate:
     extended_terms: int
     prime_checks: tuple
 
-    def validate(self, level=1, series=None):
+    def validate(self, series=None):
         """Re-check every stored invariant; raises ValueError on violation.
 
         The stored checks alone are only self-consistent.  Given
@@ -79,7 +79,7 @@ class TwistCertificate:
             raise ValueError(
                 f"weights {self.k1}, {self.k2} incongruent for i={self.i} mod {self.ell - 1}"
             )
-        if self.bound < twist_bound(level, self.ell):
+        if self.bound < twist_bound(self.ell):
             raise ValueError(f"bound {self.bound} below required minimum")
         seen = set()
         for p, lhs, rhs in self.prime_checks:
@@ -88,7 +88,7 @@ class TwistCertificate:
             if lhs != rhs:
                 raise ValueError(f"stored check at p={p} does not match: {lhs} != {rhs}")
             seen.add(p)
-        required = {p for p in primes_upto(self.bound) if (level * self.ell) % p != 0}
+        required = set(primes_upto(self.bound)) - {self.ell}
         if seen != required:
             raise ValueError("stored primes do not cover the required range")
         if series is None:
@@ -132,21 +132,17 @@ def check_twist(f1, f2, i, extended=0):
 
     Also confirms the full series identity a_n(f1) = n^i a_n(f2) for every
     n <= extended, which is the statement f1 = theta^i f2.  Both series must
-    carry form-type tags and reach precision max(bound, extended).
+    carry weight tags and reach precision max(bound, extended).
     """
     f1._check(f2)
-    if f1.form_type is None or f2.form_type is None:
-        raise ValueError("both series need form-type tags")
-    t1, t2 = f1.form_type, f2.form_type
-    if t1.level != t2.level or t1.eps != t2.eps:
-        raise ValueError("series have different levels or characters")
+    if f1.weight is None or f2.weight is None:
+        raise ValueError("both series need weight tags")
     ell = f1.ell
-    level = t1.level
-    if not weight_congruent(t1.weight, t2.weight, i, ell):
+    if not weight_congruent(f1.weight, f2.weight, i, ell):
         raise WeightIncongruent(
-            f"{t1.weight} != {t2.weight} + 2*{i} (mod {ell - 1})"
+            f"{f1.weight} != {f2.weight} + 2*{i} (mod {ell - 1})"
         )
-    bound = twist_bound(level, ell)
+    bound = twist_bound(ell)
     need = max(bound, extended)
     if f1.precision < need or f2.precision < need:
         raise InsufficientPrecision(
@@ -154,7 +150,7 @@ def check_twist(f1, f2, i, extended=0):
         )
     checks = []
     for p in primes_upto(bound):
-        if (level * ell) % p == 0:
+        if p == ell:
             continue
         lhs = f1.coeff(p)
         rhs = pow(p, i, ell) * f2.coeff(p) % ell
@@ -168,8 +164,8 @@ def check_twist(f1, f2, i, extended=0):
             raise CoefficientMismatch(n, lhs, rhs)
     return TwistCertificate(
         ell=ell,
-        k1=t1.weight,
-        k2=t2.weight,
+        k1=f1.weight,
+        k2=f2.weight,
         i=i % (ell - 1),
         bound=bound,
         extended_terms=extended,
@@ -192,7 +188,7 @@ def twist_search(k, ell, extended=1000):
         raise ValueError("ell >= 5 required")
     if k not in SUPPORTED_WEIGHTS:
         raise UnsupportedWeight(f"weight {k} not in {SUPPORTED_WEIGHTS}")
-    bound = twist_bound(1, ell)
+    bound = twist_bound(ell)
     f1 = delta_k(k, ell, bound)
     candidates = [kp for kp in SUPPORTED_WEIGHTS if 2 <= kp <= ell + 1]
     for kp in candidates:

@@ -130,15 +130,3 @@ def naive_is_prime(n):
             return False
         d += 1
     return True
-
-
-def sl2_matrix_count(N):
-    """|SL_2(Z/N)| by exhaustive enumeration; index oracle for small N."""
-    count = 0
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for d in range(N):
-                    if (a * d - b * c) % N == 1:
-                        count += 1
-    return count

@@ -5,7 +5,6 @@ import pytest
 
 from thetatwist.errors import (
     DuplicateTerm,
-    ModulusMismatch,
     NonMonicWarning,
     NotSquarefree,
     ParseError,
@@ -15,11 +14,11 @@ from thetatwist.polyverify import (
     ModPoly,
     ProjPolyRecord,
     VerificationReport,
+    _gcd,
     bundled_record,
     ddf,
     is_squarefree_mod,
     parse_poly,
-    poly_gcd_mod,
     reduce_mod,
     verify_record,
 )
@@ -93,26 +92,17 @@ def test_reduce_mod():
 def test_modpoly_rejects_composite_modulus():
     with pytest.raises(ValueError, match="15 is not prime"):
         ddf(ModPoly(15, (1, 0, 1)))
-    with pytest.raises(ValueError, match="15 is not prime"):
-        poly_gcd_mod(ModPoly(15, (1, 0, 1)), ModPoly(15, (2, 1)))
 
 
 def test_poly_gcd_mod():
-    f = ModPoly(5, (4, 0, 3))  # 3x^2 + 4
-    zero = ModPoly(5, ())
-    assert poly_gcd_mod(f, zero).coeffs == (3, 0, 1)  # monic(f)
-    assert poly_gcd_mod(zero, f).coeffs == (3, 0, 1)
-    assert poly_gcd_mod(zero, zero).coeffs == ()
-    assert poly_gcd_mod(zero, ModPoly(5, (3,))).coeffs == (1,)
-    assert poly_gcd_mod(ModPoly(5, (3,)), f).coeffs == (1,)
-    x2m1 = ModPoly(5, (4, 0, 1))
-    xm1 = ModPoly(5, (4, 1))
-    assert poly_gcd_mod(x2m1, xm1).coeffs == (4, 1)
-    sq = ModPoly(7, (1, 5, 1))  # (x-1)^2 = x^2 - 2x + 1
-    deriv = ModPoly(7, (5, 2))
-    assert poly_gcd_mod(sq, deriv).coeffs == (6, 1)
-    with pytest.raises(ModulusMismatch):
-        poly_gcd_mod(ModPoly(5, (1,)), ModPoly(7, (1,)))
+    f = (4, 0, 3)  # 3x^2 + 4
+    assert _gcd(f, (), 5) == [3, 0, 1]  # monic(f)
+    assert _gcd((), f, 5) == [3, 0, 1]
+    assert _gcd((), (), 5) == []
+    assert _gcd((), (3,), 5) == [1]
+    assert _gcd((3,), f, 5) == [1]
+    assert _gcd((4, 0, 1), (4, 1), 5) == [4, 1]  # gcd(x^2 - 1, x - 1)
+    assert _gcd((1, 5, 1), (5, 2), 7) == [6, 1]  # (x-1)^2 and its derivative
 
 
 def test_is_squarefree_mod():
@@ -194,6 +184,9 @@ def test_verify_record_rejects_wrong_label():
     rec = bundled_record(16, 13)
     with pytest.raises(ValueError):
         verify_record(rec, 16, 17, 50)
+    # a mislabelled weight must not read as a broken polynomial
+    with pytest.raises(ValueError, match="requested k"):
+        verify_record(rec, 20, 13, 100)
 
 
 def test_verify_record_detects_mutation():

@@ -10,13 +10,11 @@ from thetatwist.errors import (
 from thetatwist.ffield import primes_upto
 from thetatwist.qseries import (
     SUPPORTED_WEIGHTS,
-    FormType,
     QExpansion,
     delta_k,
     eisenstein,
     equal_upto,
     hasse,
-    index_gamma1,
     series_mul,
     sturm_bound,
     theta,
@@ -130,7 +128,7 @@ def test_delta_k_normalization_and_tags():
             f = delta_k(k, ell, 10)
             assert f.coeff(0) == 0
             assert f.coeff(1) == 1
-            assert f.form_type == FormType(1, k)
+            assert f.weight == k
 
 
 def test_delta_k_rejects():
@@ -170,7 +168,7 @@ def test_theta():
     tf = theta(f)
     assert tf.coeff(2) == 2 * f.coeff(2) % 13 == 4
     assert tf.coeff(13) == 0
-    assert tf.form_type == FormType(1, 12 + 13 + 1)
+    assert tf.weight == 12 + 13 + 1
     const = QExpansion(13, [1, 0, 0])
     assert theta(const).coeffs == (0, 0, 0)
 
@@ -179,7 +177,7 @@ def test_theta_power():
     f = delta_k(12, 13, 50)
     t2 = theta(theta(f))
     assert theta_power(f, 2).coeffs == t2.coeffs
-    assert theta_power(f, 2).form_type == t2.form_type
+    assert theta_power(f, 2).weight == t2.weight
     assert theta_power(f, 0) is f
 
 
@@ -196,27 +194,16 @@ def test_theta_fermat_identity():
 def test_hasse():
     a = hasse(13, 5)
     assert a.coeffs == (1, 0, 0, 0, 0, 0)
-    assert a.form_type == FormType(1, 12)
-    assert hasse(11, 3).form_type.weight == 10
+    assert a.weight == 12
+    assert hasse(11, 3).weight == 10
     f = delta_k(12, 13, 5)
     assert series_mul(a, f).coeffs == f.coeffs
 
 
-def test_index_gamma1():
-    assert index_gamma1(1) == 1
-    assert index_gamma1(2) == 3
-    assert index_gamma1(4) == 12
-    # oracle: index = |SL2(Z/N)| / N (the image of Gamma_1(N) is the
-    # upper unipotent subgroup, of order N)
-    for N in (2, 3, 4, 5, 6):
-        assert index_gamma1(N) == oracles.sl2_matrix_count(N) // N
-
-
 def test_sturm_bound():
-    assert sturm_bound(1, 26) == 2
-    assert sturm_bound(1, 12) == 1
-    assert sturm_bound(2, 12) == 3
-    assert sturm_bound(1, 4) == 1  # floor would be 0; minimum is 1
+    assert sturm_bound(26) == 2
+    assert sturm_bound(12) == 1
+    assert sturm_bound(4) == 1  # floor would be 0; minimum is 1
 
 
 def test_equal_upto():
@@ -224,7 +211,7 @@ def test_equal_upto():
     assert equal_upto(f, f, 10)
     g = delta_k(12, 13, 10)
     t2g = theta_power(g, 2)  # weight 40 = 16 mod 12
-    m = sturm_bound(1, max(16, 12 + 2 * (13 + 1)))
+    m = sturm_bound(max(16, 12 + 2 * (13 + 1)))
     assert m == 3
     assert equal_upto(f, t2g, m)
     tg = theta(g)  # weight 26, incongruent to 16 mod 12
@@ -235,7 +222,7 @@ def test_equal_upto():
 
 def test_equal_upto_checks_index_zero():
     e4 = eisenstein(4, 13, 5)
-    f = QExpansion(13, [0] + list(e4.coeffs[1:]), e4.form_type)
+    f = QExpansion(13, [0] + list(e4.coeffs[1:]), e4.weight)
     assert not equal_upto(e4, f, 5)
 
 
@@ -249,10 +236,10 @@ def test_equal_upto_errors():
 
 def test_equal_upto_weight_incongruent_tags_fail():
     # same coefficients but incongruent weight tags can never be equal forms
-    f = QExpansion(13, [0, 1, 2], FormType(1, 12))
-    g = QExpansion(13, [0, 1, 2], FormType(1, 14))
+    f = QExpansion(13, [0, 1, 2], 12)
+    g = QExpansion(13, [0, 1, 2], 14)
     assert not equal_upto(f, g, 2)
-    h = QExpansion(13, [0, 1, 2], FormType(1, 24))
+    h = QExpansion(13, [0, 1, 2], 24)
     assert equal_upto(f, h, 2)
 
 
@@ -263,3 +250,9 @@ def test_qexpansion_json_roundtrip():
     assert QExpansion.from_json_dict(d) == f
     bare = QExpansion(13, [1, 2, 3])
     assert QExpansion.from_json_dict(bare.to_json_dict()) == bare
+    del d["N"]
+    assert QExpansion.from_json_dict(d) == f
+    for level in (0, 2, 11):
+        d["N"] = level
+        with pytest.raises(ValueError, match="level"):
+            QExpansion.from_json_dict(d)

@@ -41,11 +41,11 @@ def test_weight_congruent():
 
 
 def test_twist_bound():
-    assert twist_bound(1, 13) == 15
-    assert twist_bound(1, 11) == 11
-    assert twist_bound(1, 23) == 46
-    assert twist_bound(1, 17) == 25
-    assert twist_bound(1, 19) == 31
+    assert twist_bound(13) == 15
+    assert twist_bound(11) == 11
+    assert twist_bound(23) == 46
+    assert twist_bound(17) == 25
+    assert twist_bound(19) == 31
 
 
 def test_check_twist_20_17():
@@ -75,7 +75,7 @@ def test_check_twist_prime_mismatch():
     f1 = delta_k(16, 13, 20)
     g = delta_k(12, 13, 20)
     corrupted = QExpansion(13, [g.coeff(0), g.coeff(1), (g.coeff(2) + 1) % 13]
-                           + [g.coeff(n) for n in range(3, 21)], g.form_type)
+                           + [g.coeff(n) for n in range(3, 21)], g.weight)
     with pytest.raises(PrimeMismatch) as exc:
         check_twist(f1, corrupted, 2)
     assert exc.value.p == 2
