@@ -8,14 +8,13 @@ is exactly the degree multiset of the projective polynomial mod p.
 """
 
 from thetatwist import (
+    ModPoly,
     bundled_record,
-    charpol_data,
     ddf,
     delta_k,
     frobenius_class,
     is_squarefree_mod,
     predicted_degree_pattern,
-    reduce_mod,
 )
 
 K, ELL = 16, 13
@@ -25,12 +24,11 @@ record = bundled_record(K, ELL)
 print(f"form weight {K}, modulus {ELL}, polynomial degree {record.degree}\n")
 print(f"{'p':>4} {'a_p':>4} {'class':>9} {'ord':>4}   predicted == observed")
 for p in (2, 3, 5, 7, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
-    fp = reduce_mod(record, p)
+    fp = ModPoly(p, record.coeffs)
     if not is_squarefree_mod(fp):
         print(f"{p:>4}    -   ramified    -   reduction not squarefree, skipped")
         continue
-    cd = charpol_data(K, ELL, p, series.coeff(p))
-    fc = frobenius_class(cd)
+    fc = frobenius_class(series.coeff(p), pow(p, K - 1, ELL), ELL)
     predicted = predicted_degree_pattern(fc, ELL)
     observed = ddf(fp)
     if fc.is_ambiguous:

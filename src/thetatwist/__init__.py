@@ -17,7 +17,6 @@ from .errors import (
     NotSquarefree,
     ParseError,
     PrimeMismatch,
-    RamifiedPrime,
     ThetaTwistError,
     UnsupportedWeight,
     WeightIncongruent,
@@ -27,10 +26,8 @@ from .galrep import (
     AMBIGUOUS,
     NONSPLIT,
     SPLIT,
-    CharpolData,
     FrobeniusClass,
     ScreeningReport,
-    charpol_data,
     frobenius_class,
     predicted_degree_pattern,
     screen_exceptional,
@@ -45,7 +42,6 @@ from .polyverify import (
     is_squarefree_mod,
     load_poly_file,
     parse_poly,
-    reduce_mod,
     verify_record,
 )
 from .qseries import (

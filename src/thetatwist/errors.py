@@ -53,10 +53,6 @@ class NotFound(ThetaTwistError):
     """No (i, k') pair passed the twist criteria."""
 
 
-class RamifiedPrime(ThetaTwistError):
-    """Frobenius data requested at the ramified prime p = ell."""
-
-
 class NotSquarefree(ThetaTwistError):
     """Distinct-degree factorization requires a squarefree input."""
 

@@ -2,6 +2,7 @@
 
 For an unramified prime p the attached Frobenius has characteristic
 polynomial x^2 - a_p x + p^{k-1} over F_ell, held as the ints (trace, det).
+ell must be prime; each public entry checks it once, never per prime.
 Its image in PGL_2(F_ell) is classified by the discriminant t^2 - 4d: split
 (distinct eigenvalues in F_ell) when it is a nonzero square, nonsplit
 (conjugate eigenvalues in F_{ell^2}) when it is a non-square, and ambiguous
@@ -20,33 +21,12 @@ proofs; the report records the prime bound that was scanned.
 
 from dataclasses import dataclass, asdict
 
-from .errors import RamifiedPrime
-from .ffield import check_prime, factorize, is_prime, legendre, primes_upto
+from .ffield import factorize, legendre, primes_upto
 from .qseries import delta_k
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
 AMBIGUOUS = "ambiguous"
-
-
-@dataclass(frozen=True)
-class CharpolData:
-    """Trace and determinant of Frobenius at p: x^2 - trace*x + det over F_ell."""
-
-    p: int
-    ell: int
-    trace: int
-    det: int
-
-
-def charpol_data(k, ell, p, a_p):
-    """Characteristic-polynomial data (a_p mod ell, p^{k-1} mod ell)."""
-    check_prime(ell)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == ell:
-        raise RamifiedPrime(f"p = ell = {p} is ramified")
-    return CharpolData(p=p, ell=ell, trace=a_p % ell, det=pow(p, k - 1, ell))
 
 
 @dataclass(frozen=True)
@@ -76,18 +56,19 @@ def _lucas_v(s, n, ell):
     return v
 
 
-def frobenius_class(c):
-    """Classify the Frobenius class from trace and determinant.
+def frobenius_class(trace, det, ell):
+    """Classify the class of x^2 - trace*x + det over F_ell, for a prime ell.
 
-    Zero discriminant t^2 - 4d gives the ambiguous class.  Otherwise the
-    eigenvalue ratio r (either one) has order dividing N = ell - 1 when the
+    ell is not re-checked.  A det divisible by ell raises ValueError.  Zero
+    discriminant t^2 - 4d gives the ambiguous class.  Otherwise the eigenvalue
+    ratio r (either one) has order dividing N = ell - 1 when the
     discriminant is a square (split) and N = ell + 1 when it is not
     (nonsplit).  With s = t^2/d - 2 = r + 1/r, the Lucas value
     V_m(s) = r^m + r^-m equals 2 exactly when (r^m - 1)^2 = 0, so the
     projective order is the least m | N with V_m(s) = 2, found by stripping
     the prime factors of N.
     """
-    ell, t, d = c.ell, c.trace % c.ell, c.det % c.ell
+    t, d = trace % ell, det % ell
     if not d:
         raise ValueError("determinant must be a unit")
     sign = legendre(t * t - 4 * d, ell)
@@ -157,21 +138,18 @@ def screen_exceptional(k, ell, bound):
 
     reducible_j = None
     for j in range(ell - 1):
-        e1 = j % (ell - 1)
         e2 = (k - 1 - j) % (ell - 1)
-        if all(a[p] == (pow(p, e1, ell) + pow(p, e2, ell)) % ell for p in primes):
+        if all(a[p] == (pow(p, j, ell) + pow(p, e2, ell)) % ell for p in primes):
             reducible_j = j
             break
 
     nonres = [p for p in primes if legendre(p, ell) == -1]
     dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
 
-    orders = set()
-    for p in primes:
-        fc = frobenius_class(charpol_data(k, ell, p, a[p]))
-        if not fc.is_ambiguous:
-            orders.add(fc.order)
-    small_image = bool(orders) and orders <= {1, 2, 3, 4, 5}
+    # lazy: classification stops at the first order > 5; no order at all reads as 6
+    orders = (frobenius_class(a[p], pow(p, k - 1, ell), ell).order for p in primes)
+    orders = (n for n in orders if n is not None)
+    small_image = next(orders, 6) <= 5 and all(n <= 5 for n in orders)
 
     reducible = reducible_j is not None
     clear = not (reducible or dihedral or small_image)

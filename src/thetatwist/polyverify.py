@@ -33,8 +33,8 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .ffield import is_prime, primes_upto
-from .galrep import charpol_data, frobenius_class, predicted_degree_pattern
+from .ffield import check_prime, is_prime, primes_upto
+from .galrep import frobenius_class, predicted_degree_pattern
 from .qseries import delta_k
 
 MATCH = "match"
@@ -187,11 +187,6 @@ def parse_poly(text, k=None, ell=None):
             f"leading coefficient is {coeffs[-1]}, not 1", NonMonicWarning
         )
     return ProjPolyRecord(coeffs=tuple(coeffs), k=k, ell=ell)
-
-
-def reduce_mod(record, p):
-    """Reduce a record's coefficients into [0, p); p must be prime."""
-    return ModPoly(p, record.coeffs)
 
 
 # -- raw coefficient-list kernels (ascending order, stripped) --
@@ -442,13 +437,17 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     For each unramified prime the observed distinct-degree multiset must
     equal the predicted cycle type (either admissible pattern counts as a
     pass for ambiguous classes).  With fail_fast the scan stops at the first
-    FAIL, which is enough for mutation testing.  Raises ValueError when no
-    prime was compared, since an empty scan would otherwise read consistent.
+    FAIL, which is enough for mutation testing.  Raises ValueError for a
+    series not of weight k mod ell, and when no prime was compared, since
+    an empty scan would otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
     if record.k is not None and record.k != k:
         raise ValueError("record label disagrees with requested k")
+    check_prime(ell)
+    if series is not None and (series.ell != ell or series.weight not in (None, k)):
+        raise ValueError(f"series is not of weight {k} mod {ell}")
     f = series if series is not None else delta_k(k, ell, pmax)
     outcomes = []
     failures = []
@@ -465,12 +464,12 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
         try:
-            observed = ddf(reduce_mod(record, p))
+            observed = ddf(ModPoly(p, record.coeffs))
         except NotSquarefree:
             counts["skipped_ramified"] += 1
             outcomes.append((p, SKIPPED_RAMIFIED, None, None))
             continue
-        fc = frobenius_class(charpol_data(k, ell, p, f.coeff(p)))
+        fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
         predicted = predicted_degree_pattern(fc, ell)
         if fc.is_ambiguous:
             status = AMBIGUOUS_PASS if observed in predicted else FAIL

@@ -169,14 +169,13 @@ def test_criterion_6_series_engine_oracles():
 
 def test_criterion_7_group_action_oracle():
     t0 = time.perf_counter()
-    from thetatwist.galrep import CharpolData, frobenius_class, predicted_degree_pattern
+    from thetatwist.galrep import frobenius_class, predicted_degree_pattern
 
     classes = 0
     for ell in (5, 7, 11, 13):
         for t in range(ell):
             for d in range(1, ell):
-                cd = CharpolData(p=0, ell=ell, trace=t, det=d)
-                fc = frobenius_class(cd)
+                fc = frobenius_class(t, d, ell)
                 predicted = predicted_degree_pattern(fc, ell)
                 observed = oracles.companion_orbits(t, d, ell)
                 if fc.is_ambiguous:

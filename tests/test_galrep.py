@@ -1,14 +1,11 @@
 import pytest
 
-from thetatwist.errors import RamifiedPrime
 from thetatwist.ffield import factorize, primes_upto
 from thetatwist.galrep import (
     AMBIGUOUS,
     NONSPLIT,
     SPLIT,
-    CharpolData,
     ScreeningReport,
-    charpol_data,
     frobenius_class,
     predicted_degree_pattern,
     screen_exceptional,
@@ -18,49 +15,27 @@ from thetatwist.qseries import delta_k
 import oracles
 
 
-def _cd(t, d, ell):
-    return CharpolData(p=0, ell=ell, trace=t, det=d)
-
-
-def test_charpol_data_example():
-    cd = charpol_data(16, 13, 2, 8)
-    assert cd.trace == 8
-    assert cd.det == pow(2, 15, 13) == 8
-    # a_2(delta_16) really is 8 mod 13
-    assert delta_k(16, 13, 3).coeff(2) == 8
-
-
-def test_charpol_data_det_is_prime_power():
-    for k in (12, 16, 22):
-        for p in (2, 3, 5, 7, 11):
-            cd = charpol_data(k, 13, p, 0)
-            assert cd.trace == 0
-            assert cd.det == pow(p, k - 1, 13)
-
-
-def test_charpol_data_ramified():
-    with pytest.raises(RamifiedPrime):
-        charpol_data(16, 13, 13, 0)
-    with pytest.raises(ValueError):
-        charpol_data(16, 13, 4, 0)
-
-
 def test_frobenius_class_examples():
-    assert frobenius_class(_cd(2, 1, 13)).kind == AMBIGUOUS
-    fc = frobenius_class(_cd(0, 1, 13))
+    assert frobenius_class(2, 1, 13).kind == AMBIGUOUS
+    fc = frobenius_class(0, 1, 13)
     assert (fc.kind, fc.order) == (SPLIT, 2)
-    fc = frobenius_class(_cd(8, 8, 13))
+    fc = frobenius_class(8, 8, 13)
     assert fc.kind == NONSPLIT
     assert 14 % fc.order == 0
     # (t^2 - 4d) = 32 = 6 mod 13, a non-residue
     assert pow(6, 6, 13) == 12
+    # the last example is Frobenius at 2 for delta_16: a_2 = 8 and 2^15 = 8 mod 13
+    assert delta_k(16, 13, 3).coeff(2) == 8 == pow(2, 15, 13)
+    # at p = ell the determinant p^(k-1) vanishes
+    with pytest.raises(ValueError, match="determinant must be a unit"):
+        frobenius_class(0, pow(13, 15, 13), 13)
 
 
 def test_frobenius_class_exhaustive_classification():
     for ell in [5, 7, 11, 13]:
         for t in range(ell):
             for d in range(1, ell):
-                fc = frobenius_class(_cd(t, d, ell))
+                fc = frobenius_class(t, d, ell)
                 disc = (t * t - 4 * d) % ell
                 if disc == 0:
                     assert fc.kind == AMBIGUOUS and fc.order is None
@@ -104,7 +79,7 @@ def test_pattern_matches_companion_matrix_orbits():
     for ell in [5, 7, 17, 19, 23, 29, 31]:
         for t in range(ell):
             for d in range(1, ell):
-                fc = frobenius_class(_cd(t, d, ell))
+                fc = frobenius_class(t, d, ell)
                 observed = oracles.companion_orbits(t, d, ell)
                 predicted = predicted_degree_pattern(fc, ell)
                 if fc.kind == AMBIGUOUS:
@@ -118,12 +93,12 @@ def test_frobenius_class_large_ell():
     # ell - 1 = 2 * 3 * 166667 and ell + 1 = 2^2 * 53^2 * 89
     ell = 1000003
     for d in (1, 2, 3, 5, 999999, 123457):
-        fc = frobenius_class(_cd(0, d, ell))
+        fc = frobenius_class(0, d, ell)
         assert fc.order == 2, d
     kinds = set()
     for t in range(1, 40):
         for d in (1, 2, 7, 500001, ell - 1):
-            fc = frobenius_class(_cd(t * 7919, d, ell))
+            fc = frobenius_class(t * 7919, d, ell)
             if fc.kind == AMBIGUOUS:
                 continue
             kinds.add(fc.kind)
@@ -131,7 +106,7 @@ def test_frobenius_class_large_ell():
             assert fc.order >= 2 and n % fc.order == 0, (t, d, fc)
     assert kinds == {SPLIT, NONSPLIT}
     # a split class with known eigenvalues 3 and 1: the order is that of 3
-    fc = frobenius_class(_cd(4, 3, ell))
+    fc = frobenius_class(4, 3, ell)
     assert fc.kind == SPLIT
     assert pow(3, fc.order, ell) == 1
     assert all(pow(3, fc.order // q, ell) != 1 for q in factorize(fc.order))
@@ -178,3 +153,43 @@ def test_screen_dihedral_23():
 def test_screening_report_json_roundtrip():
     rep = screen_exceptional(16, 13, 100)
     assert ScreeningReport.from_json_dict(rep.to_json_dict()) == rep
+
+
+def _naive_screen(k, ell, bound):
+    """All three flags and reducible_j, classifying every prime, no early exit."""
+    f = delta_k(k, ell, bound)
+    primes = [p for p in primes_upto(bound) if p != ell]
+    a = {p: f.coeff(p) for p in primes}
+    # reducible at j: p^j is a root of x^2 - a_p x + p^(k-1), the other being p^(k-1-j)
+    reducible_j = next(
+        (
+            j
+            for j in range(ell - 1)
+            if all((pow(p, 2 * j, ell) - a[p] * pow(p, j, ell) + pow(p, k - 1, ell)) % ell == 0
+                   for p in primes)
+        ),
+        None,
+    )
+    nonres = [p for p in primes if pow(p, (ell - 1) // 2, ell) == ell - 1]
+    dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
+    classes = [frobenius_class(a[p], pow(p, k - 1, ell), ell) for p in primes]
+    orders = [fc.order for fc in classes if fc.kind != AMBIGUOUS]
+    small_image = bool(orders) and max(orders) <= 5
+    return reducible_j, dihedral, small_image
+
+
+def test_screen_matches_naive_recomputation():
+    flagged = 0
+    for k in (12, 16, 18, 20, 22, 26):
+        for ell in primes_upto(299):
+            if ell < 5:
+                continue
+            rep = screen_exceptional(k, ell, 200)
+            reducible_j, dihedral, small_image = _naive_screen(k, ell, 200)
+            assert rep.reducible_j == reducible_j, (k, ell)
+            assert rep.reducible_candidate == (reducible_j is not None), (k, ell)
+            assert rep.dihedral_candidate == dihedral, (k, ell)
+            assert rep.small_image_candidate == small_image, (k, ell)
+            flagged += rep.verdict == "possibly exceptional"
+    # the sweep must exercise flagged pairs too, not only clean ones
+    assert flagged >= 20

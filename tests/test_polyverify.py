@@ -19,9 +19,10 @@ from thetatwist.polyverify import (
     ddf,
     is_squarefree_mod,
     parse_poly,
-    reduce_mod,
     verify_record,
 )
+
+from thetatwist.qseries import QExpansion, delta_k
 
 import oracles
 
@@ -78,15 +79,15 @@ def test_validate_label():
         bundled_record(k, ell).validate_label()
 
 
-def test_reduce_mod():
-    assert reduce_mod(ProjPolyRecord((4, -4, 1)), 3).coeffs == (1, 2, 1)
+def test_modpoly_reduces_record():
+    assert ModPoly(3, ProjPolyRecord((4, -4, 1)).coeffs).coeffs == (1, 2, 1)
     rec = bundled_record(16, 13)
-    mod2 = reduce_mod(rec, 2)
+    mod2 = ModPoly(2, rec.coeffs)
     assert mod2.degree == 14
     assert set(mod2.coeffs) <= {0, 1}
-    assert reduce_mod(bundled_record(22, 11), 11).coeffs[0] == (-111) % 11 == 10
+    assert ModPoly(11, bundled_record(22, 11).coeffs).coeffs[0] == (-111) % 11 == 10
     with pytest.raises(ValueError):
-        reduce_mod(rec, 4)
+        ModPoly(4, rec.coeffs)
 
 
 def test_modpoly_rejects_composite_modulus():
@@ -187,6 +188,21 @@ def test_verify_record_rejects_wrong_label():
     # a mislabelled weight must not read as a broken polynomial
     with pytest.raises(ValueError, match="requested k"):
         verify_record(rec, 20, 13, 100)
+
+
+def test_verify_record_rejects_foreign_series():
+    rec = bundled_record(16, 13)
+    # a series of another modulus or weight must not read as a broken polynomial
+    with pytest.raises(ValueError, match="series"):
+        verify_record(rec, 16, 13, 100, series=delta_k(16, 17, 100))
+    with pytest.raises(ValueError, match="series"):
+        verify_record(rec, 16, 13, 100, series=delta_k(20, 13, 100))
+    untagged = QExpansion(13, delta_k(16, 13, 100).coeffs)
+    assert verify_record(rec, 16, 13, 100, series=untagged).ok
+    # the modulus is still proved prime when the caller brings the series
+    unlabeled = ProjPolyRecord(rec.coeffs)
+    with pytest.raises(ValueError, match="not prime"):
+        verify_record(unlabeled, 16, 15, 100, series=QExpansion(15, range(101), 16))
 
 
 def test_verify_record_detects_mutation():
