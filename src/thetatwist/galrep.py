@@ -136,12 +136,19 @@ def screen_exceptional(k, ell, bound):
         raise ValueError(f"no prime p <= {bound} other than ell = {ell} to screen")
     a = {p: f.coeff(p) for p in primes}
 
+    # p0^j and p0^(k-1-j) advance by one multiplication per j; the other
+    # primes are tested only at a j where p0 passes
+    p0, rest = primes[0], primes[1:]
+    x, y, p0_inv = 1, pow(p0, k - 1, ell), pow(p0, -1, ell)
     reducible_j = None
     for j in range(ell - 1):
-        e2 = (k - 1 - j) % (ell - 1)
-        if all(a[p] == (pow(p, j, ell) + pow(p, e2, ell)) % ell for p in primes):
+        if (x + y) % ell == a[p0] and all(
+            a[p] == (pow(p, j, ell) + pow(p, (k - 1 - j) % (ell - 1), ell)) % ell
+            for p in rest
+        ):
             reducible_j = j
             break
+        x, y = x * p0 % ell, y * p0_inv % ell
 
     nonres = [p for p in primes if legendre(p, ell) == -1]
     dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)

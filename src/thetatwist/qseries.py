@@ -10,10 +10,12 @@ of packed integers (Kronecker substitution, see polyarith), not a
 coefficient-by-coefficient Cauchy loop.
 
 The generators provided here are the weight 4 and 6 Eisenstein series, the
-one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26} (as
-monomials in E4, E6 and the discriminant form), the theta operator q d/dq,
-and the weight ell-1 form with q-expansion 1 whose multiplication shifts
-nominal weight without touching coefficients.
+one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26}, the
+theta operator q d/dq, and the weight ell-1 form with q-expansion 1 whose
+multiplication shifts nominal weight without touching coefficients.  Each
+delta_k above 12 is one product, by E4 or E6, of a lower-weight delta_k at
+the same (ell, n0), so a sweep over the six weights at one (ell, n0) costs
+8 series products: 3 for the discriminant form, then one per weight.
 
 Everything is level 1 with trivial character, so the only type a series
 carries is an optional weight tag, a plain int.
@@ -29,18 +31,11 @@ from .errors import (
 )
 from .ffield import check_prime
 
-#: weights k with dim S_k(SL_2(Z)) = 1, as exponent pairs (a, b) in
-#: delta_k = Delta * E4^a * E6^b
-_DELTA_EXPONENTS = {
-    12: (0, 0),
-    16: (1, 0),
-    18: (0, 1),
-    20: (2, 0),
-    22: (1, 1),
-    26: (2, 1),
-}
+#: weights k > 12 with dim S_k(SL_2(Z)) = 1, as steps (k0, j) in
+#: delta_k = delta_{k0} * E_j
+_DELTA_STEPS = {16: (12, 4), 18: (12, 6), 20: (16, 4), 22: (16, 6), 26: (22, 4)}
 
-SUPPORTED_WEIGHTS = tuple(sorted(_DELTA_EXPONENTS))
+SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 
 
 def _same_weight(f, g):
@@ -178,31 +173,32 @@ def eisenstein(k, ell, n0):
 def delta_k(k, ell, n0):
     """The normalized cusp form of level 1 and weight k, reduced mod ell.
 
-    Computed as Delta * E4^a * E6^b with Delta = (E4^3 - E6^2)/1728.
+    delta_12 is Delta = (E4^3 - E6^2)/1728.  Every other weight is one
+    product delta_{k0} * E_j from its predecessor in _DELTA_STEPS, through
+    this cache, so a cold weight costs the products of its chain (6 for
+    delta_26 = Delta * E4 * E6 * E4) and each further weight at the same
+    (ell, n0) costs one.
     """
-    if k not in _DELTA_EXPONENTS:
+    if k == 12:
+        check_prime(ell)
+        if ell < 5:
+            raise ValueError("ell >= 5 required")
+        if n0 < 1:
+            raise ValueError("precision must be at least 1")
+        e4 = eisenstein(4, ell, n0)
+        e6 = eisenstein(6, ell, n0)
+        e4sq = series_mul(e4, e4)
+        f = (series_mul(e4sq, e4) - series_mul(e6, e6)).scale(pow(1728, -1, ell))
+    elif k in _DELTA_STEPS:
+        k0, j = _DELTA_STEPS[k]
+        f = series_mul(delta_k(k0, ell, n0), eisenstein(j, ell, n0))
+    else:
         raise UnsupportedWeight(
             f"weight {k} not in the one-dimensional list {SUPPORTED_WEIGHTS}"
         )
-    check_prime(ell)
-    if ell < 5:
-        raise ValueError("ell >= 5 required")
-    if n0 < 1:
-        raise ValueError("precision must be at least 1")
-    e4 = eisenstein(4, ell, n0)
-    e6 = eisenstein(6, ell, n0)
-    e4sq = series_mul(e4, e4)
-    delta = (series_mul(e4sq, e4) - series_mul(e6, e6)).scale(
-        pow(1728, -1, ell)
-    )
-    a, b = _DELTA_EXPONENTS[k]
-    f = delta
-    for _ in range(a):
-        f = series_mul(f, e4)
-    for _ in range(b):
-        f = series_mul(f, e6)
     assert f.coeffs[0] == 0 and f.coeffs[1] == 1, "normalization broke"
-    return QExpansion(ell, f.coeffs, k)
+    assert f.weight == k, "weight tag broke"
+    return f
 
 
 def theta(f):

@@ -63,6 +63,8 @@ def test_criterion_2_extended_congruence_to_1000():
     worst = 0.0
     for k, ell in SIX_PAIRS:
         i, kp, cert = twist_search(k, ell, extended=1000)
+        # twist_search cached both series; time them built cold
+        _clear_series_caches()
         t0 = time.perf_counter()
         f = delta_k(k, ell, 1000)
         g = delta_k(kp, ell, 1000)
@@ -71,10 +73,10 @@ def test_criterion_2_extended_congruence_to_1000():
         dt = time.perf_counter() - t0
         worst = max(worst, dt)
         assert cert.extended_terms == 1000
-        assert dt < 2.0, f"extended check ({k}, {ell}) took {dt:.2f}s"
+        assert dt < 0.25, f"extended check ({k}, {ell}) took {dt:.2f}s"
     print(
         f"\nACCEPTANCE 2 (extended congruence n <= 1000): PASS -- exact for all "
-        f"six pairs, worst pair {worst:.3f}s < 2s"
+        f"six pairs, worst pair {worst:.3f}s < 0.25s (series built cold)"
     )
 
 

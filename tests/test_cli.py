@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thetatwist.cli import main
+from thetatwist.cli import build_parser, main
 from thetatwist.polyverify import VerificationReport
 from thetatwist.galrep import ScreeningReport
 from thetatwist.twist import TwistCertificate
@@ -238,3 +238,22 @@ def test_composite_ell_exits_2(capsys):
     code, _, err = run(capsys, "qexp", "--weight", "12", "--ell", "15")
     assert code == 2
     assert "not prime" in err
+
+
+def test_repeated_calls_share_one_parser(capsys):
+    screen = ["screen", "--weight", "16", "--ell", "13", "--pbound", "100"]
+    code, first, _ = run(capsys, *screen)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["qexp", "--help"])
+    assert exc.value.code == 0
+    assert "--terms" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["screen", "--pbound", "0"])
+    assert exc.value.code == 2
+    assert "not positive" in capsys.readouterr().err
+    code, out, _ = run(capsys, "tables", "--pmax", "30", "--pbound", "30", "--extended", "30")
+    assert code == 0 and "all checks passed" in out
+    code, again, _ = run(capsys, *screen)
+    assert code == 0 and again == first
+    assert build_parser() is build_parser()

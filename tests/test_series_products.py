@@ -1,0 +1,72 @@
+"""Each delta_k above weight 12 is one series product from its predecessor.
+
+series_mul is counted through the qseries module binding, which delta_k
+looks up on every call.  The caches start cold, so every count is the cost
+of building from nothing.
+"""
+
+import random
+
+import pytest
+
+from thetatwist import qseries
+from thetatwist.qseries import delta_k, eisenstein, series_mul
+
+WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+#: delta_k = Delta * E4^a * E6^b
+EXPONENTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+
+
+@pytest.fixture
+def products(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append((f.weight, g.weight))
+        return series_mul(f, g)
+
+    delta_k.cache_clear()
+    eisenstein.cache_clear()
+    monkeypatch.setattr(qseries, "series_mul", counted)
+    yield calls
+    delta_k.cache_clear()
+    eisenstein.cache_clear()
+
+
+def test_six_weights_at_one_precision_cost_eight_products(products):
+    for k in WEIGHTS:
+        delta_k(k, 13, 50)
+    # 3 for Delta, then one per further weight
+    assert len(products) == 8
+
+
+@pytest.mark.parametrize(
+    "k, cold", [(12, 3), (16, 4), (18, 4), (20, 5), (22, 5), (26, 6)]
+)
+def test_single_cold_weight_costs_its_chain(products, k, cold):
+    delta_k(k, 13, 50)
+    assert len(products) == cold
+
+
+def _direct(k, ell, n0):
+    e4, e6 = eisenstein(4, ell, n0), eisenstein(6, ell, n0)
+    f = (series_mul(series_mul(e4, e4), e4) - series_mul(e6, e6)).scale(
+        pow(1728, -1, ell)
+    )
+    a, b = EXPONENTS[k]
+    for g in [e4] * a + [e6] * b:
+        f = series_mul(f, g)
+    return f
+
+
+def test_every_weight_matches_the_direct_monomial():
+    delta_k.cache_clear()
+    rng = random.Random(7)
+    for ell in (5, 13, 691, 4294967311):
+        requests = [(k, n0) for k in WEIGHTS for n0 in (1, 2, 300)]
+        rng.shuffle(requests)
+        for k, n0 in requests:
+            f = delta_k(k, ell, n0)
+            assert f == _direct(k, ell, n0), (k, ell, n0)
+            assert f.weight == k and f.precision == n0
