@@ -6,17 +6,12 @@ problems, 5 verification failure.  All output is deterministic; --format
 json emits machine-readable documents that round-trip through the
 corresponding from_json_dict constructors.  Warnings go to stderr as one
 "warning: ..." line each.
-
-The parser is built once per process, on the first call of main, so
-repeated in-process calls parse with the same parser; importing the module
-builds nothing.
 """
 
 import argparse
 import json
 import sys
 import warnings
-from functools import lru_cache
 
 from .errors import NotFound, ThetaTwistError, UnsupportedWeight
 from .galrep import screen_exceptional
@@ -38,9 +33,7 @@ def _positive_int(text):
     return value
 
 
-@lru_cache(maxsize=1)
 def build_parser():
-    """The argument parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="thetatwist",
         description=(
