@@ -5,14 +5,18 @@ polynomial whose splitting field realizes a projective mod-ell
 representation.  verify_record checks it against the eigenform of weight k:
 for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
-(a_p mod ell, p^{k-1} mod ell).  Primes where the reduction is not
-squarefree are skipped as ramified (ddf detects them by gcd with the
-derivative, so no huge integer discriminant is ever formed), and p = ell is
-always skipped.  ddf applies the Frobenius map as a linear operator on
-packed integer rows (polyarith), so each degree step costs one C-level dot
-product instead of a fresh modular exponentiation, and it tests a block of
-b = ceil(sqrt(n/2)) degrees with one gcd against the product of their
-Frobenius differences, refining degree by degree only the blocks that hit.
+(a_p mod ell, p^{k-1} mod ell).  The predicted pattern is known before the
+polynomial is looked at, so it is checked directly (_has_pattern: one walk
+of the Frobenius map and at most one gcd, which also proves the reduction
+squarefree).  Only a prime whose prediction fails goes through ddf, which
+tells a FAIL, with its observed pattern, from a reduction that is not
+squarefree (found by gcd with the derivative); such primes are skipped as
+ramified, and p = ell is always skipped.  Both apply the Frobenius map as a
+linear operator on packed integer rows (polyarith), so each degree step
+costs one C-level dot product instead of a fresh modular exponentiation;
+ddf tests a block of b = ceil(sqrt(n/2)) degrees with one gcd against the
+product of their Frobenius differences, refining degree by degree only the
+blocks that hit.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -33,7 +37,7 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .ffield import check_prime, is_prime, primes_upto
+from .ffield import check_prime, factorize, is_prime, primes_upto
 from .galrep import frobenius_class, predicted_degree_pattern
 from .qseries import delta_k
 
@@ -274,9 +278,11 @@ def _frobenius(f, p):
     n = len(f) - 1
     width = polyarith.slot_width(2 * n * (p - 1) ** 2)
     pack, unpack, split = polyarith.pack, polyarith.unpack, polyarith.split
+    top = [-c % p for c in f[:n]]  # x^n mod f
 
-    def times_x(h):
-        return unpack(pack([0] + h[:-1], width) + h[-1] * reduce_rows[0], width, n, p)
+    def times_x(h):  # h * x mod f, on plain lists
+        c = h[-1]
+        return [(a + c * t) % p for a, t in zip([0, *h], top)]
 
     def reduce(c):  # a product of two packed n-slot values, mod f
         low, high = split(c, width, 2 * n - 1, n, p)
@@ -288,7 +294,7 @@ def _frobenius(f, p):
     def frobenius(h):
         return unpack(sum(map(_imul, h, rows)), width, n, p)
 
-    row = [-c % p for c in f[:n]]  # x^n mod f
+    row = top
     reduce_rows = [pack(row, width)]
     for _ in range(n - 2):
         row = times_x(row)
@@ -369,6 +375,60 @@ def ddf(f):
     return result
 
 
+def _has_pattern(f, *patterns):
+    """The first of patterns that equals ddf(f), or None if none does.
+
+    Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
+    degree L (every pattern predicted_degree_pattern returns has this form).
+    A non-squarefree f has no pattern, so None is returned for it, as for
+    the zero polynomial.  f is made monic, as in ddf, and one Frobenius
+    set-up serves all the patterns.  Checking a known pattern needs no
+    factorization (Rabin's irreducibility test is the case a = 0, b = 1):
+      1. deg f == a + bL, the degree of f mod p, which drops when p divides
+         the leading coefficient;
+      2. h_L == x, where h_d = x^{p^d} mod f is walked with the Frobenius
+         map.  This holds exactly when f | x^{p^L} - x, that is when f is
+         squarefree and the degree of every factor divides L;
+      3. for L > 1, G = gcd(f, prod (h_m - x) mod f) over m = 1 and m = L/q
+         for the primes q | L has degree a and divides h_1 - x = x^p - x.
+    After step 2 a factor of degree e divides h_m - x exactly when e | m.
+    Every proper divisor of L divides 1 or some L/q, and L divides none of
+    them, so G is the product of the factors of degree below L.  Step 3
+    makes these a distinct linear factors, so the n - a degrees left are
+    all L, b of them.  Conversely f with pattern {1^a, L^b} passes all three.
+    """
+    p = f.modulus
+    work = _monic(f.coeffs, p)
+    n = len(work) - 1
+    patterns = [pattern for pattern in patterns if sum(pattern) == n]
+    if not patterns:
+        return None
+    if n < 2:  # a constant or a linear f is squarefree
+        return patterns[0]
+    frobenius, mulmod = _frobenius(work, p)
+    x = [0, 1] + [0] * (n - 2)
+    for pattern in patterns:
+        top = pattern[-1]
+        steps = {1} | {top // q for q in factorize(top)}
+        h, product = x, None
+        for d in range(1, top + 1):
+            h = frobenius(h)
+            if d < top and d in steps:
+                u = list(h)
+                u[1] = (u[1] - 1) % p
+                product = u if product is None else mulmod(product, u)
+                if d == 1:
+                    u1 = u
+        if h != x:
+            continue
+        if top == 1:
+            return pattern
+        g = _gcd(work, product, p)
+        if len(g) - 1 == pattern.count(1) and not _divmod(u1, g, p)[1]:
+            return pattern
+    return None
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-prime outcomes of the factorization-pattern consistency check."""
@@ -436,10 +496,14 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
 
     For each unramified prime the observed distinct-degree multiset must
     equal the predicted cycle type (either admissible pattern counts as a
-    pass for ambiguous classes).  With fail_fast the scan stops at the first
-    FAIL, which is enough for mutation testing.  Raises ValueError for a
-    series not of weight k mod ell, and when no prime was compared, since
-    an empty scan would otherwise read consistent.
+    pass for ambiguous classes).  The prediction is checked first with
+    _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
+    holds, it is the observed pattern.  Only otherwise does ddf run, to
+    report the observed pattern of a FAIL or to skip a prime whose
+    reduction is not squarefree as ramified.  With fail_fast the scan stops
+    at the first FAIL, which is enough for mutation testing.  Raises
+    ValueError for a series not of weight k mod ell, and when no prime was
+    compared, since an empty scan would otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
@@ -463,14 +527,18 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
             counts["skipped_ell"] += 1
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
-        try:
-            observed = ddf(ModPoly(p, record.coeffs))
-        except NotSquarefree:
-            counts["skipped_ramified"] += 1
-            outcomes.append((p, SKIPPED_RAMIFIED, None, None))
-            continue
         fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
         predicted = predicted_degree_pattern(fc, ell)
+        candidates = predicted if fc.is_ambiguous else (predicted,)
+        fp = ModPoly(p, record.coeffs)
+        observed = _has_pattern(fp, *candidates)
+        if observed is None:
+            try:
+                observed = ddf(fp)
+            except NotSquarefree:
+                counts["skipped_ramified"] += 1
+                outcomes.append((p, SKIPPED_RAMIFIED, None, None))
+                continue
         if fc.is_ambiguous:
             status = AMBIGUOUS_PASS if observed in predicted else FAIL
         else:

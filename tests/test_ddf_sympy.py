@@ -8,11 +8,13 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import primes_upto
 from thetatwist.polyverify import (
     BUNDLED_LABELS,
     ModPoly,
     _gcd,
+    _has_pattern,
     bundled_record,
     ddf,
     is_squarefree_mod,
@@ -140,3 +142,83 @@ def test_ddf_planted_block_shapes(p, degrees):
     f, planted = _plant(degrees, p, random.Random(sum(degrees) * p))
     assert planted == tuple(sorted(degrees))
     assert ddf(f) == planted
+
+
+def _patterns(n):
+    """Every sorted pattern {1^a, L^b} of degree n."""
+    out = [(1,) * n]
+    for top in range(2, n + 1):
+        out.extend((1,) * (n - b * top) + (top,) * b for b in range(1, n // top + 1))
+    return out
+
+
+def _ddf_or_none(f):
+    try:
+        return ddf(f)
+    except NotSquarefree:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7, 31, 997)),
+    st.lists(st.integers(0, 2**40), max_size=12),
+    st.lists(st.integers(0, 2**40), max_size=4),
+    st.integers(1, 2**40),
+)
+def test_has_pattern_agrees_with_ddf(p, low, square, lead):
+    # f = lead * (low + x^len) * (square + x^len)^2: non-monic, and not
+    # squarefree whenever the squared factor has positive degree
+    base = tuple(low) + (1,)
+    sq = tuple(square) + (1,)
+    f = ModPoly(p, [(lead % p or 1) * c for c in poly_mul_mod(base, poly_mul_mod(sq, sq, p), p)])
+    observed = _ddf_or_none(f)
+    patterns = _patterns(f.degree)
+    for pattern in patterns:
+        assert (_has_pattern(f, pattern) == pattern) == (observed == pattern), pattern
+    assert _has_pattern(f, *patterns) == (observed if observed in patterns else None)
+    # a pattern of another degree never holds
+    assert _has_pattern(f, (1,) * (f.degree + 1)) is None
+    assert _has_pattern(f, (f.degree + 1,)) is None
+
+
+def _planted(p, degrees, seed=0):
+    f, planted = _plant(degrees, p, random.Random(seed))
+    assert planted == tuple(sorted(degrees))
+    return f
+
+
+def test_has_pattern_planted_cases():
+    # L = 4 is even: the quadratic divides x^{p^2} - x, so G = gcd(f, (h_1 -
+    # x)(h_2 - x)) has the expected degree 2, and only G | x^p - x tells it
+    # from two linear factors
+    f = _planted(3, (2, 4))
+    assert ddf(f) == (2, 4)
+    assert _has_pattern(f, (1, 1, 4)) is None
+    # four linears and a quadratic against two of each: only deg G tells them apart
+    f = _planted(7, (1, 1, 1, 1, 2))
+    assert _has_pattern(f, (1, 1, 2, 2)) is None
+    assert _has_pattern(f, (1, 1, 1, 1, 2)) == (1, 1, 1, 1, 2)
+    # g^2 h is not squarefree; with h = 1 and g quadratic G = 1 has the
+    # expected degree 0, so only h_L == x rejects it
+    g = _planted(5, (2,)).coeffs
+    for h in ((1,), _planted(5, (3,), seed=2).coeffs):
+        f = ModPoly(5, poly_mul_mod(poly_mul_mod(g, g, 5), h, 5))
+        with pytest.raises(NotSquarefree):
+            ddf(f)
+        for pattern in _patterns(f.degree):
+            assert _has_pattern(f, pattern) is None, pattern
+    # L = 1: a product of distinct linears splits, one quadratic factor does not
+    f = ModPoly(11, poly_mul_mod(poly_mul_mod((1, 1), (2, 1), 11), (5, 1), 11))
+    assert _has_pattern(f, (1, 1, 1)) == (1, 1, 1)
+    f = _planted(11, (1, 2, 1))
+    assert _has_pattern(f, (1, 1, 1, 1)) is None
+    # the two patterns of an ambiguous class, ell = 7: (1, 7) and eight fixed points
+    f = _planted(13, (1, 7))
+    candidates = ((1,) * 8, (1, 7))
+    assert _has_pattern(f, *candidates) == (1, 7)
+    assert _has_pattern(f, candidates[0]) is None
+    f = _planted(13, (1,) * 8)
+    assert _has_pattern(f, *candidates) == (1,) * 8
+    f = _planted(13, (1, 1, 6))
+    assert _has_pattern(f, *candidates) is None

@@ -22,6 +22,8 @@ from thetatwist.polyverify import (
     verify_record,
 )
 
+from thetatwist.ffield import primes_upto
+from thetatwist.galrep import frobenius_class, predicted_degree_pattern
 from thetatwist.qseries import QExpansion, delta_k
 
 import oracles
@@ -212,6 +214,65 @@ def test_verify_record_detects_mutation():
     mutated = ProjPolyRecord(tuple(coeffs), k=16, ell=13)
     rep = verify_record(mutated, 16, 13, 100, fail_fast=True)
     assert rep.counts["fail"] >= 1
+
+
+def _reference_outcomes(record, k, ell, pmax, series):
+    """Per-prime outcomes from ddf at every prime, compared with the prediction."""
+    outcomes = []
+    for p in primes_upto(pmax):
+        if p == ell:
+            outcomes.append((p, "skipped-ell", None, None))
+            continue
+        try:
+            observed = ddf(ModPoly(p, record.coeffs))
+        except NotSquarefree:
+            outcomes.append((p, "skipped-ramified", None, None))
+            continue
+        fc = frobenius_class(series.coeff(p), pow(p, k - 1, ell), ell)
+        predicted = predicted_degree_pattern(fc, ell)
+        if fc.is_ambiguous:
+            status = "ambiguous-pass" if observed in predicted else "FAIL"
+        else:
+            status = "match" if observed == predicted else "FAIL"
+        outcomes.append((p, status, observed, predicted))
+    return tuple(outcomes)
+
+
+def test_verify_record_non_monic_records_match_per_prime_ddf():
+    # the leading coefficient is replaced, so each prime dividing it drops the
+    # degree of the reduction, and at the others the pattern must be checked
+    # on the monic associate, as ddf does
+    statuses, dropped = [], 0
+    for k, ell in BUNDLED_LABELS:
+        series = delta_k(k, ell, 100)
+        coeffs = bundled_record(k, ell).coeffs
+        for lead in (2, 3, 5, 6, 7):
+            record = ProjPolyRecord(coeffs[:-1] + (lead,))
+            rep = verify_record(record, k, ell, 100, series=series)
+            assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell, lead)
+            for p, status, observed, _ in rep.outcomes:
+                if lead % p == 0 and p != ell:
+                    assert status in ("FAIL", "skipped-ramified"), (k, ell, lead, p)
+                    dropped += status == "FAIL" and sum(observed) == ell
+            statuses.extend(status for _, status, _, _ in rep.outcomes)
+    # every branch is exercised: primes where the prediction holds, FAILs,
+    # and FAILs of a reduction of degree ell
+    assert statuses.count("match") >= 1
+    assert statuses.count("FAIL") >= 100
+    assert dropped >= 10
+
+
+def test_verify_record_mutated_records_match_per_prime_ddf():
+    rng = random.Random(8)
+    for k, ell in BUNDLED_LABELS:
+        series = delta_k(k, ell, 100)
+        coeffs = bundled_record(k, ell).coeffs
+        for _ in range(4):
+            mutated = list(coeffs)
+            mutated[rng.randrange(len(coeffs) - 1)] += rng.choice((1, -1, 2, -2))
+            record = ProjPolyRecord(tuple(mutated))
+            rep = verify_record(record, k, ell, 100, series=series)
+            assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell)
 
 
 def test_verification_report_json_roundtrip():
