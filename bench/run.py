@@ -1,0 +1,186 @@
+"""Record per-prime kernel times and whole-run times of one or more source trees.
+
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_9.json
+
+Each --src names a checkout, as label=path or as a bare path labelled by its
+directory name, whose src/ holds the thetatwist package.  For every tree it
+records:
+
+  - kernels: the per-prime costs of the Frobenius pattern check for a random
+    monic f of degree n mod p, n in NS and p in PS: the _frobenius set-up,
+    one step of the Frobenius walk and one _gcd of f with a random
+    polynomial of degree n - 1, each the fastest of REPEATS timeit runs, in
+    microseconds per call;
+  - tables: the default `thetatwist tables` run as a fresh process;
+  - verify_poly: `thetatwist verify-poly --pmax 10000` as a fresh process for
+    each bundled record.
+
+Every measurement runs in a fresh interpreter with the tree's src/ first on
+the path.  Each round measures every tree once, in an order that alternates
+from round to round, so that drift in the host's speed falls on all trees
+alike.  A figure is the median over the rounds, kept beside its samples.
+Each whole run also records a digest of its stdout, so trees that print
+different bytes show.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+from pathlib import Path
+
+NS = (12, 14, 18, 20, 24)
+PS = (31, 97, 997, 9973)
+REPEATS = 5
+RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
+VERIFY_PMAX = 10000
+
+
+def _per_call_us(call):
+    """Fastest of REPEATS timeit runs of about 20 ms each, in us per call."""
+    number = max(1, int(0.02 / timeit.timeit(call, number=1)))
+    return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number * 1e6
+
+
+def kernels():
+    """Per-prime kernel times of the thetatwist on sys.path, as a dict."""
+    from thetatwist import polyverify
+
+    rng = random.Random(9)
+    out = {}
+    for n in NS:
+        for p in PS:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            h = [rng.randrange(p) for _ in range(n - 1)] + [1 + rng.randrange(p - 1)]
+            frobenius, _ = polyverify._frobenius(f, p)
+            out[f"n={n},p={p}"] = {
+                "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
+                "walk_step_us": _per_call_us(lambda: frobenius(h)),
+                "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
+            }
+    return out
+
+
+def _env(tree):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def _kernels_of(tree):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--kernels"],
+        env=_env(tree), capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _cli_run(tree, argv):
+    """(wall seconds, stdout digest) of one fresh `thetatwist <argv>` process."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetatwist.cli", *argv],
+        env=_env(tree), capture_output=True, check=True,
+    )
+    wall = time.perf_counter() - start
+    return wall, hashlib.sha256(proc.stdout).hexdigest()[:16]
+
+
+def _runs():
+    """The whole-run jobs of one round: (name, argv) pairs."""
+    yield "tables", ["tables"]
+    for k, ell in RECORDS:
+        argv = ["verify-poly", "--weight", str(k), "--ell", str(ell),
+                "--pmax", str(VERIFY_PMAX), "--format", "json"]
+        yield f"verify_poly k={k},ell={ell}", argv
+
+
+def _summary(samples):
+    return {"median": statistics.median(samples), "samples": samples}
+
+
+def measure(trees, rounds):
+    kernel_samples = {label: [] for label in trees}
+    run_samples = {label: {} for label in trees}
+    digests = {label: {} for label in trees}
+    labels = list(trees)
+    for r in range(rounds):
+        for label in labels if r % 2 == 0 else labels[::-1]:
+            tree = trees[label]
+            kernel_samples[label].append(_kernels_of(tree))
+            for name, argv in _runs():
+                wall, digest = _cli_run(tree, argv)
+                run_samples[label].setdefault(name, []).append(wall)
+                if digests[label].setdefault(name, digest) != digest:
+                    raise RuntimeError(f"{label}: {name} printed different bytes across rounds")
+            print(f"round {r + 1}/{rounds}: {label} done", file=sys.stderr)
+    out = {}
+    for label in labels:
+        samples = kernel_samples[label]
+        out[label] = {
+            "kernels_us": {
+                case: {
+                    metric: _summary([s[case][metric] for s in samples])
+                    for metric in samples[0][case]
+                }
+                for case in samples[0]
+            },
+            "runs_s": {
+                name: dict(_summary(walls), stdout_sha256=digests[label][name])
+                for name, walls in run_samples[label].items()
+            },
+        }
+    return out
+
+
+def _tree(spec):
+    label, sep, path = spec.partition("=")
+    path = Path(path if sep else label).resolve()
+    if not (path / "src" / "thetatwist" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"no src/thetatwist under {path}")
+    return (label if sep else path.name), path
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=_tree, action="append", help="label=path of a checkout")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
+    parser.add_argument("--kernels", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.kernels:
+        print(json.dumps(kernels()))
+        return 0
+    if not args.src:
+        parser.error("give at least one --src")
+    trees = dict(args.src)
+    doc = {
+        "command": "python bench/run.py " + " ".join(f"--src {label}=<path>" for label in trees)
+        + f" --rounds {args.rounds}",
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "rounds": args.rounds,
+        "kernel_cases": {"n": list(NS), "p": list(PS), "repeats": REPEATS},
+        "verify_pmax": VERIFY_PMAX,
+        "trees": measure(trees, args.rounds),
+    }
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

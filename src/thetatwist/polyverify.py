@@ -16,7 +16,11 @@ linear operator on packed integer rows (polyarith), so each degree step
 costs one C-level dot product instead of a fresh modular exponentiation;
 ddf tests a block of b = ceil(sqrt(n/2)) degrees with one gcd against the
 product of their Frobenius differences, refining degree by degree only the
-blocks that hit.
+blocks that hit.  The rows are built once per prime (_frobenius) and serve
+the pattern check and, where it fails, the DDF.  They stay packed while
+they are built: each product is reduced mod f through its quotient, with
+slot-wise Barrett reduction mod p (polyarith.barrett), so no coefficient
+list is formed until the walk.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -38,7 +42,7 @@ from .errors import (
     ParseError,
 )
 from .ffield import check_prime, factorize, is_prime, primes_upto
-from .galrep import frobenius_class, predicted_degree_pattern
+from .galrep import _degree_pattern, _frobenius_class
 from .qseries import delta_k
 
 MATCH = "match"
@@ -269,46 +273,50 @@ def _frobenius(f, p):
 
     frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
     lists of length n with entries in [0, p).  Both work on packed ints
-    (polyarith) with one slot width, from the bound 2n(p - 1)^2.  A product
-    is one packed multiplication; its low n slots stay packed and its high
-    n - 1 slots are folded back with the packed reduction rows x^(n+j) mod f,
-    one C-level sum(map(mul, ...)).  The Frobenius map is the same kind of
-    sum over the packed rows x^(i*p) mod f, i < n.
+    (polyarith) with the slot width of polyarith.barrett for slots up to
+    bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the Frobenius rows
+    x^(i*p) mod f, i < n, stay packed from first to last, reduced mod f by
+    the quotient instead of by reduction rows x^(n+j) mod f.  A product
+    c = L + x^n H of at most 2n slots has every slot reduced mod p at once
+    (Barrett); then the quotient Q of c by f is the top n slots of
+    H * rev(u), where u holds the first n terms of x^n / f in powers of
+    1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.  Each
+    of these products has n or fewer terms of (p - 1)^2 per slot, so every
+    slot stays within bound.  The Frobenius map is one sum over the packed
+    rows, sum(map(mul, h, rows)).
     """
     n = len(f) - 1
-    width = polyarith.slot_width(2 * n * (p - 1) ** 2)
-    pack, unpack, split = polyarith.pack, polyarith.unpack, polyarith.split
-    top = [-c % p for c in f[:n]]  # x^n mod f
+    width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
+    bits = 8 * width
+    pack, unpack = polyarith.pack, polyarith.unpack
+    u = [1]  # 1 / rev(f) mod x^n, by its recurrence
+    for k in range(1, n):
+        u.append(-sum(map(_imul, f[n - k : n], u)) % p)
+    u_rev = pack(u[::-1], width)
+    f_neg = pack([-c % p for c in f[:n]], width)
+    top, middle = n * bits, (n - 1) * bits
+    low = (1 << top) - 1
 
-    def times_x(h):  # h * x mod f, on plain lists
-        c = h[-1]
-        return [(a + c * t) % p for a, t in zip([0, *h], top)]
-
-    def reduce(c):  # a product of two packed n-slot values, mod f
-        low, high = split(c, width, 2 * n - 1, n, p)
-        return unpack(low + sum(map(_imul, high, reduce_rows)), width, n, p)
+    def remainder(c):  # a packed c mod f, slots within bound, not reduced mod p
+        c = reduce(c)
+        q = reduce((c >> top) * u_rev >> middle)
+        return (c & low) + (q * f_neg & low)
 
     def mulmod(a, b):
-        return reduce(pack(a, width) * pack(b, width))
+        return unpack(remainder(pack(a, width) * pack(b, width)), width, n, p)
 
     def frobenius(h):
         return unpack(sum(map(_imul, h, rows)), width, n, p)
 
-    row = top
-    reduce_rows = [pack(row, width)]
-    for _ in range(n - 2):
-        row = times_x(row)
-        reduce_rows.append(pack(row, width))
-
-    xp = [0, 1] + [0] * (n - 2)  # x^p mod f by square and multiply
+    xp = 1 << bits  # x^p mod f by square and multiply, x = one slot up
     for bit in bin(p)[3:]:
-        xp = reduce(pack(xp, width) ** 2)
+        xp *= xp
         if bit == "1":
-            xp = times_x(xp)
-    xp = pack(xp, width)
-    rows = [pack([1] + [0] * (n - 1), width), xp]
+            xp <<= bits
+        xp = reduce(remainder(xp))
+    rows = [1, xp]
     for _ in range(n - 2):
-        rows.append(pack(reduce(rows[-1] * xp), width))
+        rows.append(reduce(remainder(rows[-1] * xp)))
     return frobenius, mulmod
 
 
@@ -334,14 +342,30 @@ def ddf(f):
     then itself irreducible.  Only the degrees are returned, never the
     factors.
     """
+    return _ddf(f, _setup(f))
+
+
+def _setup(f):
+    """(work, frobenius, mulmod): f made monic, with _frobenius of it.
+
+    One set-up serves both _has_pattern and _ddf at a prime; below degree 2
+    there is no Frobenius map to build, and the two are None.
+    """
+    work = _monic(f.coeffs, f.modulus)
+    if len(work) < 3:
+        return work, None, None
+    return (work, *_frobenius(work, f.modulus))
+
+
+def _ddf(f, setup):
+    """ddf(f) from its set-up _setup(f), squarefree check included."""
     p = f.modulus
     if not is_squarefree_mod(f):
         raise NotSquarefree("input polynomial is not squarefree")
-    work = _monic(f.coeffs, p)
+    work, frobenius, mulmod = setup
     n = len(work) - 1
     if n < 2:  # a constant has no factors, a linear f is irreducible
         return (1,) * n
-    frobenius, mulmod = _frobenius(work, p)
     b = isqrt((n + 1) // 2 - 1) + 1  # ceil(sqrt(n / 2))
     out = []
     h = [0, 1] + [0] * (n - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
@@ -375,14 +399,15 @@ def ddf(f):
     return result
 
 
-def _has_pattern(f, *patterns):
+def _has_pattern(f, setup, *patterns):
     """The first of patterns that equals ddf(f), or None if none does.
 
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
     degree L (every pattern predicted_degree_pattern returns has this form).
     A non-squarefree f has no pattern, so None is returned for it, as for
-    the zero polynomial.  f is made monic, as in ddf, and one Frobenius
-    set-up serves all the patterns.  Checking a known pattern needs no
+    the zero polynomial.  setup is _setup(f): f made monic, as in ddf, and
+    one Frobenius set-up that serves all the patterns, and the _ddf that
+    verify_record runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1):
       1. deg f == a + bL, the degree of f mod p, which drops when p divides
          the leading coefficient;
@@ -398,14 +423,13 @@ def _has_pattern(f, *patterns):
     all L, b of them.  Conversely f with pattern {1^a, L^b} passes all three.
     """
     p = f.modulus
-    work = _monic(f.coeffs, p)
+    work, frobenius, mulmod = setup
     n = len(work) - 1
     patterns = [pattern for pattern in patterns if sum(pattern) == n]
     if not patterns:
         return None
     if n < 2:  # a constant or a linear f is squarefree
         return patterns[0]
-    frobenius, mulmod = _frobenius(work, p)
     x = [0, 1] + [0] * (n - 2)
     for pattern in patterns:
         top = pattern[-1]
@@ -527,14 +551,15 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
             counts["skipped_ell"] += 1
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
-        fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
-        predicted = predicted_degree_pattern(fc, ell)
+        fc = _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
+        predicted = _degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
         fp = ModPoly(p, record.coeffs)
-        observed = _has_pattern(fp, *candidates)
+        setup = _setup(fp)
+        observed = _has_pattern(fp, setup, *candidates)
         if observed is None:
             try:
-                observed = ddf(fp)
+                observed = _ddf(fp, setup)
             except NotSquarefree:
                 counts["skipped_ramified"] += 1
                 outcomes.append((p, SKIPPED_RAMIFIED, None, None))

@@ -32,6 +32,18 @@ def poly_mul_mod(a, b, m):
     return [c % m for c in out]
 
 
+def poly_rem_monic(a, f, m):
+    """a mod the monic f by long division, one leading term at a time,
+    as a list of exactly deg f entries in [0, m)."""
+    n = len(f) - 1
+    rem = [c % m for c in a]
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem[top]
+        for i in range(n + 1):
+            rem[top - n + i] = (rem[top - n + i] - c * f[i]) % m
+    return (rem + [0] * n)[:n]
+
+
 def eta24_int(nmax):
     """Coefficients of q * prod_{m>=1} (1 - q^m)^24 over Z, indices 0..nmax."""
     f = [0] * (nmax + 1)

@@ -1,9 +1,11 @@
 """verify_record factors a polynomial only where the predicted pattern fails.
 
-Each prime's predicted pattern is checked directly, and ddf, the only
+Each prime's predicted pattern is checked directly, and the DDF, the only
 factorization path, runs just where that check fails: at the primes skipped
-as ramified and at the primes that FAIL.  The polyverify module binding of
-ddf is wrapped, since verify_record looks it up there.
+as ramified and at the primes that FAIL.  verify_record reaches it through
+_ddf, which takes the Frobenius set-up of the pattern check, so each tested
+prime builds exactly one set-up.  The polyverify module bindings of _ddf and
+_frobenius are wrapped, since verify_record looks them up there.
 """
 
 import pytest
@@ -18,13 +20,26 @@ FALLBACK = ("skipped-ramified", "FAIL")
 @pytest.fixture
 def ddf_calls(monkeypatch):
     calls = []
-    ddf = polyverify.ddf
+    ddf = polyverify._ddf
 
-    def counted(f):
+    def counted(f, setup):
         calls.append(f.modulus)
-        return ddf(f)
+        return ddf(f, setup)
 
-    monkeypatch.setattr(polyverify, "ddf", counted)
+    monkeypatch.setattr(polyverify, "_ddf", counted)
+    return calls
+
+
+@pytest.fixture
+def setup_calls(monkeypatch):
+    calls = []
+    frobenius = polyverify._frobenius
+
+    def counted(f, p):
+        calls.append(p)
+        return frobenius(f, p)
+
+    monkeypatch.setattr(polyverify, "_frobenius", counted)
     return calls
 
 
@@ -47,3 +62,24 @@ def test_mutated_record_factors_at_each_fail(ddf_calls):
     rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, series=delta_k(26, 23, 200))
     assert rep.counts["fail"] >= 10
     assert ddf_calls == [p for p, status, _, _ in rep.outcomes if status in FALLBACK]
+
+
+def _tested(rep):
+    return [p for p, status, _, _ in rep.outcomes if status != "skipped-ell"]
+
+
+def test_one_setup_per_tested_prime_on_bundled_records(setup_calls):
+    for k, ell in BUNDLED_LABELS:
+        setup_calls.clear()
+        rep = verify_record(bundled_record(k, ell), k, ell, 1000)
+        assert setup_calls == _tested(rep), (k, ell)
+
+
+def test_one_setup_per_tested_prime_on_a_mutated_record(setup_calls, ddf_calls):
+    coeffs = list(bundled_record(26, 23).coeffs)
+    coeffs[3] += 1
+    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, series=delta_k(26, 23, 200))
+    assert rep.counts["fail"] >= 10
+    # the FAIL primes reach the DDF, which reuses the pattern check's set-up
+    assert setup_calls == _tested(rep)
+    assert set(ddf_calls) >= set(rep.failures)

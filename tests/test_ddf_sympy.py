@@ -15,6 +15,7 @@ from thetatwist.polyverify import (
     ModPoly,
     _gcd,
     _has_pattern,
+    _setup,
     bundled_record,
     ddf,
     is_squarefree_mod,
@@ -152,6 +153,10 @@ def _patterns(n):
     return out
 
 
+def has_pattern(f, *patterns):
+    return _has_pattern(f, _setup(f), *patterns)
+
+
 def _ddf_or_none(f):
     try:
         return ddf(f)
@@ -175,11 +180,11 @@ def test_has_pattern_agrees_with_ddf(p, low, square, lead):
     observed = _ddf_or_none(f)
     patterns = _patterns(f.degree)
     for pattern in patterns:
-        assert (_has_pattern(f, pattern) == pattern) == (observed == pattern), pattern
-    assert _has_pattern(f, *patterns) == (observed if observed in patterns else None)
+        assert (has_pattern(f, pattern) == pattern) == (observed == pattern), pattern
+    assert has_pattern(f, *patterns) == (observed if observed in patterns else None)
     # a pattern of another degree never holds
-    assert _has_pattern(f, (1,) * (f.degree + 1)) is None
-    assert _has_pattern(f, (f.degree + 1,)) is None
+    assert has_pattern(f, (1,) * (f.degree + 1)) is None
+    assert has_pattern(f, (f.degree + 1,)) is None
 
 
 def _planted(p, degrees, seed=0):
@@ -194,11 +199,11 @@ def test_has_pattern_planted_cases():
     # from two linear factors
     f = _planted(3, (2, 4))
     assert ddf(f) == (2, 4)
-    assert _has_pattern(f, (1, 1, 4)) is None
+    assert has_pattern(f, (1, 1, 4)) is None
     # four linears and a quadratic against two of each: only deg G tells them apart
     f = _planted(7, (1, 1, 1, 1, 2))
-    assert _has_pattern(f, (1, 1, 2, 2)) is None
-    assert _has_pattern(f, (1, 1, 1, 1, 2)) == (1, 1, 1, 1, 2)
+    assert has_pattern(f, (1, 1, 2, 2)) is None
+    assert has_pattern(f, (1, 1, 1, 1, 2)) == (1, 1, 1, 1, 2)
     # g^2 h is not squarefree; with h = 1 and g quadratic G = 1 has the
     # expected degree 0, so only h_L == x rejects it
     g = _planted(5, (2,)).coeffs
@@ -207,18 +212,18 @@ def test_has_pattern_planted_cases():
         with pytest.raises(NotSquarefree):
             ddf(f)
         for pattern in _patterns(f.degree):
-            assert _has_pattern(f, pattern) is None, pattern
+            assert has_pattern(f, pattern) is None, pattern
     # L = 1: a product of distinct linears splits, one quadratic factor does not
     f = ModPoly(11, poly_mul_mod(poly_mul_mod((1, 1), (2, 1), 11), (5, 1), 11))
-    assert _has_pattern(f, (1, 1, 1)) == (1, 1, 1)
+    assert has_pattern(f, (1, 1, 1)) == (1, 1, 1)
     f = _planted(11, (1, 2, 1))
-    assert _has_pattern(f, (1, 1, 1, 1)) is None
+    assert has_pattern(f, (1, 1, 1, 1)) is None
     # the two patterns of an ambiguous class, ell = 7: (1, 7) and eight fixed points
     f = _planted(13, (1, 7))
     candidates = ((1,) * 8, (1, 7))
-    assert _has_pattern(f, *candidates) == (1, 7)
-    assert _has_pattern(f, candidates[0]) is None
+    assert has_pattern(f, *candidates) == (1, 7)
+    assert has_pattern(f, candidates[0]) is None
     f = _planted(13, (1,) * 8)
-    assert _has_pattern(f, *candidates) == (1,) * 8
+    assert has_pattern(f, *candidates) == (1,) * 8
     f = _planted(13, (1, 1, 6))
-    assert _has_pattern(f, *candidates) is None
+    assert has_pattern(f, *candidates) is None

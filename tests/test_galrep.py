@@ -5,6 +5,7 @@ from thetatwist.galrep import (
     AMBIGUOUS,
     NONSPLIT,
     SPLIT,
+    FrobeniusClass,
     ScreeningReport,
     frobenius_class,
     predicted_degree_pattern,
@@ -29,6 +30,16 @@ def test_frobenius_class_examples():
     # at p = ell the determinant p^(k-1) vanishes
     with pytest.raises(ValueError, match="determinant must be a unit"):
         frobenius_class(0, pow(13, 15, 13), 13)
+
+
+@pytest.mark.parametrize("ell", [1, 4, 15, 91, 7919 * 7927])
+def test_public_classifier_rejects_composite_ell(ell):
+    # unchecked, ell = 15 reads FrobeniusClass('nonsplit', 16) with pattern (16,)
+    with pytest.raises(ValueError, match="not prime"):
+        frobenius_class(1, 1, ell)
+    for fc in (FrobeniusClass(NONSPLIT, ell + 1), FrobeniusClass(AMBIGUOUS)):
+        with pytest.raises(ValueError, match="not prime"):
+            predicted_degree_pattern(fc, ell)
 
 
 def test_frobenius_class_exhaustive_classification():

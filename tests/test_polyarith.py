@@ -1,11 +1,14 @@
-"""The packed-integer product kernel against schoolbook multiplication."""
+"""The packed-integer kernels against schoolbook multiplication and plain % m."""
+
+import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from thetatwist.polyarith import mul, pack, slot_width, split, unpack
+from thetatwist.ffield import is_prime, primes_upto
+from thetatwist.polyarith import barrett, mul, pack, slot_width, unpack
 
 import oracles
 
@@ -58,6 +61,64 @@ def test_pack_unpack_roundtrip(width):
     value = pack(coeffs, width)
     assert unpack(value, width, len(coeffs), 2**(8 * width)) == coeffs
     assert unpack(value, width, len(coeffs), 2**(8 * width), 2) == coeffs[:2]
-    low, high = split(value, width, len(coeffs), 2, 7)
-    assert low == pack(coeffs[:2], width)
-    assert high == [c % 7 for c in coeffs[2:]]
+
+
+def _frobenius_bound(n, p):
+    # the slot bound of the Frobenius set-up of a degree-n polynomial mod p
+    return n * (p - 1) ** 2 + p - 1
+
+
+def _width_at_24(p):
+    return barrett(p, _frobenius_bound(24, p), 1)[0]
+
+
+def _next_prime(p):
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+# the largest primes whose Frobenius set-up at degree 24 packs into 4- and
+# 8-byte slots, as pinned by test_barrett_widths_at_degree_24
+LARGEST_AT_24 = {4: 13367, 8: 876706517}
+BARRETT_PRIMES = (2, 3, 5, 97, 997, 9973, *LARGEST_AT_24.values())
+
+
+def test_barrett_widths_at_degree_24():
+    for width, p in LARGEST_AT_24.items():
+        assert _width_at_24(p) == width
+        assert _width_at_24(_next_prime(p)) > width
+    # every prime up to 10^4 and beyond keeps 4-byte slots
+    assert {_width_at_24(p) for p in primes_upto(LARGEST_AT_24[4])} == {4}
+
+
+@pytest.mark.parametrize("p", BARRETT_PRIMES)
+def test_barrett_reduces_every_slot(p):
+    rng = random.Random(p)
+    for n in (2, 3, 7, 12, 24, 30):
+        bound = _frobenius_bound(n, p)
+        width, reduce = barrett(p, bound, 2 * n)
+        edge = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, bound - 1, bound]
+        for _ in range(20):
+            slots = [rng.choice(edge + [rng.randrange(bound + 1)]) for _ in range(2 * n)]
+            value = reduce(pack(slots, width))
+            assert unpack(value, width, 2 * n, 2 ** (8 * width)) == [c % p for c in slots]
+        top = reduce(pack([bound] * (2 * n), width))
+        assert unpack(top, width, 2 * n, 2 ** (8 * width)) == [bound % p] * (2 * n)
+
+
+@pytest.mark.parametrize("p", BARRETT_PRIMES)
+def test_barrett_reduced_product_matches_schoolbook(p):
+    # an unreduced product of two degree-(n - 1) polynomials reaches
+    # n (p - 1)^2 in its middle slot, inside the Frobenius bound
+    rng = random.Random(2 * p)
+    for n in (2, 5, 13, 24, 30):
+        width, reduce = barrett(p, _frobenius_bound(n, p), 2 * n)
+        for a, b in (
+            ([p - 1] * n, [p - 1] * n),
+            ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]),
+        ):
+            value = reduce(pack(a, width) * pack(b, width))
+            got = unpack(value, width, 2 * n - 1, 2 ** (8 * width))
+            assert got == oracles.poly_mul_mod(a, b, p)

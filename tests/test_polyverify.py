@@ -14,6 +14,7 @@ from thetatwist.polyverify import (
     ModPoly,
     ProjPolyRecord,
     VerificationReport,
+    _frobenius,
     _gcd,
     bundled_record,
     ddf,
@@ -282,3 +283,36 @@ def test_verification_report_json_roundtrip():
     slim = rep.to_json_dict()
     assert "outcomes" not in slim
     assert slim["counts"] == rep.counts
+
+
+def _pow_mod(h, e, f, p):
+    """h^e mod the monic f by square and multiply on the oracles."""
+    result, base = [1], h
+    while e:
+        if e & 1:
+            result = oracles.poly_rem_monic(oracles.poly_mul_mod(result, base, p), f, p)
+        base = oracles.poly_rem_monic(oracles.poly_mul_mod(base, base, p), f, p)
+        e >>= 1
+    return oracles.poly_rem_monic(result, f, p)
+
+
+# 13367 and 876706517 are the largest primes whose Frobenius set-up at
+# degree 24 packs into 4- and 8-byte slots (tests/test_polyarith.py); the
+# latter needs 9-byte slots at degree 30
+@pytest.mark.parametrize("p", (2, 3, 5, 97, 997, 9973, 13367, 876706517))
+def test_frobenius_setup_matches_long_division(p):
+    rng = random.Random(p)
+    for n in (2, 3, 24, 30, *rng.sample(range(4, 30), 3)):
+        # -f_low is p - 1 in every slot for the all-ones f, and 1 for the
+        # all-(p - 1) one: the quotient products reach their slot bound
+        for low in ([rng.randrange(p) for _ in range(n)], [1] * n, [p - 1] * n):
+            f = low + [1]
+            frobenius, mulmod = _frobenius(f, p)
+            top = [p - 1] * n
+            x = [0, 1] + [0] * (n - 2)
+            a, b = [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
+            for u, v in ((a, b), (top, top), (top, a)):
+                expected = oracles.poly_rem_monic(oracles.poly_mul_mod(u, v, p), f, p)
+                assert mulmod(u, v) == expected, (n, low)
+            for h in (x, a, top):
+                assert frobenius(h) == _pow_mod(h, p, f, p), (n, low, h)
