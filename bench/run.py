@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_9.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_10.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -11,7 +11,11 @@ records:
     one step of the Frobenius walk and one _gcd of f with a random
     polynomial of degree n - 1, each the fastest of REPEATS timeit runs, in
     microseconds per call;
+  - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
+    of CLI_CALLS, with warm series caches and stdout captured, measured like
+    the kernels;
   - tables: the default `thetatwist tables` run as a fresh process;
+  - the `screen` call of CLI_CALLS as a fresh process;
   - verify_poly: `thetatwist verify-poly --pmax 10000` as a fresh process for
     each bundled record.
 
@@ -24,7 +28,9 @@ different bytes show.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -41,6 +47,16 @@ PS = (31, 97, 997, 9973)
 REPEATS = 5
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
+#: calls whose cost outside the maths is mostly the CLI's own: a screen at
+#: its default bound and a long series, both printed as JSON
+CLI_CALLS = {
+    "screen k=16,ell=13": [
+        "screen", "--weight", "16", "--ell", "13", "--pbound", "200", "--format", "json",
+    ],
+    "qexp k=26,ell=691": [
+        "qexp", "--weight", "26", "--ell", "691", "--terms", "700", "--format", "json",
+    ],
+}
 
 
 def _per_call_us(call):
@@ -65,6 +81,22 @@ def kernels():
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
                 "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
             }
+    return out
+
+
+def cli_main():
+    """In-process `cli.main` times of CLI_CALLS on the thetatwist on sys.path."""
+    from thetatwist import cli
+
+    def call(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"thetatwist {' '.join(argv)} failed")
+
+    out = {}
+    for name, argv in CLI_CALLS.items():
+        call(argv)  # fill the series caches, as a warm caller has them
+        out[name] = {"main_us": _per_call_us(lambda: call(argv))}
     return out
 
 
@@ -96,6 +128,7 @@ def _cli_run(tree, argv):
 def _runs():
     """The whole-run jobs of one round: (name, argv) pairs."""
     yield "tables", ["tables"]
+    yield "screen k=16,ell=13", CLI_CALLS["screen k=16,ell=13"]
     for k, ell in RECORDS:
         argv = ["verify-poly", "--weight", str(k), "--ell", str(ell),
                 "--pmax", str(VERIFY_PMAX), "--format", "json"]
@@ -104,6 +137,14 @@ def _runs():
 
 def _summary(samples):
     return {"median": statistics.median(samples), "samples": samples}
+
+
+def _case_summaries(samples):
+    """{case: {metric: summary}} of samples, a list of {case: {metric: value}}."""
+    return {
+        case: {metric: _summary([s[case][metric] for s in samples]) for metric in metrics}
+        for case, metrics in samples[0].items()
+    }
 
 
 def measure(trees, rounds):
@@ -125,17 +166,12 @@ def measure(trees, rounds):
     for label in labels:
         samples = kernel_samples[label]
         out[label] = {
-            "kernels_us": {
-                case: {
-                    metric: _summary([s[case][metric] for s in samples])
-                    for metric in samples[0][case]
-                }
-                for case in samples[0]
-            },
-            "runs_s": {
-                name: dict(_summary(walls), stdout_sha256=digests[label][name])
-                for name, walls in run_samples[label].items()
-            },
+            section: _case_summaries([s[section] for s in samples])
+            for section in samples[0]
+        }
+        out[label]["runs_s"] = {
+            name: dict(_summary(walls), stdout_sha256=digests[label][name])
+            for name, walls in run_samples[label].items()
         }
     return out
 
@@ -156,7 +192,7 @@ def main(argv=None):
     parser.add_argument("--kernels", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.kernels:
-        print(json.dumps(kernels()))
+        print(json.dumps({"kernels_us": kernels(), "cli_main_us": cli_main()}))
         return 0
     if not args.src:
         parser.error("give at least one --src")
@@ -171,6 +207,7 @@ def main(argv=None):
         },
         "rounds": args.rounds,
         "kernel_cases": {"n": list(NS), "p": list(PS), "repeats": REPEATS},
+        "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,
         "trees": measure(trees, args.rounds),
     }

@@ -6,6 +6,11 @@ problems, 5 verification failure.  All output is deterministic; --format
 json emits machine-readable documents that round-trip through the
 corresponding from_json_dict constructors.  Warnings go to stderr as one
 "warning: ..." line each.
+
+Each call of main builds one parser, for the invoked command only, when the
+command name comes first; the full tree of build_parser() is built only for
+top-level help and errors, where argparse prints the same bytes either way.
+Each command's arguments are declared once, in the _COMMANDS table.
 """
 
 import argparse
@@ -33,7 +38,54 @@ def _positive_int(text):
     return value
 
 
+def _add_common(p, labelled=True):
+    if labelled:
+        p.add_argument("--weight", type=int, required=True, help="form weight k")
+        p.add_argument("--ell", type=int, required=True, help="prime modulus")
+    p.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+
+
+def _qexp_arguments(p):
+    _add_common(p)
+    p.add_argument("--terms", type=_positive_int, default=100, help="last coefficient index")
+
+
+def _twist_search_arguments(p):
+    _add_common(p)
+    p.add_argument(
+        "--extended",
+        type=_positive_int,
+        default=1000,
+        help="terms of full series equality to confirm beyond the prime bound",
+    )
+
+
+def _verify_poly_arguments(p):
+    _add_common(p)
+    p.add_argument("--poly-file", help="polynomial expression file (default: bundled)")
+    p.add_argument("--pmax", type=_positive_int, default=1000, help="largest prime to test")
+    p.add_argument("--full", action="store_true", help="include per-prime outcomes")
+    p.add_argument("--data-dir", help="override the bundled data directory")
+
+
+def _screen_arguments(p):
+    _add_common(p)
+    p.add_argument("--pbound", type=_positive_int, default=200, help="prime scan bound")
+
+
+def _tables_arguments(p):
+    _add_common(p, labelled=False)
+    p.add_argument("--pmax", type=_positive_int, default=1000, help="verify-poly prime bound")
+    p.add_argument("--pbound", type=_positive_int, default=200, help="screening prime bound")
+    p.add_argument("--extended", type=_positive_int, default=1000, help="twist equality terms")
+    p.add_argument("--full", action="store_true", help="include per-prime outcomes")
+    p.add_argument("--data-dir", help="override the bundled data directory")
+
+
 def build_parser():
+    """The full parser: every command as a subparser of `thetatwist`."""
     parser = argparse.ArgumentParser(
         prog="thetatwist",
         description=(
@@ -43,49 +95,29 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, weight=False, ell=False):
-        if weight:
-            p.add_argument("--weight", type=int, required=True, help="form weight k")
-        if ell:
-            p.add_argument("--ell", type=int, required=True, help="prime modulus")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-
-    p = sub.add_parser("qexp", help="print coefficients of delta_k mod ell")
-    add_common(p, weight=True, ell=True)
-    p.add_argument("--terms", type=_positive_int, default=100, help="last coefficient index")
-
-    p = sub.add_parser("twist-search", help="find (i, k') with delta_k = theta^i delta_k'")
-    add_common(p, weight=True, ell=True)
-    p.add_argument(
-        "--extended",
-        type=_positive_int,
-        default=1000,
-        help="terms of full series equality to confirm beyond the prime bound",
-    )
-
-    p = sub.add_parser("verify-poly", help="check a polynomial against Frobenius patterns")
-    add_common(p, weight=True, ell=True)
-    p.add_argument("--poly-file", help="polynomial expression file (default: bundled)")
-    p.add_argument("--pmax", type=_positive_int, default=1000, help="largest prime to test")
-    p.add_argument("--full", action="store_true", help="include per-prime outcomes")
-    p.add_argument("--data-dir", help="override the bundled data directory")
-
-    p = sub.add_parser("screen", help="heuristic exceptional-prime screening")
-    add_common(p, weight=True, ell=True)
-    p.add_argument("--pbound", type=_positive_int, default=200, help="prime scan bound")
-
-    p = sub.add_parser("tables", help="reproduce the screening/twist/polynomial tables")
-    add_common(p)
-    p.add_argument("--pmax", type=_positive_int, default=1000, help="verify-poly prime bound")
-    p.add_argument("--pbound", type=_positive_int, default=200, help="screening prime bound")
-    p.add_argument("--extended", type=_positive_int, default=1000, help="twist equality terms")
-    p.add_argument("--full", action="store_true", help="include per-prime outcomes")
-    p.add_argument("--data-dir", help="override the bundled data directory")
-
+    for name, (help_text, _, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv):
+    """(command name, namespace) of argv, exiting as argparse does on errors.
+
+    When argv starts with a command name, only that command's parser is
+    built.  It is the subparser build_parser() would hand the rest of argv
+    to, with the same prog, so help and errors print the same bytes.  All
+    else, including arguments left over, which the full parser rejects with
+    its own usage line, goes to the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"thetatwist {name}")
+        _COMMANDS[name][2](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return name, args
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def _emit_json(doc):
@@ -227,12 +259,25 @@ def cmd_tables(args):
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-_HANDLERS = {
-    "qexp": cmd_qexp,
-    "twist-search": cmd_twist_search,
-    "verify-poly": cmd_verify_poly,
-    "screen": cmd_screen,
-    "tables": cmd_tables,
+#: name: (help line, handler, function that adds the command's arguments)
+_COMMANDS = {
+    "qexp": ("print coefficients of delta_k mod ell", cmd_qexp, _qexp_arguments),
+    "twist-search": (
+        "find (i, k') with delta_k = theta^i delta_k'",
+        cmd_twist_search,
+        _twist_search_arguments,
+    ),
+    "verify-poly": (
+        "check a polynomial against Frobenius patterns",
+        cmd_verify_poly,
+        _verify_poly_arguments,
+    ),
+    "screen": ("heuristic exceptional-prime screening", cmd_screen, _screen_arguments),
+    "tables": (
+        "reproduce the screening/twist/polynomial tables",
+        cmd_tables,
+        _tables_arguments,
+    ),
 }
 
 
@@ -241,18 +286,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    name, args = _parse(sys.argv[1:] if argv is None else list(argv))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return _HANDLERS[args.command](args)
+            return _COMMANDS[name][1](args)
         except UnsupportedWeight as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except NotFound as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NOT_FOUND
-        except (OSError, FileNotFoundError) as exc:
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
         except (ThetaTwistError, ValueError) as exc:

@@ -1,7 +1,10 @@
+import argparse
 import json
+import sys
 
 import pytest
 
+from thetatwist import cli
 from thetatwist.cli import main
 from thetatwist.polyverify import VerificationReport
 from thetatwist.galrep import ScreeningReport
@@ -256,3 +259,106 @@ def test_repeated_calls_print_the_same_bytes(capsys):
     assert code == 0 and "all checks passed" in out
     code, again, _ = run(capsys, *screen)
     assert code == 0 and again == first
+
+
+# One well-formed call per command, spelled in the ways argparse accepts:
+# an abbreviated option, --opt=value, flags and choices.
+_CALLS = [
+    ["qexp", "--wei", "12", "--ell", "13", "--terms", "5"],
+    ["twist-search", "--weight", "20", "--ell", "17", "--extended", "100"],
+    ["verify-poly", "--weight=16", "--ell=13", "--pmax", "60", "--full", "--format", "json"],
+    ["screen", "--weight", "16", "--ell", "13", "--pbound", "100"],
+    ["tables", "--pmax", "30", "--pbound", "30", "--extended", "30"],
+]
+
+_HELP = [
+    ["-h"],
+    ["--help"],
+    ["-h", "qexp"],
+    ["qexp", "-h"],
+    ["twist-search", "-h"],
+    ["verify-poly", "--help"],
+    ["screen", "-h"],
+    ["tables", "-h"],
+    ["qexp", "--weight", "12", "--bogus", "-h"],
+]
+
+_ERRORS = [
+    [],
+    ["qex"],
+    ["bogus"],
+    ["--bogus"],
+    ["--", "qexp", "--weight", "12", "--ell", "13"],
+    ["qexp", "--weight", "12"],
+    ["qexp", "--weight"],
+    ["qexp", "--weight", "12", "--ell", "13", "--terms", "0"],
+    ["qexp", "--weight", "x", "--ell", "13"],
+    ["screen", "--weight", "16", "--ell", "13", "--pbound", "-3"],
+    ["twist-search", "--weight", "16", "--ell", "13", "--extended"],
+    ["tables", "--format", "yaml"],
+    ["tables", "--p", "10"],
+    ["verify-poly", "--weight", "16", "--ell", "13", "--full=yes"],
+    ["qexp", "--weight", "12", "--ell", "13", "--bogus"],
+    ["screen", "--weight", "16", "--ell", "13", "extra"],
+    ["qexp", "--weight", "12", "--ell", "13", "--", "5"],
+    ["qexp", "qexp"],
+]
+
+
+def _exit_of(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(argv, 0) for argv in _HELP] + [(argv, 2) for argv in _ERRORS]
+)
+def test_main_prints_what_the_full_parser_prints(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    ours = _exit_of(lambda: main(argv), capsys)
+    full = _exit_of(lambda: cli.build_parser().parse_args(argv), capsys)
+    assert ours == full
+    assert ours[0] == code
+    assert ours[1 if code == 0 else 2].startswith("usage: thetatwist")
+
+
+@pytest.mark.parametrize("argv", _CALLS)
+def test_main_hands_over_the_full_parsers_namespace(argv, monkeypatch):
+    seen = []
+    name = argv[0]
+    help_text, _, add_arguments = cli._COMMANDS[name]
+    monkeypatch.setitem(
+        cli._COMMANDS, name, (help_text, lambda args: seen.append(args) or 0, add_arguments)
+    )
+    assert main(argv) == 0
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == name
+    assert [vars(args) for args in seen] == [full]
+
+
+def test_each_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in _CALLS:
+        built.clear()
+        assert main(argv) == 0
+        assert built == [f"thetatwist {argv[0]}"]
+    capsys.readouterr()
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["qexp", "--weight", "12", "--ell", "13", "--terms", "5"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["thetatwist", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected == (0, "1, 2, 5, 10, 7\n", "")
