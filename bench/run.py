@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_10.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_11.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -14,17 +14,23 @@ records:
   - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
     of CLI_CALLS, with warm series caches and stdout captured, measured like
     the kernels;
-  - tables: the default `thetatwist tables` run as a fresh process;
-  - the `screen` call of CLI_CALLS as a fresh process;
-  - verify_poly: `thetatwist verify-poly --pmax 10000` as a fresh process for
-    each bundled record.
+  - runs_s, each a fresh process: the default `thetatwist tables`, the
+    `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
+    each bundled record, and `import thetatwist` with the six bundled
+    records loaded, run with and without -S (no site module, so nothing
+    the package imports is loaded in advance).
 
 Every measurement runs in a fresh interpreter with the tree's src/ first on
-the path.  Each round measures every tree once, in an order that alternates
-from round to round, so that drift in the host's speed falls on all trees
-alike.  A figure is the median over the rounds, kept beside its samples.
+the path.  A fresh-process run goes through bench/probed.py, which times the
+import and the call under perfbench's SpeedProbe: runs_s keeps the raw wall
+time of the whole process (median, samples) and, beside it, the probed time
+at perfbench's reference speed (reference_median, reference_samples), which
+leaves out the interpreter's start-up and the host's speed swings.  Each
+round measures every tree once, in an order that alternates from round to
+round, so that drift in the host's speed falls on all trees alike.  A figure is the median over the rounds, kept beside its samples.
 Each whole run also records a digest of its stdout, so trees that print
-different bytes show.
+different bytes show.  A tree with a src/thetatwist/__pycache__ is refused,
+and no run writes one, so every tree compiles its modules from source alike.
 """
 
 import argparse
@@ -45,6 +51,7 @@ from pathlib import Path
 NS = (12, 14, 18, 20, 24)
 PS = (31, 97, 997, 9973)
 REPEATS = 5
+PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
 #: calls whose cost outside the maths is mostly the CLI's own: a screen at
@@ -103,6 +110,7 @@ def cli_main():
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
 
 
@@ -114,25 +122,30 @@ def _kernels_of(tree):
     return json.loads(proc.stdout)
 
 
-def _cli_run(tree, argv):
-    """(wall seconds, stdout digest) of one fresh `thetatwist <argv>` process."""
+def _fresh_run(tree, flags, args):
+    """(wall seconds, seconds at reference speed, stdout digest) of one fresh
+    `python <flags> bench/probed.py <args>` process."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "thetatwist.cli", *argv],
+        [sys.executable, *flags, str(PROBED), *args],
         env=_env(tree), capture_output=True, check=True,
     )
     wall = time.perf_counter() - start
-    return wall, hashlib.sha256(proc.stdout).hexdigest()[:16]
+    probed = json.loads(proc.stderr.splitlines()[-1])
+    at_reference = (probed["elapsed"] - probed["probe_s"]) * probed["speed"]
+    return wall, at_reference, hashlib.sha256(proc.stdout).hexdigest()[:16]
 
 
 def _runs():
-    """The whole-run jobs of one round: (name, argv) pairs."""
-    yield "tables", ["tables"]
-    yield "screen k=16,ell=13", CLI_CALLS["screen k=16,ell=13"]
+    """The whole-run jobs of one round: (name, interpreter flags, probed.py arguments)."""
+    yield "tables", [], ["cli", "tables"]
+    yield "screen k=16,ell=13", [], ["cli", *CLI_CALLS["screen k=16,ell=13"]]
     for k, ell in RECORDS:
         argv = ["verify-poly", "--weight", str(k), "--ell", str(ell),
                 "--pmax", str(VERIFY_PMAX), "--format", "json"]
-        yield f"verify_poly k={k},ell={ell}", argv
+        yield f"verify_poly k={k},ell={ell}", [], ["cli", *argv]
+    yield "import", [], ["import"]
+    yield "import -S", ["-S"], ["import"]
 
 
 def _summary(samples):
@@ -150,15 +163,17 @@ def _case_summaries(samples):
 def measure(trees, rounds):
     kernel_samples = {label: [] for label in trees}
     run_samples = {label: {} for label in trees}
+    reference_samples = {label: {} for label in trees}
     digests = {label: {} for label in trees}
     labels = list(trees)
     for r in range(rounds):
         for label in labels if r % 2 == 0 else labels[::-1]:
             tree = trees[label]
             kernel_samples[label].append(_kernels_of(tree))
-            for name, argv in _runs():
-                wall, digest = _cli_run(tree, argv)
+            for name, flags, args in _runs():
+                wall, at_reference, digest = _fresh_run(tree, flags, args)
                 run_samples[label].setdefault(name, []).append(wall)
+                reference_samples[label].setdefault(name, []).append(at_reference)
                 if digests[label].setdefault(name, digest) != digest:
                     raise RuntimeError(f"{label}: {name} printed different bytes across rounds")
             print(f"round {r + 1}/{rounds}: {label} done", file=sys.stderr)
@@ -170,7 +185,12 @@ def measure(trees, rounds):
             for section in samples[0]
         }
         out[label]["runs_s"] = {
-            name: dict(_summary(walls), stdout_sha256=digests[label][name])
+            name: dict(
+                _summary(walls),
+                reference_median=statistics.median(reference_samples[label][name]),
+                reference_samples=reference_samples[label][name],
+                stdout_sha256=digests[label][name],
+            )
             for name, walls in run_samples[label].items()
         }
     return out
@@ -181,6 +201,8 @@ def _tree(spec):
     path = Path(path if sep else label).resolve()
     if not (path / "src" / "thetatwist" / "__init__.py").is_file():
         raise argparse.ArgumentTypeError(f"no src/thetatwist under {path}")
+    if (path / "src" / "thetatwist" / "__pycache__").exists():
+        raise argparse.ArgumentTypeError(f"remove {path}/src/thetatwist/__pycache__ first")
     return (label if sep else path.name), path
 
 

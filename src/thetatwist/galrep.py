@@ -21,9 +21,12 @@ screen_exceptional runs three bounded congruence tests (reducible, dihedral,
 small projective image) against the coefficients of delta_k.  These are
 heuristic candidate flags reconstructed from the classical congruences, not
 proofs; the report records the prime bound that was scanned.
+
+FrobeniusClass and ScreeningReport are collections.namedtuple subclasses,
+immutable tuples with named fields.
 """
 
-from dataclasses import dataclass, asdict
+from collections import namedtuple
 
 from .ffield import check_prime, factorize, legendre, primes_upto
 from .qseries import delta_k
@@ -33,12 +36,10 @@ NONSPLIT = "nonsplit"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class FrobeniusClass:
+class FrobeniusClass(namedtuple("FrobeniusClass", "kind order", defaults=(None,))):
     """PGL_2(F_ell) conjugacy type: split/nonsplit with projective order, or ambiguous."""
 
-    kind: str
-    order: int = None
+    __slots__ = ()
 
     @property
     def is_ambiguous(self):
@@ -119,21 +120,16 @@ def _degree_pattern(fc, ell):
     return (n,) * ((ell + 1) // n)
 
 
-@dataclass(frozen=True)
-class ScreeningReport:
+class ScreeningReport(
+    namedtuple("ScreeningReport", "k ell bound reducible_candidate reducible_j"
+               " dihedral_candidate small_image_candidate verdict")
+):
     """Outcome of the three heuristic exceptional-prime tests."""
 
-    k: int
-    ell: int
-    bound: int
-    reducible_candidate: bool
-    reducible_j: int
-    dihedral_candidate: bool
-    small_image_candidate: bool
-    verdict: str
+    __slots__ = ()
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, d):

@@ -25,14 +25,17 @@ list is formed until the walk.
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
 in ascending order with the zero polynomial written as the empty tuple.
+
+ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
+subclasses, immutable tuples with named fields; ModPoly checks its modulus
+and reduces its coefficients in __new__.
 """
 
+import os
 import warnings
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 from math import isqrt
 from operator import mul as _imul
-from pathlib import Path
 
 from . import polyarith
 from .errors import (
@@ -55,13 +58,10 @@ FAIL = "FAIL"
 BUNDLED_LABELS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 
 
-@dataclass(frozen=True)
-class ProjPolyRecord:
+class ProjPolyRecord(namedtuple("ProjPolyRecord", "coeffs k ell", defaults=(None, None))):
     """Exact integer polynomial c_0 + c_1 x + ... + c_deg x^deg, with label."""
 
-    coeffs: tuple
-    k: int = None
-    ell: int = None
+    __slots__ = ()
 
     @property
     def degree(self):
@@ -79,25 +79,26 @@ class ProjPolyRecord:
             raise ValueError("labeled records must be monic")
 
 
-@dataclass(frozen=True)
-class ModPoly:
+class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
     """Polynomial over F_p: ascending coefficients, stripped, () for zero.
 
     A modulus that is not prime raises ValueError: the gcds and the DDF
     pattern are only meaningful over a field.
     """
 
-    modulus: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.modulus
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        c = [x % p for x in self.coeffs]
+    def __new__(cls, modulus, coeffs):
+        if not is_prime(modulus):
+            raise ValueError(f"{modulus} is not prime")
+        c = [x % modulus for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        return super().__new__(cls, modulus, tuple(c))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks and strips too
+        return cls(*iterable)
 
     @property
     def degree(self):
@@ -453,16 +454,14 @@ def _has_pattern(f, setup, *patterns):
     return None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-prime outcomes of the factorization-pattern consistency check."""
+class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes counts failures")):
+    """Per-prime outcomes of the factorization-pattern consistency check.
 
-    k: int
-    ell: int
-    pmax: int
-    outcomes: tuple  # (p, status, observed, predicted)
-    counts: dict
-    failures: tuple
+    outcomes holds (p, status, observed, predicted) per prime, counts the
+    number of primes per status, and failures the failing primes.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -594,11 +593,13 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
 
 
 def data_path(k, ell, data_dir=None):
-    """Path of the bundled polynomial file pk<k>_l<ell>.txt."""
-    name = f"pk{k}_l{ell}.txt"
-    if data_dir is not None:
-        return Path(data_dir) / name
-    return resources.files(__package__) / "data" / name
+    """Path, as a str, of the polynomial file pk<k>_l<ell>.txt.
+
+    The file is looked up in data_dir, by default the package's data directory.
+    """
+    if data_dir is None:
+        data_dir = os.path.join(os.path.dirname(__file__), "data")
+    return os.path.join(data_dir, f"pk{k}_l{ell}.txt")
 
 
 def load_poly_file(path, k=None, ell=None):

@@ -37,6 +37,10 @@ _DELTA_STEPS = {16: (12, 4), 18: (12, 6), 20: (16, 4), 22: (16, 6), 26: (22, 4)}
 
 SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 
+#: largest precision of a series; eisenstein, which every delta_k goes through,
+#: refuses more, so a request far beyond memory fails as ValueError, not MemoryError
+MAX_PRECISION = 10**7
+
 
 def _same_weight(f, g):
     return f.weight if f.weight == g.weight else None
@@ -163,6 +167,8 @@ def eisenstein(k, ell, n0):
     check_prime(ell)
     if ell < 5:
         raise ValueError("ell >= 5 required")
+    if n0 > MAX_PRECISION:
+        raise ValueError(f"precision {n0} exceeds the maximum {MAX_PRECISION}")
     const, j = (240, 3) if k == 4 else (-504, 5)
     sig = _sigma_mod(j, n0, ell)
     coeffs = [1] + [const * sig[m] for m in range(1, n0 + 1)]

@@ -7,9 +7,10 @@ check_twist certifies one candidate pair; twist_search scans (k', i) in a
 fixed deterministic order and returns the first pair that passes, which
 reduces a weight k > ell+1 form to one of weight k' <= ell+1 with an
 equivalent twisted representation (and an equal projective one).
+TwistCertificate is a collections.namedtuple subclass.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CoefficientMismatch,
@@ -47,8 +48,9 @@ def twist_bound(ell):
     return ell * (ell + 1) // 12
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(
+    namedtuple("TwistCertificate", "ell k1 k2 i bound extended_terms prime_checks")
+):
     """Auditable witness that f1 = theta^i f2, i.e. rho_{f1} ~ rho_{f2} (x) chi^i.
 
     prime_checks stores (p, a_p(f1), p^i * a_p(f2)) for every prime up to the
@@ -57,13 +59,7 @@ class TwistCertificate:
     was confirmed beyond the bound.
     """
 
-    ell: int
-    k1: int
-    k2: int
-    i: int
-    bound: int
-    extended_terms: int
-    prime_checks: tuple
+    __slots__ = ()
 
     def validate(self, series=None):
         """Re-check every stored invariant; raises ValueError on violation.

@@ -243,6 +243,21 @@ def test_composite_ell_exits_2(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the twist bound of ell = 1000003 is about 8.3e10 terms
+        ["twist-search", "--weight", "16", "--ell", "1000003"],
+        ["qexp", "--weight", "12", "--ell", "13", "--terms", str(10**12)],
+    ],
+)
+def test_precision_beyond_memory_exits_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: precision ") and err.count("\n") == 1
+
+
 def test_repeated_calls_print_the_same_bytes(capsys):
     screen = ["screen", "--weight", "16", "--ell", "13", "--pbound", "100"]
     code, first, _ = run(capsys, *screen)
