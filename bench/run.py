@@ -1,19 +1,20 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_11.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_12.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
 records:
 
-  - kernels: the per-prime costs of the Frobenius pattern check for a random
-    monic f of degree n mod p, n in NS and p in PS: the _frobenius set-up,
-    one step of the Frobenius walk and one _gcd of f with a random
-    polynomial of degree n - 1, each the fastest of REPEATS timeit runs, in
-    microseconds per call;
+  - kernels_us: the per-prime costs of the Frobenius pattern check for a
+    random monic f of degree n mod p, n in NS and p in PS: the _frobenius
+    set-up, one step of the Frobenius walk and one _gcd of f with a random
+    polynomial of degree n - 1, in microseconds per call;
   - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
-    of CLI_CALLS, with warm series caches and stdout captured, measured like
-    the kernels;
+    of CLI_CALLS, with warm series caches and stdout captured;
+  - verify_us_per_prime: verify_record over the six bundled records at
+    pmax VERIFY_PER_PRIME_PMAX with warm series, through the public API
+    only, divided by the number of primes tested (every p <= pmax but ell);
   - runs_s, each a fresh process: the default `thetatwist tables`, the
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
     each bundled record, and `import thetatwist` with the six bundled
@@ -21,8 +22,12 @@ records:
     the package imports is loaded in advance).
 
 Every measurement runs in a fresh interpreter with the tree's src/ first on
-the path.  A fresh-process run goes through bench/probed.py, which times the
-import and the call under perfbench's SpeedProbe: runs_s keeps the raw wall
+the path.  The in-process figures are timed under perfbench's SpeedProbe:
+each is the median over REPEATS runs of about 50 ms of the time per call at
+perfbench's reference speed, with the probe's own samples taken out, so the
+host's speed swings do not show as kernel changes.  A fresh-process run
+goes through bench/probed.py, which times the import and the call under
+perfbench's SpeedProbe too: runs_s keeps the raw wall
 time of the whole process (median, samples) and, beside it, the probed time
 at perfbench's reference speed (reference_median, reference_samples), which
 leaves out the interpreter's start-up and the host's speed swings.  Each
@@ -48,12 +53,16 @@ import time
 import timeit
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from probe import SpeedProbe  # noqa: E402
+
 NS = (12, 14, 18, 20, 24)
 PS = (31, 97, 997, 9973)
 REPEATS = 5
 PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
+VERIFY_PER_PRIME_PMAX = 1000
 #: calls whose cost outside the maths is mostly the CLI's own: a screen at
 #: its default bound and a long series, both printed as JSON
 CLI_CALLS = {
@@ -67,9 +76,20 @@ CLI_CALLS = {
 
 
 def _per_call_us(call):
-    """Fastest of REPEATS timeit runs of about 20 ms each, in us per call."""
-    number = max(1, int(0.02 / timeit.timeit(call, number=1)))
-    return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number * 1e6
+    """Median over REPEATS runs of about 50 ms each of the time per call, in
+    us at perfbench's reference speed."""
+    number = max(1, int(0.05 / timeit.timeit(call, number=1)))
+    timer = timeit.Timer(call)
+    samples = []
+    for _ in range(REPEATS):
+        probe = SpeedProbe()
+        start = time.perf_counter()
+        probe.start()
+        timer.timeit(number)
+        probe.stop()
+        elapsed = time.perf_counter() - start
+        samples.append((elapsed - probe.spent) * probe.speed() / number * 1e6)
+    return statistics.median(samples)
 
 
 def kernels():
@@ -82,7 +102,7 @@ def kernels():
         for p in PS:
             f = [rng.randrange(p) for _ in range(n)] + [1]
             h = [rng.randrange(p) for _ in range(n - 1)] + [1 + rng.randrange(p - 1)]
-            frobenius, _ = polyverify._frobenius(f, p)
+            frobenius = polyverify._frobenius(f, p)[0]
             out[f"n={n},p={p}"] = {
                 "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
@@ -105,6 +125,22 @@ def cli_main():
         call(argv)  # fill the series caches, as a warm caller has them
         out[name] = {"main_us": _per_call_us(lambda: call(argv))}
     return out
+
+
+def verify_per_prime():
+    """verify_record's time per tested prime over the six bundled records."""
+    from thetatwist import bundled_record, delta_k, verify_record
+
+    jobs = [(bundled_record(k, ell), k, ell, delta_k(k, ell, VERIFY_PER_PRIME_PMAX))
+            for k, ell in RECORDS]
+
+    def call():
+        return [verify_record(record, k, ell, VERIFY_PER_PRIME_PMAX, series=series)
+                for record, k, ell, series in jobs]
+
+    tested = sum(len(rep.outcomes) - rep.counts["skipped_ell"] for rep in call())
+    name = f"six records, pmax={VERIFY_PER_PRIME_PMAX}"
+    return {name: {"per_prime_us": _per_call_us(call) / tested, "primes": tested}}
 
 
 def _env(tree):
@@ -214,7 +250,11 @@ def main(argv=None):
     parser.add_argument("--kernels", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.kernels:
-        print(json.dumps({"kernels_us": kernels(), "cli_main_us": cli_main()}))
+        print(json.dumps({
+            "kernels_us": kernels(),
+            "cli_main_us": cli_main(),
+            "verify_us_per_prime": verify_per_prime(),
+        }))
         return 0
     if not args.src:
         parser.error("give at least one --src")
@@ -231,6 +271,7 @@ def main(argv=None):
         "kernel_cases": {"n": list(NS), "p": list(PS), "repeats": REPEATS},
         "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,
+        "verify_per_prime_pmax": VERIFY_PER_PRIME_PMAX,
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

@@ -7,11 +7,15 @@ for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
 (a_p mod ell, p^{k-1} mod ell).  The predicted pattern is known before the
 polynomial is looked at, so it is checked directly (_has_pattern: one walk
-of the Frobenius map and at most one gcd, which also proves the reduction
-squarefree).  Only a prime whose prediction fails goes through ddf, which
-tells a FAIL, with its observed pattern, from a reduction that is not
-squarefree (found by gcd with the derivative); such primes are skipped as
-ramified, and p = ell is always skipped.  Both apply the Frobenius map as a
+of the Frobenius map, which also proves the reduction squarefree, and at
+most one gcd).  The trace of the Frobenius matrix counts the linear factors
+mod p, exactly once p exceeds the degree; it rejects a wrong count before
+any walk, and above the degree it leaves the gcd only the factors of degree
+strictly between 1 and L, so where L is prime no gcd runs at all.  Only
+a prime whose prediction fails goes through ddf, which tells a FAIL, with
+its observed pattern, from a reduction that is not squarefree (found by gcd
+with the derivative); such primes are skipped as ramified, and p = ell is
+always skipped.  Both apply the Frobenius map as a
 linear operator on packed integer rows (polyarith), so each degree step
 costs one C-level dot product instead of a fresh modular exponentiation;
 ddf tests a block of b = ceil(sqrt(n/2)) degrees with one gcd against the
@@ -270,10 +274,14 @@ def is_squarefree_mod(f):
 
 
 def _frobenius(f, p):
-    """(frobenius, mulmod) for a monic f of degree n >= 2 over F_p.
+    """(frobenius, mulmod, trace) for a monic f of degree n >= 2 over F_p.
 
     frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
-    lists of length n with entries in [0, p).  Both work on packed ints
+    lists of length n with entries in [0, p), and trace is the trace of the
+    Frobenius matrix Q mod p: the sum over i < n of the coefficient of x^i
+    in x^(i*p) mod f, slot i of row i, read off the reduced rows with one
+    shift and one mask each.  For a squarefree f it is the number of linear
+    factors mod p (see _has_pattern).  The maps work on packed ints
     (polyarith) with the slot width of polyarith.barrett for slots up to
     bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the Frobenius rows
     x^(i*p) mod f, i < n, stay packed from first to last, reduced mod f by
@@ -318,7 +326,9 @@ def _frobenius(f, p):
     rows = [1, xp]
     for _ in range(n - 2):
         rows.append(reduce(remainder(rows[-1] * xp)))
-    return frobenius, mulmod
+    mask = (1 << bits) - 1
+    trace = sum(row >> i * bits & mask for i, row in enumerate(rows)) % p
+    return frobenius, mulmod, trace
 
 
 def ddf(f):
@@ -347,14 +357,14 @@ def ddf(f):
 
 
 def _setup(f):
-    """(work, frobenius, mulmod): f made monic, with _frobenius of it.
+    """(work, frobenius, mulmod, trace): f made monic, with _frobenius of it.
 
     One set-up serves both _has_pattern and _ddf at a prime; below degree 2
-    there is no Frobenius map to build, and the two are None.
+    there is no Frobenius map to build, and the three are None.
     """
     work = _monic(f.coeffs, f.modulus)
     if len(work) < 3:
-        return work, None, None
+        return work, None, None, None
     return (work, *_frobenius(work, f.modulus))
 
 
@@ -363,7 +373,7 @@ def _ddf(f, setup):
     p = f.modulus
     if not is_squarefree_mod(f):
         raise NotSquarefree("input polynomial is not squarefree")
-    work, frobenius, mulmod = setup
+    work, frobenius, mulmod, _ = setup
     n = len(work) - 1
     if n < 2:  # a constant has no factors, a linear f is irreducible
         return (1,) * n
@@ -409,22 +419,41 @@ def _has_pattern(f, setup, *patterns):
     the zero polynomial.  setup is _setup(f): f made monic, as in ddf, and
     one Frobenius set-up that serves all the patterns, and the _ddf that
     verify_record runs on a miss.  Checking a known pattern needs no
-    factorization (Rabin's irreducibility test is the case a = 0, b = 1):
+    factorization (Rabin's irreducibility test is the case a = 0, b = 1).
+
+    The trace lemma: for a squarefree f the trace t of the Frobenius matrix
+    Q (setup's trace) is N_1 mod p, N_1 the number of linear factors of f.
+    F_p[x]/f is the product of the fields F_{p^d} of its factors, Q acts on
+    each as its Frobenius map, whose characteristic polynomial is x^d - 1 by
+    the normal basis theorem, and the trace of that is 1 for d = 1 and 0
+    otherwise (Berlekamp's Q-matrix counts factors the same way).  So, with
+    n = deg f:
+      0. t == a mod p, checked before any walk: a squarefree f with N_1 = a
+         passes, and a non-squarefree one has no pattern to lose;
       1. deg f == a + bL, the degree of f mod p, which drops when p divides
          the leading coefficient;
       2. h_L == x, where h_d = x^{p^d} mod f is walked with the Frobenius
          map.  This holds exactly when f | x^{p^L} - x, that is when f is
          squarefree and the degree of every factor divides L;
-      3. for L > 1, G = gcd(f, prod (h_m - x) mod f) over m = 1 and m = L/q
-         for the primes q | L has degree a and divides h_1 - x = x^p - x.
+      3. for L > 1, G = gcd(f, prod (h_m - x) mod f) over m = L/q for the
+         primes q | L, and m = 1 for p <= n, has degree a and, for p <= n,
+         divides h_1 - x = x^p - x.
     After step 2 a factor of degree e divides h_m - x exactly when e | m.
     Every proper divisor of L divides 1 or some L/q, and L divides none of
-    them, so G is the product of the factors of degree below L.  Step 3
-    makes these a distinct linear factors, so the n - a degrees left are
-    all L, b of them.  Conversely f with pattern {1^a, L^b} passes all three.
+    them, so G is the product of the factors of degree below L (the linear
+    ones included, as 1 divides every m).  For p <= n step 3 makes these a
+    distinct linear factors.  For p > n step 2 has proved f squarefree, so
+    step 0 gives N_1 == a mod p, and as both lie in [0, n] with n < p, it
+    gives N_1 = a; then deg G == a leaves no factor of degree strictly
+    between 1 and L, G needs no m = 1 term and no division test, and for a
+    prime L the product is empty and no gcd runs.  For p <= n the trace
+    only fixes N_1 mod p (over F_3 three linear factors read as none), so
+    step 3 keeps the m = 1 term and the test.  Either way the n - a degrees
+    left are all L, b of them.  Conversely f with pattern {1^a, L^b}
+    passes every step.
     """
     p = f.modulus
-    work, frobenius, mulmod = setup
+    work, frobenius, mulmod, trace = setup
     n = len(work) - 1
     patterns = [pattern for pattern in patterns if sum(pattern) == n]
     if not patterns:
@@ -432,9 +461,16 @@ def _has_pattern(f, setup, *patterns):
     if n < 2:  # a constant or a linear f is squarefree
         return patterns[0]
     x = [0, 1] + [0] * (n - 2)
+    exact = p > n  # the trace is the exact count of linear factors
     for pattern in patterns:
-        top = pattern[-1]
-        steps = {1} | {top // q for q in factorize(top)}
+        a, top = pattern.count(1), pattern[-1]
+        if trace != a % p:
+            continue
+        steps = {top // q for q in factorize(top)}
+        if exact:
+            steps.discard(1)
+        else:
+            steps.add(1)
         h, product = x, None
         for d in range(1, top + 1):
             h = frobenius(h)
@@ -446,10 +482,10 @@ def _has_pattern(f, setup, *patterns):
                     u1 = u
         if h != x:
             continue
-        if top == 1:
+        if product is None:  # L = 1, or L prime and p > n
             return pattern
         g = _gcd(work, product, p)
-        if len(g) - 1 == pattern.count(1) and not _divmod(u1, g, p)[1]:
+        if len(g) - 1 == a and (exact or not _divmod(u1, g, p)[1]):
             return pattern
     return None
 

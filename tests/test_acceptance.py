@@ -96,11 +96,11 @@ def test_criterion_3_bundled_polynomial_consistency():
                 ambiguous_total += 1
     assert bundled_record(16, 13).coeffs == bundled_record(26, 13).coeffs
     dt = time.perf_counter() - t0
-    assert dt < 5.0, f"verification took {dt:.1f}s"
+    assert dt < 2.0, f"verification took {dt:.1f}s"
     print(
         f"\nACCEPTANCE 3 (bundled polynomials, pmax=1000): PASS -- 0 FAIL on all "
         f"six records, <10 skips each, {ambiguous_total} ambiguous-passes, "
-        f"(16,13)==(26,13), total {dt:.1f}s < 5s"
+        f"(16,13)==(26,13), total {dt:.1f}s < 2s"
     )
 
 

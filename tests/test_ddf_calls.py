@@ -4,13 +4,18 @@ Each prime's predicted pattern is checked directly, and the DDF, the only
 factorization path, runs just where that check fails: at the primes skipped
 as ramified and at the primes that FAIL.  verify_record reaches it through
 _ddf, which takes the Frobenius set-up of the pattern check, so each tested
-prime builds exactly one set-up.  The polyverify module bindings of _ddf and
-_frobenius are wrapped, since verify_record looks them up there.
+prime builds exactly one set-up.  Above deg f the trace of the Frobenius
+matrix counts the linear factors, so the pattern check divides only at
+primes p <= deg f and runs no gcd where the predicted degree L is prime.
+The polyverify module bindings of _ddf, _frobenius, _has_pattern, _divmod
+and _gcd are wrapped, since verify_record and _has_pattern look them up
+there.
 """
 
 import pytest
 
 from thetatwist import polyverify
+from thetatwist.ffield import is_prime
 from thetatwist.polyverify import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
 from thetatwist.qseries import delta_k
 
@@ -83,3 +88,48 @@ def test_one_setup_per_tested_prime_on_a_mutated_record(setup_calls, ddf_calls):
     # the FAIL primes reach the DDF, which reuses the pattern check's set-up
     assert setup_calls == _tested(rep)
     assert set(ddf_calls) >= set(rep.failures)
+
+
+@pytest.fixture
+def pattern_checks(monkeypatch):
+    """Per _has_pattern call: [p, deg f, the patterns' degrees L, _divmod calls, _gcd calls]."""
+    checks, active = [], []
+    has_pattern = polyverify._has_pattern
+
+    def tracked(f, setup, *patterns):
+        active.append([f.modulus, f.degree, {pattern[-1] for pattern in patterns}, 0, 0])
+        checks.append(active[-1])
+        try:
+            return has_pattern(f, setup, *patterns)
+        finally:
+            active.pop()
+
+    def counter(name, slot):
+        kernel = getattr(polyverify, name)
+
+        def counted(*args):
+            if active:  # the DDF fallback's calls are not counted
+                active[-1][slot] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(polyverify, name, counted)
+
+    monkeypatch.setattr(polyverify, "_has_pattern", tracked)
+    counter("_divmod", 3)
+    counter("_gcd", 4)
+    return checks
+
+
+def test_pattern_check_divides_only_at_small_primes(pattern_checks):
+    for k, ell in BUNDLED_LABELS:
+        verify_record(bundled_record(k, ell), k, ell, 1000)
+    assert len(pattern_checks) == 1002
+    for p, n, tops, divmods, gcds in pattern_checks:
+        if p > n:
+            assert divmods == 0, (p, n, tops)
+            if all(top == 1 or is_prime(top) for top in tops):
+                assert gcds == 0, (p, n, tops)
+    # without the trace there are 993 of each, one per check that reaches
+    # step 3
+    assert sum(check[3] for check in pattern_checks) == 30
+    assert sum(check[4] for check in pattern_checks) == 664

@@ -227,3 +227,30 @@ def test_has_pattern_planted_cases():
     assert has_pattern(f, *candidates) == (1,) * 8
     f = _planted(13, (1, 1, 6))
     assert has_pattern(f, *candidates) is None
+    # p <= deg f: x(x - 1)(x - 2) c with c an irreducible cubic over F_3 has
+    # trace 3 = 0 and divides x^27 - x, so the trace and the walk alone would
+    # pass (3, 3); only the m = 1 term of the gcd tells the linears apart
+    cubic = _planted(3, (3,)).coeffs
+    f = ModPoly(3, poly_mul_mod(poly_mul_mod(poly_mul_mod((0, 1), (2, 1), 3), (1, 1), 3), cubic, 3))
+    setup = _setup(f)
+    assert setup[3] == 0
+    assert ddf(f) == (1, 1, 1, 3)
+    assert has_pattern(f, (3, 3)) is None
+    assert has_pattern(f, (1, 1, 1, 3)) == (1, 1, 1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7, 31, 997, 4294967311)),
+    st.lists(st.integers(0, 2**40), min_size=2, max_size=20),
+)
+def test_frobenius_trace_counts_linear_factors(p, low):
+    # the trace of the Frobenius matrix is the number of linear factors mod
+    # p, so exactly that number wherever p > deg f
+    f = ModPoly(p, tuple(low) + (1,))
+    assume(is_squarefree_mod(f))
+    linear = ddf(f).count(1)
+    trace = _setup(f)[3]
+    assert trace == linear % p
+    if p > f.degree:
+        assert trace == linear

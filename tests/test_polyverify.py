@@ -307,7 +307,13 @@ def test_frobenius_setup_matches_long_division(p):
         # all-(p - 1) one: the quotient products reach their slot bound
         for low in ([rng.randrange(p) for _ in range(n)], [1] * n, [p - 1] * n):
             f = low + [1]
-            frobenius, mulmod = _frobenius(f, p)
+            frobenius, mulmod, trace = _frobenius(f, p)
+            # the trace of the Frobenius matrix: [x^i] (x^(i*p) mod f), summed
+            xp, row, expected = _pow_mod([0, 1], p, f, p), oracles.poly_rem_monic([1], f, p), 0
+            for i in range(n):
+                expected += row[i]
+                row = oracles.poly_rem_monic(oracles.poly_mul_mod(row, xp, p), f, p)
+            assert trace == expected % p, (n, low)
             top = [p - 1] * n
             x = [0, 1] + [0] * (n - 2)
             a, b = [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
