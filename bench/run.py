@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_12.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_13.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -8,8 +8,12 @@ records:
 
   - kernels_us: the per-prime costs of the Frobenius pattern check for a
     random monic f of degree n mod p, n in NS and p in PS: the _frobenius
-    set-up, one step of the Frobenius walk and one _gcd of f with a random
-    polynomial of degree n - 1, in microseconds per call;
+    set-up, one step of the Frobenius walk, one mulmod of two random
+    polynomials of degree below n and one _gcd of f with a random
+    polynomial of degree n - 1, in microseconds per call; and, as the cases
+    "ladder n=..,p=..", the set-up for each (n, p) in LADDER, where the
+    square and multiply ladder for x^p is a large share of it or where p
+    lies just below or above n;
   - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
     of CLI_CALLS, with warm series caches and stdout captured;
   - verify_us_per_prime: verify_record over the six bundled records at
@@ -58,6 +62,9 @@ from probe import SpeedProbe  # noqa: E402
 
 NS = (12, 14, 18, 20, 24)
 PS = (31, 97, 997, 9973)
+#: (n, p) of the set-up cases that time the x^p ladder: p just below and
+#: just above n = 24, and large p at small n, where the ladder is most of it
+LADDER = ((24, 23), (24, 29), (12, 876706517), (4, 2**61 - 1))
 REPEATS = 5
 PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
@@ -102,12 +109,22 @@ def kernels():
         for p in PS:
             f = [rng.randrange(p) for _ in range(n)] + [1]
             h = [rng.randrange(p) for _ in range(n - 1)] + [1 + rng.randrange(p - 1)]
-            frobenius = polyverify._frobenius(f, p)[0]
+            # the mulmod operands have a generator of their own, so f and h
+            # stay the cases earlier BENCH files timed
+            factors = random.Random(n * p)
+            a, b = ([factors.randrange(p) for _ in range(n)] for _ in range(2))
+            frobenius, mulmod = polyverify._frobenius(f, p)[:2]
             out[f"n={n},p={p}"] = {
                 "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
+                "mulmod_us": _per_call_us(lambda: mulmod(a, b)),
                 "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
             }
+    for n, p in LADDER:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        out[f"ladder n={n},p={p}"] = {
+            "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
+        }
     return out
 
 
@@ -268,7 +285,9 @@ def main(argv=None):
             "cpus": os.cpu_count(),
         },
         "rounds": args.rounds,
-        "kernel_cases": {"n": list(NS), "p": list(PS), "repeats": REPEATS},
+        "kernel_cases": {
+            "n": list(NS), "p": list(PS), "ladder": [list(c) for c in LADDER], "repeats": REPEATS,
+        },
         "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,
         "verify_per_prime_pmax": VERIFY_PER_PRIME_PMAX,

@@ -20,7 +20,9 @@ Slots of 1, 2, 4 or 8 bytes go through array and memoryview; wider slots
 (moduli above about 2^32 / sqrt(len)) go through int.to_bytes and
 int.from_bytes.  Both sides use the native byte order, so slot i holds c_i
 counted from the start of the byte string; unpack must therefore be told the
-full slot count of the value, and returns its leading slots.
+full slot count of the value, and returns its leading slots.  unpack reduces
+each slot mod m; slots reads a value whose slots are already reduced (by
+barrett, say) as they stand.  Both go through one slot decoder.
 """
 
 import sys
@@ -45,22 +47,28 @@ def pack(coeffs, width):
     return int.from_bytes(b"".join(c.to_bytes(width, _ORDER) for c in coeffs), _ORDER)
 
 
-def _slots(data, width, m):
-    """Every slot of a byte buffer, each mod m."""
+def _view(value, width, size, count):
+    """The first count of the size slots of value as a sequence of ints: a
+    memoryview for the array widths, a list for wider slots."""
+    data = memoryview(value.to_bytes(size * width, _ORDER))[: count * width]
     code = _CODES.get(width)
     if code is not None:
-        return [c % m for c in data.cast(code)]
+        return data.cast(code)
     return [
-        int.from_bytes(data[i : i + width], _ORDER) % m
+        int.from_bytes(data[i : i + width], _ORDER)
         for i in range(0, len(data), width)
     ]
 
 
+def slots(value, width, size):
+    """The size slots of value as a list, each as it stands (no reduction)."""
+    view = _view(value, width, size, size)
+    return view.tolist() if width in _CODES else view
+
+
 def unpack(value, width, size, m, count=None):
     """The first count (default all) of the size slots of value, each mod m."""
-    count = size if count is None else count
-    data = memoryview(value.to_bytes(size * width, _ORDER))
-    return _slots(data[: count * width], width, m)
+    return [c % m for c in _view(value, width, size, size if count is None else count)]
 
 
 def barrett(m, bound, size):
@@ -76,7 +84,9 @@ def barrett(m, bound, size):
     slot at once, with one multiply, shifts and masks, and subtracts m
     times it.  While floor(c / 2^t) * mu < 2^(8 * width) no slot reaches
     the next; each mask drops the bits a shift brings in from the slot
-    above; and as the quotient never exceeds c / m, no slot borrows.
+    above; and as the quotient never exceeds c / m, no slot borrows.  A
+    mask is the repunit with a 1 in every slot times the slot's mask, one
+    multiplication instead of packing size copies.
       - The last pass is exact: t = 0, s is the bit length of B * m for B
         the bound of its input, and mu = ceil(2^s / m) = (2^s + e) / m,
         0 <= e < m.  For c = q * m + r, c * mu / 2^s = q + (r + c * e / 2^s)
@@ -96,9 +106,10 @@ def barrett(m, bound, size):
     """
     width = max(4, slot_width(max(bound, 9 * m * m)))
     bits = 8 * width
+    ones = ((1 << bits * size) - 1) // ((1 << bits) - 1)  # 1 in every slot
 
     def low_bits(shift):  # in every slot, the bits below bits - shift
-        return pack([(1 << (bits - shift)) - 1] * size, width)
+        return ones * ((1 << (bits - shift)) - 1)
 
     passes = []
     while True:

@@ -23,8 +23,8 @@ product of their Frobenius differences, refining degree by degree only the
 blocks that hit.  The rows are built once per prime (_frobenius) and serve
 the pattern check and, where it fails, the DDF.  They stay packed while
 they are built: each product is reduced mod f through its quotient, with
-slot-wise Barrett reduction mod p (polyarith.barrett), so no coefficient
-list is formed until the walk.
+slot-wise Barrett reduction mod p (polyarith.barrett), and the walk reads
+Barrett-reduced slots, so no coefficient is reduced mod p one at a time.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -32,7 +32,10 @@ in ascending order with the zero polynomial written as the empty tuple.
 
 ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
 subclasses, immutable tuples with named fields; ModPoly checks its modulus
-and reduces its coefficients in __new__.
+and reduces its coefficients in __new__.  As ell is, a modulus is proved
+prime once per public call: ddf and is_squarefree_mod take a ModPoly, and
+verify_record, whose primes come from a sieve, reduces the record mod p
+itself and calls their unchecked private twins on coefficient lists.
 """
 
 import os
@@ -95,10 +98,7 @@ class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
     def __new__(cls, modulus, coeffs):
         if not is_prime(modulus):
             raise ValueError(f"{modulus} is not prime")
-        c = [x % modulus for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return super().__new__(cls, modulus, tuple(c))
+        return super().__new__(cls, modulus, tuple(_strip([x % modulus for x in coeffs])))
 
     @classmethod
     def _make(cls, iterable):  # so that _replace checks and strips too
@@ -241,15 +241,24 @@ def _monic(a, p):
 def _gcd(a, b, p):
     """Monic gcd of two coefficient lists with entries in [0, p).
 
-    One loop of Euclid: a is reduced by b in place, one leading coefficient
-    popped per shift, so no quotient is formed; gcd(a, 0) = monic(a) and
-    gcd(0, 0) = [].
+    One loop of Euclid: a is reduced by b, gcd(a, 0) = monic(a) and
+    gcd(0, 0) = [].  The normal step, deg a = deg b + 1, takes its quotient
+    c1 x + c0 in one pass over the coefficients, r_i = a_i - c0 b_i -
+    c1 b_(i-1), instead of two shifts; c0 makes r at deg b vanish, and the
+    strip drops it.  Any other step pops one leading coefficient of a per
+    shift, in place, until deg a = deg b + 1 or deg a < deg b.
     """
     a, b = list(a), _strip(list(b))
     while b:
         inv = pow(b[-1], -1, p)
         db = len(b) - 1
         while len(a) > db:
+            if len(a) == db + 2:
+                up = [0, *b]  # b times x, so that up[i] = b_(i-1)
+                c1 = a[-1] * inv % p
+                c0 = (a[-2] - c1 * up[-2]) * inv % p
+                a = [(x - c0 * y - c1 * z) % p for x, y, z in zip(a, b, up)]
+                break
             c = a.pop()
             if c:
                 c = c * inv % p
@@ -267,37 +276,46 @@ def _deriv(a, p):
 
 def is_squarefree_mod(f):
     """True iff gcd(f, f') = 1; a vanishing derivative is handled by the gcd."""
-    if f.is_zero():
+    return _is_squarefree(f.coeffs, f.modulus)
+
+
+def _is_squarefree(f, p):
+    """is_squarefree_mod for a coefficient list f mod the prime p."""
+    if not f:
         raise ValueError("zero polynomial has no squarefree meaning")
-    g = _gcd(f.coeffs, _deriv(f.coeffs, f.modulus), f.modulus)
-    return len(g) == 1
+    return len(_gcd(f, _deriv(f, p), p)) == 1
 
 
 def _frobenius(f, p):
     """(frobenius, mulmod, trace) for a monic f of degree n >= 2 over F_p.
 
     frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
-    lists of length n with entries in [0, p), and trace is the trace of the
-    Frobenius matrix Q mod p: the sum over i < n of the coefficient of x^i
-    in x^(i*p) mod f, slot i of row i, read off the reduced rows with one
-    shift and one mask each.  For a squarefree f it is the number of linear
-    factors mod p (see _has_pattern).  The maps work on packed ints
-    (polyarith) with the slot width of polyarith.barrett for slots up to
-    bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the Frobenius rows
-    x^(i*p) mod f, i < n, stay packed from first to last, reduced mod f by
-    the quotient instead of by reduction rows x^(n+j) mod f.  A product
-    c = L + x^n H of at most 2n slots has every slot reduced mod p at once
-    (Barrett); then the quotient Q of c by f is the top n slots of
-    H * rev(u), where u holds the first n terms of x^n / f in powers of
-    1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.  Each
-    of these products has n or fewer terms of (p - 1)^2 per slot, so every
-    slot stays within bound.  The Frobenius map is one sum over the packed
-    rows, sum(map(mul, h, rows)).
+    lists of length n with entries in [0, p), return such lists, and trace
+    is the trace of the Frobenius matrix Q mod p: the sum over i < n of the
+    coefficient of x^i in x^(i*p) mod f, slot i of row i, read off the
+    reduced rows with one shift and one mask each.  For a squarefree f it
+    is the number of linear factors mod p (see _has_pattern).  The maps work
+    on packed ints (polyarith) with the slot width of polyarith.barrett for
+    slots up to bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the
+    Frobenius rows x^(i*p) mod f, i < n, stay packed from first to last,
+    reduced mod f by the quotient instead of by reduction rows x^(n+j) mod
+    f.  The square and multiply ladder for x^p starts at x^e, e the longest
+    binary prefix of p below n: that power is one slot and needs no
+    reduction, so the squarings that stay below degree n cost nothing, and
+    for p < n none is left.  A product c = L + x^n H of at most 2n slots has
+    every slot reduced mod p at once (Barrett); then the quotient Q of c by
+    f is the top n slots of H * rev(u), where u holds the first n terms of
+    x^n / f in powers of 1/x, and c mod f is L + Q * (-f_low mod p)
+    truncated to n slots.  Each of these products has n or fewer terms of
+    (p - 1)^2 per slot, so every slot stays within bound.  The Frobenius map
+    is one sum over the packed rows, sum(map(mul, h, rows)).  Its result and
+    mulmod's are reduced mod p slot-wise by the same Barrett reduction and
+    read out as they stand (polyarith.slots), with no % p per coefficient.
     """
     n = len(f) - 1
     width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
     bits = 8 * width
-    pack, unpack = polyarith.pack, polyarith.unpack
+    pack, slots = polyarith.pack, polyarith.slots
     u = [1]  # 1 / rev(f) mod x^n, by its recurrence
     for k in range(1, n):
         u.append(-sum(map(_imul, f[n - k : n], u)) % p)
@@ -312,13 +330,16 @@ def _frobenius(f, p):
         return (c & low) + (q * f_neg & low)
 
     def mulmod(a, b):
-        return unpack(remainder(pack(a, width) * pack(b, width)), width, n, p)
+        return slots(reduce(remainder(pack(a, width) * pack(b, width))), width, n)
 
     def frobenius(h):
-        return unpack(sum(map(_imul, h, rows)), width, n, p)
+        return slots(reduce(sum(map(_imul, h, rows))), width, n)
 
-    xp = 1 << bits  # x^p mod f by square and multiply, x = one slot up
-    for bit in bin(p)[3:]:
+    e = p  # x^p mod f by square and multiply from x^e, x = one slot up
+    while e >= n:
+        e >>= 1
+    xp = 1 << e * bits
+    for bit in bin(p)[2 + e.bit_length() :]:
         xp *= xp
         if bit == "1":
             xp <<= bits
@@ -353,27 +374,29 @@ def ddf(f):
     then itself irreducible.  Only the degrees are returned, never the
     factors.
     """
-    return _ddf(f, _setup(f))
+    return _ddf(_setup(f.coeffs, f.modulus), f.modulus)
 
 
-def _setup(f):
+def _setup(f, p):
     """(work, frobenius, mulmod, trace): f made monic, with _frobenius of it.
 
-    One set-up serves both _has_pattern and _ddf at a prime; below degree 2
-    there is no Frobenius map to build, and the three are None.
+    f is a stripped coefficient list with entries in [0, p) for a prime p,
+    which is not checked: ModPoly has proved it, or verify_record took p
+    from a sieve.  One set-up serves both _has_pattern and _ddf at a prime;
+    below degree 2 there is no Frobenius map to build, and the three are
+    None.
     """
-    work = _monic(f.coeffs, f.modulus)
+    work = _monic(f, p)
     if len(work) < 3:
         return work, None, None, None
-    return (work, *_frobenius(work, f.modulus))
+    return (work, *_frobenius(work, p))
 
 
-def _ddf(f, setup):
-    """ddf(f) from its set-up _setup(f), squarefree check included."""
-    p = f.modulus
-    if not is_squarefree_mod(f):
-        raise NotSquarefree("input polynomial is not squarefree")
+def _ddf(setup, p):
+    """ddf of f from its set-up _setup(f, p), squarefree check included."""
     work, frobenius, mulmod, _ = setup
+    if not _is_squarefree(work, p):
+        raise NotSquarefree("input polynomial is not squarefree")
     n = len(work) - 1
     if n < 2:  # a constant has no factors, a linear f is irreducible
         return (1,) * n
@@ -410,13 +433,13 @@ def _ddf(f, setup):
     return result
 
 
-def _has_pattern(f, setup, *patterns):
+def _has_pattern(setup, p, *patterns):
     """The first of patterns that equals ddf(f), or None if none does.
 
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
     degree L (every pattern predicted_degree_pattern returns has this form).
     A non-squarefree f has no pattern, so None is returned for it, as for
-    the zero polynomial.  setup is _setup(f): f made monic, as in ddf, and
+    the zero polynomial.  setup is _setup(f, p): f made monic, as in ddf, and
     one Frobenius set-up that serves all the patterns, and the _ddf that
     verify_record runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
@@ -452,7 +475,6 @@ def _has_pattern(f, setup, *patterns):
     left are all L, b of them.  Conversely f with pattern {1^a, L^b}
     passes every step.
     """
-    p = f.modulus
     work, frobenius, mulmod, trace = setup
     n = len(work) - 1
     patterns = [pattern for pattern in patterns if sum(pattern) == n]
@@ -560,7 +582,10 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     holds, it is the observed pattern.  Only otherwise does ddf run, to
     report the observed pattern of a FAIL or to skip a prime whose
     reduction is not squarefree as ramified.  With fail_fast the scan stops
-    at the first FAIL, which is enough for mutation testing.  Raises
+    at the first FAIL, which is enough for mutation testing.  Each p comes
+    from primes_upto's sieve, so the record is reduced mod p here and handed
+    to the private kernels as a coefficient list, with no ModPoly and so no
+    primality test per prime; ell is checked once.  Raises
     ValueError for a series not of weight k mod ell, and when no prime was
     compared, since an empty scan would otherwise read consistent.
     """
@@ -589,12 +614,11 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
         fc = _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
         predicted = _degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
-        fp = ModPoly(p, record.coeffs)
-        setup = _setup(fp)
-        observed = _has_pattern(fp, setup, *candidates)
+        setup = _setup(_strip([c % p for c in record.coeffs]), p)
+        observed = _has_pattern(setup, p, *candidates)
         if observed is None:
             try:
-                observed = _ddf(fp, setup)
+                observed = _ddf(setup, p)
             except NotSquarefree:
                 counts["skipped_ramified"] += 1
                 outcomes.append((p, SKIPPED_RAMIFIED, None, None))

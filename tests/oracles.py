@@ -44,6 +44,29 @@ def poly_rem_monic(a, f, m):
     return (rem + [0] * n)[:n]
 
 
+def poly_gcd(a, b, m):
+    """Monic gcd of two coefficient lists mod the prime m, by schoolbook
+    Euclid on whole remainders; [] for gcd(0, 0)."""
+
+    def strip(c):
+        c = [x % m for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = strip(a), strip(b)
+    while b:
+        rem = a
+        while len(rem) >= len(b):
+            c = rem[-1] * pow(b[-1], -1, m)
+            shift = len(rem) - len(b)
+            rem = strip(
+                [x - c * b[i - shift] if i >= shift else x for i, x in enumerate(rem)]
+            )
+        a, b = b, rem
+    return [x * pow(a[-1], -1, m) % m for x in a] if a else []
+
+
 def eta24_int(nmax):
     """Coefficients of q * prod_{m>=1} (1 - q^m)^24 over Z, indices 0..nmax."""
     f = [0] * (nmax + 1)

@@ -27,9 +27,9 @@ def ddf_calls(monkeypatch):
     calls = []
     ddf = polyverify._ddf
 
-    def counted(f, setup):
-        calls.append(f.modulus)
-        return ddf(f, setup)
+    def counted(setup, p):
+        calls.append(p)
+        return ddf(setup, p)
 
     monkeypatch.setattr(polyverify, "_ddf", counted)
     return calls
@@ -96,11 +96,11 @@ def pattern_checks(monkeypatch):
     checks, active = [], []
     has_pattern = polyverify._has_pattern
 
-    def tracked(f, setup, *patterns):
-        active.append([f.modulus, f.degree, {pattern[-1] for pattern in patterns}, 0, 0])
+    def tracked(setup, p, *patterns):
+        active.append([p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0, 0])
         checks.append(active[-1])
         try:
-            return has_pattern(f, setup, *patterns)
+            return has_pattern(setup, p, *patterns)
         finally:
             active.pop()
 

@@ -153,8 +153,12 @@ def _patterns(n):
     return out
 
 
+def setup_of(f):
+    return _setup(f.coeffs, f.modulus)
+
+
 def has_pattern(f, *patterns):
-    return _has_pattern(f, _setup(f), *patterns)
+    return _has_pattern(setup_of(f), f.modulus, *patterns)
 
 
 def _ddf_or_none(f):
@@ -232,8 +236,7 @@ def test_has_pattern_planted_cases():
     # pass (3, 3); only the m = 1 term of the gcd tells the linears apart
     cubic = _planted(3, (3,)).coeffs
     f = ModPoly(3, poly_mul_mod(poly_mul_mod(poly_mul_mod((0, 1), (2, 1), 3), (1, 1), 3), cubic, 3))
-    setup = _setup(f)
-    assert setup[3] == 0
+    assert setup_of(f)[3] == 0
     assert ddf(f) == (1, 1, 1, 3)
     assert has_pattern(f, (3, 3)) is None
     assert has_pattern(f, (1, 1, 1, 3)) == (1, 1, 1, 3)
@@ -250,7 +253,7 @@ def test_frobenius_trace_counts_linear_factors(p, low):
     f = ModPoly(p, tuple(low) + (1,))
     assume(is_squarefree_mod(f))
     linear = ddf(f).count(1)
-    trace = _setup(f)[3]
+    trace = setup_of(f)[3]
     assert trace == linear % p
     if p > f.degree:
         assert trace == linear

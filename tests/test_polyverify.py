@@ -109,6 +109,50 @@ def test_poly_gcd_mod():
     assert _gcd((1, 5, 1), (5, 2), 7) == [6, 1]  # (x-1)^2 and its derivative
 
 
+# each pair reaches one shape of Euclid step in _gcd
+@pytest.mark.parametrize(
+    "a, b, p",
+    [
+        # an unstripped a one longer than b: the fused step's c1 is 0
+        pytest.param((1, 2, 3, 0), (1, 1, 1), 7, id="c1-zero"),
+        pytest.param((3, 1, 0), (4, 1), 7, id="c1-zero-linear-b"),
+        # a degree-0 divisor, as the first step and as the last of a chain
+        pytest.param((2, 5), (3,), 7, id="constant-b"),
+        # x^2 + 1 mod x + 1 leaves 2, then x + 1 mod 2
+        pytest.param((1, 0, 1), (1, 1), 5, id="constant-remainder"),
+        # a first step with deg a - deg b >= 2, then normal steps
+        pytest.param((1, 2, 3, 4, 5, 6, 1), (3, 0, 1), 7, id="long-first-step"),
+        pytest.param((6, 0, 0, 0, 0, 0, 0, 0, 1), (1, 5, 1), 7, id="x8-minus-1"),
+        # equal degrees: one shift, then normal steps
+        pytest.param((1, 2, 3, 4, 1), (4, 3, 2, 1, 1), 7, id="equal-degrees"),
+        pytest.param((0, 1, 1, 1), (0, 2, 2, 2), 3, id="equal-degrees-associates"),
+        # gcd with 0
+        pytest.param((4, 0, 3), (), 5, id="b-zero"),
+        pytest.param((), (4, 0, 3), 5, id="a-zero"),
+        pytest.param((), (), 5, id="both-zero"),
+        # a shared factor mod 2 and mod 2^61 - 1
+        pytest.param((1, 0, 1, 1, 0, 1), (1, 1, 0, 1), 2, id="mod-2"),
+        pytest.param((5, 2**61 - 3, 7, 1), (2**61 - 6, 2, 1), 2**61 - 1, id="mod-2^61-1"),
+    ],
+)
+def test_gcd_step_shapes_match_oracle(a, b, p):
+    expected = oracles.poly_gcd(a, b, p)
+    assert _gcd(a, b, p) == expected
+    assert _gcd(b, a, p) == oracles.poly_gcd(b, a, p)
+
+
+def test_gcd_random_planted_factors_match_oracle():
+    rng = random.Random(61)
+    for p in (2, 3, 97, 876706517, 2**61 - 1):
+        for _ in range(40):
+            common = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1]
+            a = oracles.poly_mul_mod(common, [rng.randrange(p) for _ in range(rng.randrange(12))], p)
+            b = oracles.poly_mul_mod(common, [rng.randrange(p) for _ in range(rng.randrange(12))], p)
+            while a and not a[-1]:
+                a.pop()
+            assert _gcd(a, b, p) == oracles.poly_gcd(a, b, p), (p, a, b)
+
+
 def test_is_squarefree_mod():
     assert not is_squarefree_mod(ModPoly(7, (1, 5, 1)))  # (x-1)^2
     assert is_squarefree_mod(ModPoly(7, (1, 0, 1)))  # x^2 + 1, -1 non-square
@@ -296,13 +340,26 @@ def _pow_mod(h, e, f, p):
     return oracles.poly_rem_monic(result, f, p)
 
 
+def _reduced(result, p, n):
+    """result, checked to be a list of n ints in [0, p)."""
+    assert isinstance(result, list) and len(result) == n
+    assert all(type(c) is int and 0 <= c < p for c in result), result
+    return result
+
+
 # 13367 and 876706517 are the largest primes whose Frobenius set-up at
 # degree 24 packs into 4- and 8-byte slots (tests/test_polyarith.py); the
-# latter needs 9-byte slots at degree 30
-@pytest.mark.parametrize("p", (2, 3, 5, 97, 997, 9973, 13367, 876706517))
+# latter needs 9-byte slots at degree 30, and 2^61 - 1 wide slots at every
+# degree.  The x^p ladder starts at x^e, e the longest binary prefix of p
+# below n, unreduced: the degrees p - 1, p and p + 1 put p just above, at
+# and just below n, and p < n takes no squaring at all.
+@pytest.mark.parametrize(
+    "p", (2, 3, 5, 7, 13, 23, 29, 31, 97, 997, 9973, 13367, 876706517, 2**61 - 1)
+)
 def test_frobenius_setup_matches_long_division(p):
     rng = random.Random(p)
-    for n in (2, 3, 24, 30, *rng.sample(range(4, 30), 3)):
+    near = [n for n in (p - 1, p, p + 1) if 2 <= n <= 32]
+    for n in (2, 3, 24, 30, *near, *rng.sample(range(4, 30), 3)):
         # -f_low is p - 1 in every slot for the all-ones f, and 1 for the
         # all-(p - 1) one: the quotient products reach their slot bound
         for low in ([rng.randrange(p) for _ in range(n)], [1] * n, [p - 1] * n):
@@ -319,6 +376,7 @@ def test_frobenius_setup_matches_long_division(p):
             a, b = [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
             for u, v in ((a, b), (top, top), (top, a)):
                 expected = oracles.poly_rem_monic(oracles.poly_mul_mod(u, v, p), f, p)
-                assert mulmod(u, v) == expected, (n, low)
+                assert _reduced(mulmod(u, v), p, n) == expected, (n, low)
+            # frobenius(x) is x^p mod f, the top of the ladder
             for h in (x, a, top):
-                assert frobenius(h) == _pow_mod(h, p, f, p), (n, low, h)
+                assert _reduced(frobenius(h), p, n) == _pow_mod(h, p, f, p), (n, low, h)
