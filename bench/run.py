@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_13.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_14.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -19,8 +19,15 @@ records:
   - verify_us_per_prime: verify_record over the six bundled records at
     pmax VERIFY_PER_PRIME_PMAX with warm series, through the public API
     only, divided by the number of primes tested (every p <= pmax but ell);
-  - runs_s, each a fresh process: the default `thetatwist tables`, the
-    `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
+  - rev_inverse_us, for a tree whose polyverify has _rev_inverse: the cost
+    of u = 1/rev(f) mod x^n for each of U_RECORDS, a bundled record and a
+    random monic record of degree 200 with 64-bit coefficients, at each p
+    of U_PS: the mod-p recurrence ("recurrence_us", what every prime paid
+    before u was computed once per record), the reduction of the integer u
+    ("reduce_us", what each prime pays now), and, once per record, the
+    integer u itself ("integer_us");
+  - runs_s, each a fresh process: the default `thetatwist tables`, `tables`
+    at perfbench's sizes (PERFBENCH_TABLES), the `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
     each bundled record, and `import thetatwist` with the six bundled
     records loaded, run with and without -S (no site module, so nothing
     the package imports is loaded in advance).
@@ -70,6 +77,13 @@ PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
 VERIFY_PER_PRIME_PMAX = 1000
+#: the records of rev_inverse_us, (name, label): a bundled (k, ell) label, or
+#: None for a random monic record of degree 200 with 64-bit coefficients
+U_RECORDS = (("bundled k=26,ell=23", (26, 23)), ("random n=200,64-bit", None))
+U_PS = (97, 9973)
+#: `tables` at the sizes of perfbench's tables workload
+PERFBENCH_TABLES = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
+                    "--format", "json"]
 #: calls whose cost outside the maths is mostly the CLI's own: a screen at
 #: its default bound and a long series, both printed as JSON
 CLI_CALLS = {
@@ -160,6 +174,32 @@ def verify_per_prime():
     return {name: {"per_prime_us": _per_call_us(call) / tested, "primes": tested}}
 
 
+def rev_inverse_us():
+    """The cost of u = 1/rev(f) mod x^n per record and prime, as a dict; empty
+    for a tree that computes u only inside its Frobenius set-up."""
+    from thetatwist import bundled_record, polyverify
+
+    if not hasattr(polyverify, "_rev_inverse"):
+        return {}
+    rev_inverse = polyverify._rev_inverse
+    rng = random.Random(14)
+    out = {}
+    for name, label in U_RECORDS:
+        if label is None:
+            f = [rng.randrange(-(2**63), 2**63) for _ in range(200)] + [1]
+        else:
+            f = list(bundled_record(*label).coeffs)
+        u = rev_inverse(f)
+        out[name] = {"integer_us": _per_call_us(lambda: rev_inverse(f))}
+        for p in U_PS:
+            fp = [c % p for c in f]
+            out[f"{name},p={p}"] = {
+                "recurrence_us": _per_call_us(lambda: rev_inverse(fp, p)),
+                "reduce_us": _per_call_us(lambda: [c % p for c in u]),
+            }
+    return out
+
+
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
@@ -192,6 +232,7 @@ def _fresh_run(tree, flags, args):
 def _runs():
     """The whole-run jobs of one round: (name, interpreter flags, probed.py arguments)."""
     yield "tables", [], ["cli", "tables"]
+    yield "tables pmax=100,pbound=100,extended=150", [], ["cli", *PERFBENCH_TABLES]
     yield "screen k=16,ell=13", [], ["cli", *CLI_CALLS["screen k=16,ell=13"]]
     for k, ell in RECORDS:
         argv = ["verify-poly", "--weight", str(k), "--ell", str(ell),
@@ -271,6 +312,7 @@ def main(argv=None):
             "kernels_us": kernels(),
             "cli_main_us": cli_main(),
             "verify_us_per_prime": verify_per_prime(),
+            "rev_inverse_us": rev_inverse_us(),
         }))
         return 0
     if not args.src:
@@ -291,6 +333,7 @@ def main(argv=None):
         "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,
         "verify_per_prime_pmax": VERIFY_PER_PRIME_PMAX,
+        "rev_inverse_cases": {"records": [name for name, _ in U_RECORDS], "p": list(U_PS)},
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

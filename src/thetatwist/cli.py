@@ -220,9 +220,11 @@ def cmd_tables(args):
     twists = []
     verifies = []
     for k, ell in BUNDLED_LABELS:
-        screens.append(screen_exceptional(k, ell, args.pbound))
+        # the twist certificate asks for delta_k at the largest precision
+        # first, so the screen and the verification read truncations of it
         i, kp, cert = twist_search(k, ell, args.extended)
         twists.append((k, ell, i, kp, cert, published_discrepancy(k, ell, i, kp)))
+        screens.append(screen_exceptional(k, ell, args.pbound))
         record = bundled_record(k, ell, args.data_dir)
         verifies.append(verify_record(record, k, ell, args.pmax))
     for rep in screens:

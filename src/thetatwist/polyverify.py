@@ -5,26 +5,15 @@ polynomial whose splitting field realizes a projective mod-ell
 representation.  verify_record checks it against the eigenform of weight k:
 for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
-(a_p mod ell, p^{k-1} mod ell).  The predicted pattern is known before the
-polynomial is looked at, so it is checked directly (_has_pattern: one walk
-of the Frobenius map, which also proves the reduction squarefree, and at
-most one gcd).  The trace of the Frobenius matrix counts the linear factors
-mod p, exactly once p exceeds the degree; it rejects a wrong count before
-any walk, and above the degree it leaves the gcd only the factors of degree
-strictly between 1 and L, so where L is prime no gcd runs at all.  Only
-a prime whose prediction fails goes through ddf, which tells a FAIL, with
-its observed pattern, from a reduction that is not squarefree (found by gcd
-with the derivative); such primes are skipped as ramified, and p = ell is
-always skipped.  Both apply the Frobenius map as a
-linear operator on packed integer rows (polyarith), so each degree step
-costs one C-level dot product instead of a fresh modular exponentiation;
-ddf tests a block of b = ceil(sqrt(n/2)) degrees with one gcd against the
-product of their Frobenius differences, refining degree by degree only the
-blocks that hit.  The rows are built once per prime (_frobenius) and serve
-the pattern check and, where it fails, the DDF.  They stay packed while
-they are built: each product is reduced mod f through its quotient, with
-slot-wise Barrett reduction mod p (polyarith.barrett), and the walk reads
-Barrett-reduced slots, so no coefficient is reduced mod p one at a time.
+(a_p mod ell, p^{k-1} mod ell).  The prediction is checked directly
+(_has_pattern: the trace of the Frobenius matrix, one walk of the Frobenius
+map and at most one gcd); only where it fails does ddf run, to tell a FAIL
+from a reduction that is not squarefree, which is skipped as ramified, as
+p = ell always is.  Both apply the Frobenius map as a linear operator on
+packed integer rows (polyarith), built once per prime by _frobenius with
+slot-wise Barrett reduction mod p.  Its reduction mod f needs
+u = 1/rev(f) mod x^n, which verify_record computes once over Z for a monic
+record and reduces mod each p.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  Mod-p polynomials are coefficient lists
@@ -286,7 +275,21 @@ def _is_squarefree(f, p):
     return len(_gcd(f, _deriv(f, p), p)) == 1
 
 
-def _frobenius(f, p):
+def _rev_inverse(f, p=None):
+    """u = 1/rev(f) mod x^n for a monic f of degree n, mod p or over Z.
+
+    u_0 = 1, u_k = -(f_(n-k) u_0 + ... + f_(n-1) u_(k-1)): an integer u
+    reduced mod p is the u of f mod p.
+    """
+    n = len(f) - 1
+    u = [1]
+    for k in range(1, n):
+        c = -sum(map(_imul, f[n - k : n], u))
+        u.append(c if p is None else c % p)
+    return u
+
+
+def _frobenius(f, p, u=None):
     """(frobenius, mulmod, trace) for a monic f of degree n >= 2 over F_p.
 
     frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
@@ -304,10 +307,11 @@ def _frobenius(f, p):
     reduction, so the squarings that stay below degree n cost nothing, and
     for p < n none is left.  A product c = L + x^n H of at most 2n slots has
     every slot reduced mod p at once (Barrett); then the quotient Q of c by
-    f is the top n slots of H * rev(u), where u holds the first n terms of
-    x^n / f in powers of 1/x, and c mod f is L + Q * (-f_low mod p)
-    truncated to n slots.  Each of these products has n or fewer terms of
-    (p - 1)^2 per slot, so every slot stays within bound.  The Frobenius map
+    f is the top n slots of H * rev(u), where u = _rev_inverse(f, p) holds
+    the first n terms of x^n / f in powers of 1/x, and c mod f is
+    L + Q * (-f_low mod p) truncated to n slots; verify_record passes u in,
+    reduced from its record's.  Each of these products has n or fewer terms
+    of (p - 1)^2 per slot, so every slot stays within bound.  The Frobenius map
     is one sum over the packed rows, sum(map(mul, h, rows)).  Its result and
     mulmod's are reduced mod p slot-wise by the same Barrett reduction and
     read out as they stand (polyarith.slots), with no % p per coefficient.
@@ -316,9 +320,8 @@ def _frobenius(f, p):
     width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
     bits = 8 * width
     pack, slots = polyarith.pack, polyarith.slots
-    u = [1]  # 1 / rev(f) mod x^n, by its recurrence
-    for k in range(1, n):
-        u.append(-sum(map(_imul, f[n - k : n], u)) % p)
+    if u is None:
+        u = _rev_inverse(f, p)
     u_rev = pack(u[::-1], width)
     f_neg = pack([-c % p for c in f[:n]], width)
     top, middle = n * bits, (n - 1) * bits
@@ -377,19 +380,19 @@ def ddf(f):
     return _ddf(_setup(f.coeffs, f.modulus), f.modulus)
 
 
-def _setup(f, p):
+def _setup(f, p, u=None):
     """(work, frobenius, mulmod, trace): f made monic, with _frobenius of it.
 
     f is a stripped coefficient list with entries in [0, p) for a prime p,
     which is not checked: ModPoly has proved it, or verify_record took p
-    from a sieve.  One set-up serves both _has_pattern and _ddf at a prime;
-    below degree 2 there is no Frobenius map to build, and the three are
-    None.
+    from a sieve; u, if given, is _rev_inverse(work, p).  One set-up serves
+    both _has_pattern and _ddf at a prime; below degree 2 there is no
+    Frobenius map to build, and the three are None.
     """
     work = _monic(f, p)
     if len(work) < 3:
         return work, None, None, None
-    return (work, *_frobenius(work, p))
+    return (work, *_frobenius(work, p, u))
 
 
 def _ddf(setup, p):
@@ -585,9 +588,11 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     at the first FAIL, which is enough for mutation testing.  Each p comes
     from primes_upto's sieve, so the record is reduced mod p here and handed
     to the private kernels as a coefficient list, with no ModPoly and so no
-    primality test per prime; ell is checked once.  Raises
-    ValueError for a series not of weight k mod ell, and when no prime was
-    compared, since an empty scan would otherwise read consistent.
+    primality test per prime; ell is checked once.  For a monic record
+    u = 1/rev(f) mod x^n is computed once, over Z, and each set-up gets it
+    reduced mod p.  Raises ValueError for a series not of weight k mod ell,
+    and when no prime was compared, since an empty scan would otherwise read
+    consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
@@ -597,6 +602,8 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     if series is not None and (series.ell != ell or series.weight not in (None, k)):
         raise ValueError(f"series is not of weight {k} mod {ell}")
     f = series if series is not None else delta_k(k, ell, pmax)
+    monic = record.coeffs and record.coeffs[-1] == 1
+    u = _rev_inverse(record.coeffs) if monic else None
     outcomes = []
     failures = []
     counts = {
@@ -614,7 +621,8 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
         fc = _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
         predicted = _degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
-        setup = _setup(_strip([c % p for c in record.coeffs]), p)
+        u_p = None if u is None else [c % p for c in u]
+        setup = _setup(_strip([c % p for c in record.coeffs]), p, u_p)
         observed = _has_pattern(setup, p, *candidates)
         if observed is None:
             try:

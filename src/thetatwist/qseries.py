@@ -17,11 +17,15 @@ delta_k above 12 is one product, by E4 or E6, of a lower-weight delta_k at
 the same (ell, n0), so a sweep over the six weights at one (ell, n0) costs
 8 series products: 3 for the discriminant form, then one per weight.
 
+eisenstein and delta_k share one cache: one series per (k, ell), at the
+largest precision asked so far.  A shorter request is a truncation, exact
+since coefficient n of a product needs only coefficients <= n; a longer one
+rebuilds the entry.  Arguments are checked before the lookup, so a warm call
+refuses what a cold one refuses.
+
 Everything is level 1 with trivial character, so the only type a series
 carries is an optional weight tag, a plain int.
 """
-
-from functools import lru_cache
 
 from . import polyarith
 from .errors import (
@@ -37,8 +41,8 @@ _DELTA_STEPS = {16: (12, 4), 18: (12, 6), 20: (16, 4), 22: (16, 6), 26: (22, 4)}
 
 SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 
-#: largest precision of a series; eisenstein, which every delta_k goes through,
-#: refuses more, so a request far beyond memory fails as ValueError, not MemoryError
+#: largest precision of a series; eisenstein and delta_k refuse more, so a
+#: request far beyond memory fails as ValueError, not MemoryError
 MAX_PRECISION = 10**7
 
 
@@ -159,52 +163,74 @@ def _sigma_mod(j, n0, ell):
     return sig
 
 
-@lru_cache(maxsize=None)
-def eisenstein(k, ell, n0):
-    """Level-1 Eisenstein series E4 or E6 mod ell, to precision n0."""
-    if k not in (4, 6):
-        raise UnsupportedWeight(f"only E4 and E6 are provided, not E{k}")
-    check_prime(ell)
-    if ell < 5:
-        raise ValueError("ell >= 5 required")
+#: (k, ell) -> E_k (k = 4, 6) or delta_k mod ell, at the largest precision built
+_SERIES = {}
+
+
+def _check(ell, n0, least):
+    """Raise where a cold call would; ell is proved once, as every series is
+    cached after its ell passed, and every delta_k caches E4."""
+    if (4, ell) not in _SERIES:
+        check_prime(ell)
+        if ell < 5:
+            raise ValueError("ell >= 5 required")
+    if n0 < least:
+        raise ValueError(f"precision must be at least {least}")
     if n0 > MAX_PRECISION:
         raise ValueError(f"precision {n0} exceeds the maximum {MAX_PRECISION}")
-    const, j = (240, 3) if k == 4 else (-504, 5)
-    sig = _sigma_mod(j, n0, ell)
-    coeffs = [1] + [const * sig[m] for m in range(1, n0 + 1)]
-    return QExpansion(ell, coeffs, k)
 
 
-@lru_cache(maxsize=None)
+def _series(k, ell, n0):
+    """E_k or delta_k mod ell to precision n0, from the cache or built into it."""
+    f = _SERIES.get((k, ell))
+    if f is not None and n0 <= f.precision:
+        return f if f.precision == n0 else f.truncate(n0)
+    if k in (4, 6):
+        const, j = (240, 3) if k == 4 else (-504, 5)
+        sig = _sigma_mod(j, n0, ell)
+        f = QExpansion(ell, [1] + [const * sig[m] for m in range(1, n0 + 1)], k)
+    else:
+        if k == 12:
+            e4 = _series(4, ell, n0)
+            e6 = _series(6, ell, n0)
+            e4sq = series_mul(e4, e4)
+            f = (series_mul(e4sq, e4) - series_mul(e6, e6)).scale(pow(1728, -1, ell))
+        else:
+            k0, j = _DELTA_STEPS[k]
+            f = series_mul(_series(k0, ell, n0), _series(j, ell, n0))
+        assert f.coeffs[0] == 0 and f.coeffs[1] == 1, "normalization broke"
+        assert f.weight == k, "weight tag broke"
+    _SERIES[k, ell] = f
+    return f
+
+
+def eisenstein(k, ell, n0):
+    """Level-1 Eisenstein series E4 or E6 mod ell, to precision n0 >= 0."""
+    if k not in (4, 6):
+        raise UnsupportedWeight(f"only E4 and E6 are provided, not E{k}")
+    _check(ell, n0, 0)
+    return _series(k, ell, n0)
+
+
 def delta_k(k, ell, n0):
     """The normalized cusp form of level 1 and weight k, reduced mod ell.
 
     delta_12 is Delta = (E4^3 - E6^2)/1728.  Every other weight is one
     product delta_{k0} * E_j from its predecessor in _DELTA_STEPS, through
-    this cache, so a cold weight costs the products of its chain (6 for
+    the shared cache, so a cold weight costs the products of its chain (6 for
     delta_26 = Delta * E4 * E6 * E4) and each further weight at the same
-    (ell, n0) costs one.
+    (ell, n0) or below costs one.
     """
-    if k == 12:
-        check_prime(ell)
-        if ell < 5:
-            raise ValueError("ell >= 5 required")
-        if n0 < 1:
-            raise ValueError("precision must be at least 1")
-        e4 = eisenstein(4, ell, n0)
-        e6 = eisenstein(6, ell, n0)
-        e4sq = series_mul(e4, e4)
-        f = (series_mul(e4sq, e4) - series_mul(e6, e6)).scale(pow(1728, -1, ell))
-    elif k in _DELTA_STEPS:
-        k0, j = _DELTA_STEPS[k]
-        f = series_mul(delta_k(k0, ell, n0), eisenstein(j, ell, n0))
-    else:
+    if k != 12 and k not in _DELTA_STEPS:
         raise UnsupportedWeight(
             f"weight {k} not in the one-dimensional list {SUPPORTED_WEIGHTS}"
         )
-    assert f.coeffs[0] == 0 and f.coeffs[1] == 1, "normalization broke"
-    assert f.weight == k, "weight tag broke"
-    return f
+    _check(ell, n0, 1)
+    return _series(k, ell, n0)
+
+
+# both names empty the one shared cache
+eisenstein.cache_clear = delta_k.cache_clear = _SERIES.clear
 
 
 def theta(f):

@@ -175,9 +175,11 @@ def twist_search(k, ell, extended=1000):
     Candidates k' run over the one-dimensional weights <= ell + 1 in
     increasing order, and i over [0, ell-2] in increasing order; the first
     pair passing both the weight congruence and the bounded prime check wins,
-    making the result deterministic.  The search itself runs at the twist
-    bound precision; the returned certificate re-checks the winner with the
-    full extended-series identity.
+    making the result deterministic.  The search itself checks primes up to
+    the twist bound, with candidates built at that precision; the returned
+    certificate re-checks the winner with the full extended-series identity.
+    delta_k is asked for at the certificate's precision first, so its chain
+    is built once (see the qseries cache).
     """
     check_prime(ell)
     if ell < 5:
@@ -185,7 +187,8 @@ def twist_search(k, ell, extended=1000):
     if k not in SUPPORTED_WEIGHTS:
         raise UnsupportedWeight(f"weight {k} not in {SUPPORTED_WEIGHTS}")
     bound = twist_bound(ell)
-    f1 = delta_k(k, ell, bound)
+    prec = max(bound, extended)
+    f1 = delta_k(k, ell, prec)
     candidates = [kp for kp in SUPPORTED_WEIGHTS if 2 <= kp <= ell + 1]
     for kp in candidates:
         f2 = delta_k(kp, ell, bound)
@@ -196,10 +199,7 @@ def twist_search(k, ell, extended=1000):
                 check_twist(f1, f2, i)
             except PrimeMismatch:
                 continue
-            prec = max(bound, extended)
-            cert = check_twist(
-                delta_k(k, ell, prec), delta_k(kp, ell, prec), i, extended
-            )
+            cert = check_twist(f1, delta_k(kp, ell, prec), i, extended)
             return i, kp, cert
     raise NotFound(
         f"no twist pair found for (k={k}, ell={ell}); "

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from thetatwist import cli
 from thetatwist.cli import main
 from thetatwist.polyverify import VerificationReport
+from thetatwist.qseries import delta_k
 from thetatwist.galrep import ScreeningReport
 from thetatwist.twist import TwistCertificate
 
@@ -216,6 +218,27 @@ def test_tables_json(capsys):
     assert found[(22, 11)] == (0, 12)
     warnings = [t["warning"] for t in doc["twists"] if t["warning"]]
     assert len(warnings) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        ([], "4b146e9147a43e967c2efef917cee6fce9f1db92bcfee9e548b95a8a92c0afd3"),
+        (
+            ["--pmax", "100", "--pbound", "100", "--extended", "150"],
+            "a7cecc2d43f256f2f72d1daeba778efe0cb96b8c703abd06445c4be502629e56",
+        ),
+    ],
+    ids=["defaults", "perfbench sizes"],
+)
+def test_tables_json_bytes_are_pinned(argv, sha256, capsys):
+    # cold, then with every series cached at the largest precision asked
+    delta_k.cache_clear()
+    for _ in range(2):
+        code, out, err = run(capsys, "tables", *argv, "--format", "json")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    delta_k.cache_clear()
 
 
 def test_tables_missing_data_exits_4(capsys, tmp_path):

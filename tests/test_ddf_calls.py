@@ -40,9 +40,9 @@ def setup_calls(monkeypatch):
     calls = []
     frobenius = polyverify._frobenius
 
-    def counted(f, p):
+    def counted(f, p, u=None):
         calls.append(p)
-        return frobenius(f, p)
+        return frobenius(f, p, u)
 
     monkeypatch.setattr(polyverify, "_frobenius", counted)
     return calls

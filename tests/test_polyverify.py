@@ -16,6 +16,7 @@ from thetatwist.polyverify import (
     VerificationReport,
     _frobenius,
     _gcd,
+    _rev_inverse,
     bundled_record,
     ddf,
     is_squarefree_mod,
@@ -352,31 +353,54 @@ def _reduced(result, p, n):
 # latter needs 9-byte slots at degree 30, and 2^61 - 1 wide slots at every
 # degree.  The x^p ladder starts at x^e, e the longest binary prefix of p
 # below n, unreduced: the degrees p - 1, p and p + 1 put p just above, at
-# and just below n, and p < n takes no squaring at all.
+# and just below n, and p < n takes no squaring at all.  Each f is also set
+# up with u passed in, reduced from the integer u of a monic lift of f with
+# coefficients off by multiples of p, as verify_record passes it.
 @pytest.mark.parametrize(
     "p", (2, 3, 5, 7, 13, 23, 29, 31, 97, 997, 9973, 13367, 876706517, 2**61 - 1)
 )
 def test_frobenius_setup_matches_long_division(p):
     rng = random.Random(p)
+    lifts = random.Random(f"lift {p}")  # its own generator, so f, a and b stay as before
     near = [n for n in (p - 1, p, p + 1) if 2 <= n <= 32]
     for n in (2, 3, 24, 30, *near, *rng.sample(range(4, 30), 3)):
         # -f_low is p - 1 in every slot for the all-ones f, and 1 for the
         # all-(p - 1) one: the quotient products reach their slot bound
         for low in ([rng.randrange(p) for _ in range(n)], [1] * n, [p - 1] * n):
             f = low + [1]
-            frobenius, mulmod, trace = _frobenius(f, p)
+            lift = [c + p * lifts.randrange(-3, 4) for c in low] + [1]
+            u = [c % p for c in _rev_inverse(lift)]
             # the trace of the Frobenius matrix: [x^i] (x^(i*p) mod f), summed
-            xp, row, expected = _pow_mod([0, 1], p, f, p), oracles.poly_rem_monic([1], f, p), 0
+            xp, row, trace = _pow_mod([0, 1], p, f, p), oracles.poly_rem_monic([1], f, p), 0
             for i in range(n):
-                expected += row[i]
+                trace += row[i]
                 row = oracles.poly_rem_monic(oracles.poly_mul_mod(row, xp, p), f, p)
-            assert trace == expected % p, (n, low)
             top = [p - 1] * n
             x = [0, 1] + [0] * (n - 2)
             a, b = [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
-            for u, v in ((a, b), (top, top), (top, a)):
-                expected = oracles.poly_rem_monic(oracles.poly_mul_mod(u, v, p), f, p)
-                assert _reduced(mulmod(u, v), p, n) == expected, (n, low)
+            products = [
+                (g, h, oracles.poly_rem_monic(oracles.poly_mul_mod(g, h, p), f, p))
+                for g, h in ((a, b), (top, top), (top, a))
+            ]
             # frobenius(x) is x^p mod f, the top of the ladder
-            for h in (x, a, top):
-                assert _reduced(frobenius(h), p, n) == _pow_mod(h, p, f, p), (n, low, h)
+            powers = [(h, _pow_mod(h, p, f, p)) for h in (x, a, top)]
+            for given in (None, u):
+                frobenius, mulmod, got = _frobenius(f, p, given)
+                assert got == trace % p, (n, low, given)
+                for g, h, expected in products:
+                    assert _reduced(mulmod(g, h), p, n) == expected, (n, low, given)
+                for h, expected in powers:
+                    assert _reduced(frobenius(h), p, n) == expected, (n, low, h, given)
+
+
+def test_integer_rev_inverse_reduces_to_the_mod_p_recurrence():
+    for k, ell in BUNDLED_LABELS:
+        coeffs = bundled_record(k, ell).coeffs
+        n = len(coeffs) - 1
+        u = _rev_inverse(coeffs)
+        # u * rev(f) = 1 + O(x^n) over Z
+        product = oracles.poly_mul_int(u, coeffs[::-1], n - 1)
+        assert product == [1] + [0] * (n - 1), (k, ell)
+        for p in primes_upto(1000):
+            reduced = [c % p for c in coeffs]
+            assert [c % p for c in u] == _rev_inverse(reduced, p), (k, ell, p)

@@ -7,8 +7,10 @@ from thetatwist.errors import (
     ModulusMismatch,
     UnsupportedWeight,
 )
+from thetatwist import qseries
 from thetatwist.ffield import primes_upto
 from thetatwist.qseries import (
+    MAX_PRECISION,
     SUPPORTED_WEIGHTS,
     QExpansion,
     delta_k,
@@ -138,6 +140,59 @@ def test_delta_k_rejects():
         delta_k(12, 4, 5)
     with pytest.raises(ValueError):
         delta_k(12, 13, 0)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+# (function, refused or edge arguments, a longer series of that (k, ell) to
+# cache first, or of (k, 13) where ell itself can never be cached, cold outcome)
+WARM_CASES = {
+    "delta n0=0": (delta_k, (12, 13, 0), (12, 13, 50), ValueError),
+    "delta n0<0": (delta_k, (26, 13, -3), (26, 13, 50), ValueError),
+    "eisenstein n0=0": (eisenstein, (6, 13, 0), (6, 13, 50), QExpansion(13, [1], 6)),
+    "eisenstein n0<0": (eisenstein, (4, 13, -1), (4, 13, 50), ValueError),
+    "delta composite ell": (delta_k, (12, 15, 5), (12, 13, 50), ValueError),
+    "eisenstein composite ell": (eisenstein, (4, 15, 5), (4, 13, 50), ValueError),
+    "delta ell < 5": (delta_k, (16, 3, 5), (16, 13, 50), ValueError),
+    "delta weight": (delta_k, (14, 13, 5), (12, 13, 50), UnsupportedWeight),
+    "eisenstein weight": (eisenstein, (8, 13, 5), (4, 13, 50), UnsupportedWeight),
+    "delta too long": (delta_k, (12, 13, MAX_PRECISION + 1), (12, 13, 50), ValueError),
+    "eisenstein too long": (eisenstein, (6, 13, MAX_PRECISION + 1), (6, 13, 50), ValueError),
+}
+
+
+@pytest.mark.parametrize("fn, args, longer, cold", WARM_CASES.values(), ids=WARM_CASES)
+def test_warm_cache_refuses_what_a_cold_one_refuses(fn, args, longer, cold):
+    fn.cache_clear()
+    try:
+        assert _outcome(fn, *args) == cold
+        fn(*longer)
+        assert _outcome(fn, *args) == cold
+        # nothing is ever cached for a refused ell
+        if longer[1] != args[1]:
+            assert all(ell != args[1] for _, ell in qseries._SERIES)
+    finally:
+        fn.cache_clear()
+
+
+def test_warm_cache_truncates_and_rebuilds_exactly():
+    delta_k.cache_clear()
+    long = delta_k(22, 13, 200)
+    short = delta_k(22, 13, 60)
+    assert short.coeffs == long.coeffs[:61] and short.weight == 22
+    # a longer request replaces the entry of every link of the chain
+    longer = delta_k(22, 13, 300)
+    assert longer.coeffs[:201] == long.coeffs
+    assert {key: f.precision for key, f in qseries._SERIES.items()} == {
+        (4, 13): 300, (6, 13): 300, (12, 13): 300, (16, 13): 300, (22, 13): 300,
+    }
+    delta_k.cache_clear()
 
 
 def _hecke_ok(f, k, ell, nmax):

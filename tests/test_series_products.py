@@ -1,15 +1,15 @@
 """Each delta_k above weight 12 is one series product from its predecessor.
 
-series_mul is counted through the qseries module binding, which delta_k
-looks up on every call.  The caches start cold, so every count is the cost
-of building from nothing.
+series_mul and _sigma_mod are counted through the qseries module bindings,
+which delta_k and eisenstein look up on every call.  The cache starts cold,
+so every count is the cost of building from nothing.
 """
 
 import random
 
 import pytest
 
-from thetatwist import qseries
+from thetatwist import cli, qseries
 from thetatwist.qseries import delta_k, eisenstein, series_mul
 
 WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -64,9 +64,37 @@ def test_every_weight_matches_the_direct_monomial():
     delta_k.cache_clear()
     rng = random.Random(7)
     for ell in (5, 13, 691, 4294967311):
-        requests = [(k, n0) for k in WEIGHTS for n0 in (1, 2, 300)]
+        requests = [(k, n0) for k in WEIGHTS for n0 in (1, 2, 150, 300)]
         rng.shuffle(requests)
         for k, n0 in requests:
             f = delta_k(k, ell, n0)
             assert f == _direct(k, ell, n0), (k, ell, n0)
             assert f.weight == k and f.precision == n0
+
+
+def test_tables_builds_each_series_once_at_its_largest_precision(products, monkeypatch, capsys):
+    sigmas = []
+    sigma_mod = qseries._sigma_mod
+
+    def counted(j, n0, ell):
+        sigmas.append((j, n0, ell))
+        return sigma_mod(j, n0, ell)
+
+    monkeypatch.setattr(qseries, "_sigma_mod", counted)
+    argv = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150", "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # one E4 and one E6 per ell, and one product per link of each chain.  A
+    # cache keyed on the precision too builds 85 products and 30 sigmas, at
+    # the twist bound, at the screen's and verification's 100 and at the
+    # twist certificate's 150.  This cache builds 58 and 20, each chain
+    # twice, if the twist search asks for its bound first or the screen runs
+    # before the twist
+    assert len(sigmas) == 10
+    assert len(products) == 31
+    held = {key: f.precision for key, f in qseries._SERIES.items()}
+    assert all(f.weight == k and f.ell == ell for (k, ell), f in qseries._SERIES.items())
+    # one series per (k, ell): 30 of them, all at the twist certificate's 150
+    # but the two twist candidates tried only at the twist bound of ell = 23
+    assert len(held) == 30
+    assert {key: n0 for key, n0 in held.items() if n0 != 150} == {(18, 23): 46, (20, 23): 46}
