@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_14.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_15.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -26,8 +26,15 @@ records:
     before u was computed once per record), the reduction of the integer u
     ("reduce_us", what each prime pays now), and, once per record, the
     integer u itself ("integer_us");
-  - runs_s, each a fresh process: the default `thetatwist tables`, `tables`
-    at perfbench's sizes (PERFBENCH_TABLES), the `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
+  - wrong_records_us: the in-process cost of two calls that factor wrong
+    or unchecked records, where the DDF's degree loop runs: acceptance
+    criterion 4, verify_record with fail_fast on its 120 single +-1
+    mutations of the bundled records at pmax MUTATION_PMAX, and public ddf
+    at every prime p <= DDF_PMAX of each bundled record, a NotSquarefree
+    reduction counted as a call too;
+  - runs_s, each a fresh process: the default `thetatwist tables`, as text
+    and as JSON, `tables` at perfbench's sizes (PERFBENCH_TABLES), the
+    `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
     each bundled record, and `import thetatwist` with the six bundled
     records loaded, run with and without -S (no site module, so nothing
     the package imports is loaded in advance).
@@ -77,6 +84,10 @@ PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
 VERIFY_PER_PRIME_PMAX = 1000
+#: pmax of the criterion 4 mutation case, and the largest p of the
+#: public ddf case, of wrong_records_us
+MUTATION_PMAX = 200
+DDF_PMAX = 1000
 #: the records of rev_inverse_us, (name, label): a bundled (k, ell) label, or
 #: None for a random monic record of degree 200 with 64-bit coefficients
 U_RECORDS = (("bundled k=26,ell=23", (26, 23)), ("random n=200,64-bit", None))
@@ -200,6 +211,46 @@ def rev_inverse_us():
     return out
 
 
+def wrong_records_us():
+    """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
+    from thetatwist import (ModPoly, NotSquarefree, ProjPolyRecord, bundled_record, ddf,
+                            delta_k, primes_upto, verify_record)
+
+    rng = random.Random(20250811)  # tests/test_acceptance.py's mutations, in its order
+    mutations = []
+    for k, ell in RECORDS:
+        record, series = bundled_record(k, ell), delta_k(k, ell, MUTATION_PMAX)
+        for _ in range(20):
+            coeffs = list(record.coeffs)
+            coeffs[rng.randrange(record.degree)] += rng.choice((1, -1))
+            mutations.append((ProjPolyRecord(tuple(coeffs), k=k, ell=ell), k, ell, series))
+
+    def criterion_4():
+        for mutated, k, ell, series in mutations:
+            if verify_record(mutated, k, ell, MUTATION_PMAX, series=series,
+                             fail_fast=True).counts["fail"] < 1:
+                raise RuntimeError(f"a mutation of ({k}, {ell}) was not caught")
+
+    polys = [ModPoly(p, bundled_record(k, ell).coeffs)
+             for k, ell in RECORDS for p in primes_upto(DDF_PMAX)]
+
+    def public_ddf():
+        for f in polys:
+            try:
+                ddf(f)
+            except NotSquarefree:
+                pass
+
+    return {
+        f"criterion 4, {len(mutations)} mutations, pmax={MUTATION_PMAX}": {
+            "call_us": _per_call_us(criterion_4),
+        },
+        f"public ddf, six records, p<={DDF_PMAX}": {
+            "call_us": _per_call_us(public_ddf), "calls": len(polys),
+        },
+    }
+
+
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
@@ -232,6 +283,7 @@ def _fresh_run(tree, flags, args):
 def _runs():
     """The whole-run jobs of one round: (name, interpreter flags, probed.py arguments)."""
     yield "tables", [], ["cli", "tables"]
+    yield "tables --format json", [], ["cli", "tables", "--format", "json"]
     yield "tables pmax=100,pbound=100,extended=150", [], ["cli", *PERFBENCH_TABLES]
     yield "screen k=16,ell=13", [], ["cli", *CLI_CALLS["screen k=16,ell=13"]]
     for k, ell in RECORDS:
@@ -313,6 +365,7 @@ def main(argv=None):
             "cli_main_us": cli_main(),
             "verify_us_per_prime": verify_per_prime(),
             "rev_inverse_us": rev_inverse_us(),
+            "wrong_records_us": wrong_records_us(),
         }))
         return 0
     if not args.src:
@@ -334,6 +387,7 @@ def main(argv=None):
         "verify_pmax": VERIFY_PMAX,
         "verify_per_prime_pmax": VERIFY_PER_PRIME_PMAX,
         "rev_inverse_cases": {"records": [name for name, _ in U_RECORDS], "p": list(U_PS)},
+        "wrong_records_cases": {"mutation_pmax": MUTATION_PMAX, "ddf_pmax": DDF_PMAX},
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

@@ -7,9 +7,10 @@ for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
 (a_p mod ell, p^{k-1} mod ell).  The prediction is checked directly
 (_has_pattern: the trace of the Frobenius matrix, one walk of the Frobenius
-map and at most one gcd); only where it fails does ddf run, to tell a FAIL
-from a reduction that is not squarefree, which is skipped as ramified, as
-p = ell always is.  Both apply the Frobenius map as a linear operator on
+map and at most one gcd); only where it fails does ddf, a plain
+degree-by-degree distinct-degree factorization, run, to tell a FAIL from a
+reduction that is not squarefree, which is skipped as ramified, as p = ell
+always is.  Both apply the Frobenius map as a linear operator on
 packed integer rows (polyarith), built once per prime by _frobenius with
 slot-wise Barrett reduction mod p.  Its reduction mod f needs
 u = 1/rev(f) mod x^n, which verify_record computes once over Z for a monic
@@ -30,7 +31,7 @@ itself and calls their unchecked private twins on coefficient lists.
 import os
 import warnings
 from collections import namedtuple
-from math import isqrt
+from math import gcd
 from operator import mul as _imul
 
 from . import polyarith
@@ -364,18 +365,11 @@ def ddf(f):
     original f of degree n and advanced by the Frobenius map
     h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
     (von zur Gathen-Shoup); since the remaining part divides f, every gcd
-    with it is unchanged.
-
-    Degrees are taken in blocks of b = ceil(sqrt(n/2)): one gcd of the
-    remaining part with the product of u_d = x^{p^d} - x mod f over the
-    block finds every factor whose degree lies in it (all smaller degrees
-    are already gone).  Most blocks give 1 and cost one gcd instead of b
-    (Shoup 1995).  The hit g of a block leaves the remaining part at once
-    and is refined in ascending d by gcd(g, u_d), each hit peeled from g;
-    what is left of g at the last degree of the block has that degree.
-    The scan stops once 2(d + 1) exceeds the remaining degree, which is
-    then itself irreducible.  Only the degrees are returned, never the
-    factors.
+    with it is unchanged.  At each d = 1, 2, ... the gcd of the remaining
+    part with x^{p^d} - x is the product of its factors of degree d, which
+    then leave it.  The scan stops once 2d exceeds the remaining degree,
+    which is then itself irreducible.  Only the degrees are returned, never
+    the factors.
     """
     return _ddf(_setup(f.coeffs, f.modulus), f.modulus)
 
@@ -397,41 +391,25 @@ def _setup(f, p, u=None):
 
 def _ddf(setup, p):
     """ddf of f from its set-up _setup(f, p), squarefree check included."""
-    work, frobenius, mulmod, _ = setup
+    work, frobenius = setup[:2]
     if not _is_squarefree(work, p):
         raise NotSquarefree("input polynomial is not squarefree")
     n = len(work) - 1
-    if n < 2:  # a constant has no factors, a linear f is irreducible
-        return (1,) * n
-    b = isqrt((n + 1) // 2 - 1) + 1  # ceil(sqrt(n / 2))
     out = []
     h = [0, 1] + [0] * (n - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
-    d = 0
-    while 2 * (d + 1) <= len(work) - 1:
-        block = []
-        while len(block) < b and 2 * (d + 1) <= len(work) - 1:
-            d += 1
-            h = frobenius(h)
-            u = list(h)
-            u[1] = (u[1] - 1) % p
-            product = mulmod(product, u) if block else u
-            block.append(u)
-        g = _gcd(work, product, p)
-        if len(g) == 1:
-            continue
-        work = _divmod(work, g, p)[0]
-        first = d - len(block) + 1
-        for e, u in enumerate(block[:-1], first):
-            if len(g) == 1:
-                break
-            hit = _gcd(g, u, p)
-            if len(hit) > 1:
-                out.extend([e] * ((len(hit) - 1) // e))
-                g = _divmod(g, hit, p)[0]
-        out.extend([d] * ((len(g) - 1) // d))
-    if len(work) - 1 > 0:
+    d = 1
+    while 2 * d <= len(work) - 1:
+        h = frobenius(h)
+        u = list(h)
+        u[1] = (u[1] - 1) % p
+        g = _gcd(work, u, p)
+        if len(g) > 1:
+            out.extend([d] * ((len(g) - 1) // d))
+            work = _divmod(work, g, p)[0]
+        d += 1
+    if len(work) > 1:
         out.append(len(work) - 1)
-    result = tuple(sorted(out))
+    result = tuple(out)  # ascending: the remainder's degree exceeds the last d
     assert sum(result) == n, "factor degrees must sum to deg f"
     return result
 
@@ -590,19 +568,24 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     to the private kernels as a coefficient list, with no ModPoly and so no
     primality test per prime; ell is checked once.  For a monic record
     u = 1/rev(f) mod x^n is computed once, over Z, and each set-up gets it
-    reduced mod p.  Raises ValueError for a series not of weight k mod ell,
-    and when no prime was compared, since an empty scan would otherwise read
-    consistent.
+    reduced mod p.  Raises ValueError for a record whose content, the gcd of
+    its coefficients, is not 1, since it vanishes mod every prime dividing
+    the content (a zero record has content 0); for a series not of weight k
+    mod ell; and when no prime was compared, since an empty scan would
+    otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
     if record.k is not None and record.k != k:
         raise ValueError("record label disagrees with requested k")
+    content = gcd(*record.coeffs)
+    if content != 1:
+        raise ValueError(f"record is not primitive: content gcd(*coeffs) = {content}")
     check_prime(ell)
     if series is not None and (series.ell != ell or series.weight not in (None, k)):
         raise ValueError(f"series is not of weight {k} mod {ell}")
     f = series if series is not None else delta_k(k, ell, pmax)
-    monic = record.coeffs and record.coeffs[-1] == 1
+    monic = record.coeffs[-1] == 1
     u = _rev_inverse(record.coeffs) if monic else None
     outcomes = []
     failures = []

@@ -235,10 +235,7 @@ eisenstein.cache_clear = delta_k.cache_clear = _SERIES.clear
 
 def theta(f):
     """q d/dq: a_n -> n*a_n; shifts the weight tag by ell + 1."""
-    ell = f.ell
-    coeffs = [n * c for n, c in enumerate(f.coeffs)]
-    weight = None if f.weight is None else f.weight + ell + 1
-    return QExpansion(ell, coeffs, weight)
+    return theta_power(f, 1)
 
 
 def theta_power(f, i):

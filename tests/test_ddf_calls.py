@@ -7,6 +7,8 @@ _ddf, which takes the Frobenius set-up of the pattern check, so each tested
 prime builds exactly one set-up.  Above deg f the trace of the Frobenius
 matrix counts the linear factors, so the pattern check divides only at
 primes p <= deg f and runs no gcd where the predicted degree L is prime.
+On a correct record every DDF call ends at its squarefree test, so the
+degree loop runs only at FAIL primes.
 The polyverify module bindings of _ddf, _frobenius, _has_pattern, _divmod
 and _gcd are wrapped, since verify_record and _has_pattern look them up
 there.
@@ -15,6 +17,7 @@ there.
 import pytest
 
 from thetatwist import polyverify
+from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import is_prime
 from thetatwist.polyverify import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
 from thetatwist.qseries import delta_k
@@ -23,13 +26,33 @@ FALLBACK = ("skipped-ramified", "FAIL")
 
 
 @pytest.fixture
-def ddf_calls(monkeypatch):
+def ddf_ends():
+    """Per _ddf call under ddf_calls: (its result or NotSquarefree, the
+    Frobenius steps its degree loop took)."""
+    return []
+
+
+@pytest.fixture
+def ddf_calls(monkeypatch, ddf_ends):
     calls = []
     ddf = polyverify._ddf
 
     def counted(setup, p):
         calls.append(p)
-        return ddf(setup, p)
+        steps = []
+        frobenius = setup[1]
+
+        def step(h):
+            steps.append(p)
+            return frobenius(h)
+
+        try:
+            result = ddf((setup[0], step, *setup[2:]), p)
+        except NotSquarefree:
+            ddf_ends.append((NotSquarefree, len(steps)))
+            raise
+        ddf_ends.append((result, len(steps)))
+        return result
 
     monkeypatch.setattr(polyverify, "_ddf", counted)
     return calls
@@ -48,7 +71,7 @@ def setup_calls(monkeypatch):
     return calls
 
 
-def test_bundled_records_factor_only_at_skipped_primes(ddf_calls):
+def test_bundled_records_factor_only_at_skipped_primes(ddf_calls, ddf_ends):
     total = 0
     for k, ell in BUNDLED_LABELS:
         ddf_calls.clear()
@@ -59,14 +82,21 @@ def test_bundled_records_factor_only_at_skipped_primes(ddf_calls):
         total += len(ddf_calls)
     # one ddf per prime would be 1002 calls
     assert total == 9
+    # and each ends at its squarefree test: no degree loop runs on a correct record
+    assert ddf_ends == [(NotSquarefree, 0)] * 9
 
 
-def test_mutated_record_factors_at_each_fail(ddf_calls):
+def test_mutated_record_factors_at_each_fail(ddf_calls, ddf_ends):
     coeffs = list(bundled_record(26, 23).coeffs)
     coeffs[3] += 1
     rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, series=delta_k(26, 23, 200))
     assert rep.counts["fail"] >= 10
     assert ddf_calls == [p for p, status, _, _ in rep.outcomes if status in FALLBACK]
+    # the degree loop runs at the FAIL primes only, and its pattern is the
+    # one reported there; every other call ends at its squarefree test
+    walked = {p: result for p, (result, steps) in zip(ddf_calls, ddf_ends) if steps}
+    assert walked == {p: observed for p, status, observed, _ in rep.outcomes if status == "FAIL"}
+    assert all(end == (NotSquarefree, 0) for p, end in zip(ddf_calls, ddf_ends) if p not in walked)
 
 
 def _tested(rep):

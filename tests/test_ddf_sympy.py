@@ -124,18 +124,19 @@ def test_ddf_finds_planted_factors(p, degrees, rng):
 @pytest.mark.parametrize(
     "p, degrees",
     [
-        # n = 16, blocks of 3: degrees 1, 2 and 3 all hit the first block,
-        # then 4 hits the second and 6 is the irreducible remainder
+        # n = 16: degrees 1, 2, 3 and 4 are found at consecutive steps;
+        # then 2 * 5 exceeds the 6 left, so the scan stops and the sextic is
+        # the irreducible remainder
         (3, (1, 2, 3, 4, 6)),
-        # n = 24, blocks of 4: the gcd of the block 9..12 is all of what is
-        # left, and both factors come out at its last degree
+        # n = 24: both factors are found at d = 12, where 2d equals the
+        # remaining degree, so the stop must not come one step early
         (2, (12, 12)),
         (5, (12, 12)),
-        # n = 14, blocks of 3: two cubics at the end of the first block,
-        # two quartics at the start of the next, which holds only degree 4
+        # n = 14: equal degrees next to each other, two cubics at d = 3 and
+        # two quartics at d = 4, which use up all that is left
         (3, (3, 3, 4, 4)),
-        # n = 24, blocks of 4: two quartics at the end of the block 1..4,
-        # two quintics in the next block, which holds only degree 5
+        # n = 24: two factors at each of d = 1, 2, 4 and 5, none at d = 3,
+        # and the two quintics at 2d = the remaining degree 10
         (7, (4, 4, 5, 5, 1, 1, 2, 2)),
     ],
 )

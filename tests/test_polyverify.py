@@ -176,6 +176,10 @@ def _mul_int(a, b):
 
 
 def test_ddf_examples():
+    # a constant has no factors and a linear f is irreducible, monic or not
+    assert ddf(ModPoly(7, (3,))) == ()
+    assert ddf(ModPoly(7, (2, 1))) == (1,)
+    assert ddf(ModPoly(7, (2, 3))) == (1,)
     assert ddf(ModPoly(7, (1, 0, 1))) == (2,)
     assert ddf(ModPoly(7, (6, 0, 1))) == (1, 1)
     # fixture: (x-1)(x^2+1)(x^2+x+3); both quadratics verified irreducible
@@ -251,6 +255,18 @@ def test_verify_record_rejects_foreign_series():
     unlabeled = ProjPolyRecord(rec.coeffs)
     with pytest.raises(ValueError, match="not prime"):
         verify_record(unlabeled, 16, 15, 100, series=QExpansion(15, range(101), 16))
+
+
+def test_verify_record_rejects_a_non_primitive_record_before_the_scan():
+    # 2 f vanishes mod 2: the scan must not reach p = 2 and fail there on
+    # the zero polynomial, and the error names the content
+    with pytest.raises(ValueError, match=r"content gcd\(\*coeffs\) = 2$"):
+        verify_record(ProjPolyRecord((2, 0, 0, 0, 0, 0, 2)), 16, 5, 50)
+    for coeffs in ((), (0,)):
+        with pytest.raises(ValueError, match=r"content gcd\(\*coeffs\) = 0$"):
+            verify_record(ProjPolyRecord(coeffs), 16, 5, 50)
+    # a primitive record whose leading coefficient is not 1 is still scanned
+    assert verify_record(ProjPolyRecord((3, 0, 0, 0, 0, 0, 2)), 16, 5, 50).counts["fail"] >= 1
 
 
 def test_verify_record_detects_mutation():
