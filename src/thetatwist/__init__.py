@@ -60,7 +60,6 @@ from .twist import (
     PUBLISHED_TWISTS,
     TwistCertificate,
     check_twist,
-    projective_equiv,
     published_discrepancy,
     twist_bound,
     twist_search,

@@ -219,6 +219,7 @@ def cmd_tables(args):
     screens = []
     twists = []
     verifies = []
+    verified = {}
     for k, ell in BUNDLED_LABELS:
         # the twist certificate asks for delta_k at the largest precision
         # first, so the screen and the verification read truncations of it
@@ -226,7 +227,17 @@ def cmd_tables(args):
         twists.append((k, ell, i, kp, cert, published_discrepancy(k, ell, i, kp)))
         screens.append(screen_exceptional(k, ell, args.pbound))
         record = bundled_record(k, ell, args.data_dir)
-        verifies.append(verify_record(record, k, ell, args.pmax))
+        # The certificate proves delta_k = theta^i delta_k' mod ell, so
+        # a_p(delta_k) = p^i a_p(delta_k') and p^(k-1) = p^(2i) p^(k'-1): at
+        # every p != ell, t^2/d is unchanged and t^2 - 4d gains the square
+        # p^(2i), so the Frobenius class, the predicted pattern and each
+        # outcome are unchanged too.
+        # A record already verified for the same (ell, k') and coefficients
+        # is not scanned again; its report is relabelled with k.
+        key = (ell, kp, record.coeffs)
+        if key not in verified:
+            verified[key] = verify_record(record, k, ell, args.pmax)
+        verifies.append(verified[key]._replace(k=k))
     for rep in screens:
         ok = ok and rep.verdict == "likely unexceptional"
     for rep in verifies:

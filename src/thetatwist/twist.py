@@ -207,16 +207,6 @@ def twist_search(k, ell, extended=1000):
     )
 
 
-def projective_equiv(k, ell, extended=1000):
-    """Weight k' <= ell+1 whose projective representation equals delta_k's.
-
-    Twisting by a power of the cyclotomic character is invisible after the
-    quotient by scalars, so only the k' component of the search matters.
-    """
-    _, kp, _ = twist_search(k, ell, extended)
-    return kp
-
-
 def published_discrepancy(k, ell, i, kp):
     """Warning text when a found pair differs from the published table row."""
     ref = PUBLISHED_TWISTS.get((k, ell))

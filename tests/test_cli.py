@@ -1,13 +1,14 @@
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 
 import pytest
 
 from thetatwist import cli
 from thetatwist.cli import main
-from thetatwist.polyverify import VerificationReport
+from thetatwist.polyverify import BUNDLED_LABELS, VerificationReport, data_path
 from thetatwist.qseries import delta_k
 from thetatwist.galrep import ScreeningReport
 from thetatwist.twist import TwistCertificate
@@ -249,6 +250,28 @@ def test_tables_missing_data_exits_4(capsys, tmp_path):
     )
     assert code == 4
     assert err.startswith("error:")
+
+
+def test_tables_scans_a_twin_record_whose_coefficients_differ(capsys, tmp_path):
+    # (26, 13) twists to the same delta_12 mod 13 as (16, 13); with its own
+    # coefficients changed it must be scanned, not given the (16, 13) report
+    for k, ell in BUNDLED_LABELS:
+        shutil.copy(data_path(k, ell), tmp_path)
+    twin = tmp_path / "pk26_l13.txt"
+    text = twin.read_text()
+    assert text.count("-215") == 1  # the constant term
+    twin.write_text(text.replace("-215", "-214"))
+    code, out, err = run(
+        capsys,
+        "tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
+        "--data-dir", str(tmp_path), "--format", "json",
+    )
+    assert code == 5 and err == ""
+    doc = json.loads(out)
+    assert doc["all_passed"] is False
+    rows = {(row["k"], row["ell"]): row for row in doc["verification"]}
+    assert rows[(26, 13)]["failures"] and rows[(26, 13)]["counts"]["fail"] > 0
+    assert rows[(16, 13)]["failures"] == [] and rows[(16, 13)]["counts"]["fail"] == 0
 
 
 def test_usage_error_exits_2(capsys):

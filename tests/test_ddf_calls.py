@@ -11,12 +11,16 @@ On a correct record every DDF call ends at its squarefree test, so the
 degree loop runs only at FAIL primes.
 The polyverify module bindings of _ddf, _frobenius, _has_pattern, _divmod
 and _gcd are wrapped, since verify_record and _has_pattern look them up
-there.
+there.  tables verifies each projective representation once: the (26, 13)
+record, which twists to the same delta_12 mod 13 as (16, 13) and has the
+same coefficients, gets the (16, 13) report relabelled.
 """
+
+import json
 
 import pytest
 
-from thetatwist import polyverify
+from thetatwist import cli, polyverify
 from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import is_prime
 from thetatwist.polyverify import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
@@ -118,6 +122,20 @@ def test_one_setup_per_tested_prime_on_a_mutated_record(setup_calls, ddf_calls):
     # the FAIL primes reach the DDF, which reuses the pattern check's set-up
     assert setup_calls == _tested(rep)
     assert set(ddf_calls) >= set(rep.failures)
+
+
+def test_tables_builds_one_setup_per_prime_of_five_representations(setup_calls, capsys):
+    assert cli.main(["tables"]) == 0
+    capsys.readouterr()
+    # six records would build 1002; the (26, 13) scan is the (16, 13) one
+    assert len(setup_calls) == 835
+
+
+def test_tables_transports_the_report_it_would_compute(capsys):
+    assert cli.main(["tables", "--format", "json", "--full"]) == 0
+    rows = json.loads(capsys.readouterr().out)["verification"]
+    (row,) = [row for row in rows if (row["k"], row["ell"]) == (26, 13)]
+    assert row == verify_record(bundled_record(26, 13), 26, 13, 1000).to_json_dict(full=True)
 
 
 @pytest.fixture

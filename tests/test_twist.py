@@ -7,12 +7,13 @@ from thetatwist.errors import (
     PrimeMismatch,
     WeightIncongruent,
 )
+from thetatwist.ffield import primes_upto
+from thetatwist.galrep import _frobenius_class
 from thetatwist.qseries import QExpansion, delta_k, equal_upto, theta_power
 from thetatwist.twist import (
     PUBLISHED_TWISTS,
     TwistCertificate,
     check_twist,
-    projective_equiv,
     published_discrepancy,
     twist_bound,
     twist_search,
@@ -121,12 +122,28 @@ def test_twist_search_not_found():
         twist_search(16, 7, extended=20)
 
 
-def test_projective_equiv():
-    assert projective_equiv(26, 13, extended=100) == 12
-    assert projective_equiv(20, 17, extended=100) == 16
+def test_twist_search_finds_the_projective_weight():
+    assert twist_search(26, 13, extended=100)[1] == 12
+    assert twist_search(20, 17, extended=100)[1] == 16
+    # a found k' is its own projective weight, reached with no twist
     for k, ell in SIX_PAIRS:
-        kp = projective_equiv(k, ell, extended=100)
-        assert projective_equiv(kp, ell, extended=100) == kp
+        kp = twist_search(k, ell, extended=100)[1]
+        assert twist_search(kp, ell, extended=100)[:2] == (0, kp)
+
+
+def test_twist_keeps_every_frobenius_class():
+    # a_p(delta_k) = p^i a_p(delta_k') and p^(k-1) = p^(2i) p^(k'-1) mod ell, so
+    # t^2/d and t^2 - 4d agree up to a square: tables relies on this to verify
+    # a projective representation once for all its twists
+    for k, ell in SIX_PAIRS:
+        i, kp, _ = twist_search(k, ell, extended=100)
+        f, g = delta_k(k, ell, 3000), delta_k(kp, ell, 3000)
+        for p in primes_upto(3000):
+            if p == ell:
+                continue
+            assert _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell) == _frobenius_class(
+                g.coeff(p), pow(p, kp - 1, ell), ell
+            ), (k, ell, i, kp, p)
 
 
 def test_published_discrepancy():
