@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_15.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_17.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -32,6 +32,12 @@ records:
     mutations of the bundled records at pmax MUTATION_PMAX, and public ddf
     at every prime p <= DDF_PMAX of each bundled record, a NotSquarefree
     reduction counted as a call too;
+  - series_us: for each n in SERIES_NS, a cold delta_k(26, SERIES_ELL, n)
+    (the series cache emptied before each call, so E4, E6 and the six
+    products of its chain are built) and a warm series_mul of E4 by E6 mod
+    SERIES_ELL to precision n, both through the public API only;
+  - twist_us: a warm twist_search of each of the six bundled pairs at
+    extended TWIST_EXTENDED, all six in one call;
   - runs_s, each a fresh process: the default `thetatwist tables`, as text
     and as JSON, `tables` at perfbench's sizes (PERFBENCH_TABLES), the
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
@@ -92,6 +98,10 @@ DDF_PMAX = 1000
 #: None for a random monic record of degree 200 with 64-bit coefficients
 U_RECORDS = (("bundled k=26,ell=23", (26, 23)), ("random n=200,64-bit", None))
 U_PS = (97, 9973)
+#: the modulus and precisions of series_us, and the extended terms of twist_us
+SERIES_ELL = 691
+SERIES_NS = (1000, 4000, 20000)
+TWIST_EXTENDED = 1000
 #: `tables` at the sizes of perfbench's tables workload
 PERFBENCH_TABLES = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
                     "--format", "json"]
@@ -251,6 +261,35 @@ def wrong_records_us():
     }
 
 
+def series_us():
+    """Cold delta_k and warm series_mul times on the thetatwist on sys.path."""
+    from thetatwist import delta_k, eisenstein, series_mul
+
+    def cold(n):
+        delta_k.cache_clear()
+        return delta_k(26, SERIES_ELL, n)
+
+    out = {}
+    for n in SERIES_NS:
+        e4, e6 = eisenstein(4, SERIES_ELL, n), eisenstein(6, SERIES_ELL, n)
+        out[f"n={n}"] = {
+            "delta_k_cold_us": _per_call_us(lambda: cold(n)),
+            "series_mul_us": _per_call_us(lambda: series_mul(e4, e6)),
+        }
+    return out
+
+
+def twist_us():
+    """A warm twist_search of the six bundled pairs on the thetatwist on sys.path."""
+    from thetatwist import twist_search
+
+    def call():
+        return [twist_search(k, ell, TWIST_EXTENDED) for k, ell in RECORDS]
+
+    call()  # fill the series caches
+    return {f"six pairs, extended={TWIST_EXTENDED}": {"call_us": _per_call_us(call)}}
+
+
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
@@ -366,6 +405,8 @@ def main(argv=None):
             "verify_us_per_prime": verify_per_prime(),
             "rev_inverse_us": rev_inverse_us(),
             "wrong_records_us": wrong_records_us(),
+            "series_us": series_us(),
+            "twist_us": twist_us(),
         }))
         return 0
     if not args.src:
@@ -388,6 +429,8 @@ def main(argv=None):
         "verify_per_prime_pmax": VERIFY_PER_PRIME_PMAX,
         "rev_inverse_cases": {"records": [name for name, _ in U_RECORDS], "p": list(U_PS)},
         "wrong_records_cases": {"mutation_pmax": MUTATION_PMAX, "ddf_pmax": DDF_PMAX},
+        "series_cases": {"ell": SERIES_ELL, "n": list(SERIES_NS)},
+        "twist_extended": TWIST_EXTENDED,
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

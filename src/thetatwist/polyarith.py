@@ -1,13 +1,13 @@
-"""Polynomial products mod m by Kronecker substitution on packed ints.
+"""Polynomial products by Kronecker substitution on packed ints.
 
 A coefficient list with entries in [0, m) is packed into one Python int with
 one fixed-width slot per coefficient.  Multiplying two packed ints multiplies
 the polynomials, and any sum of such products (a matrix-vector product with
 packed rows, say) is computed in the same way.  As long as every slot of the
-result stays below 2^(8 * width), no carry crosses a slot, so unpacking gives
-the exact integer coefficients, which are then reduced mod m.  The caller
-picks the width from a bound on the result's slots, e.g.
-min(len a, len b) * (m - 1)^2 for a plain product.
+result stays below 2^(8 * width), no carry crosses a slot, so reading the
+slots gives the exact integer coefficients.  The caller picks the width
+from a bound on the result's slots, e.g. min(len a, len b) * (m - 1)^2 for
+a plain product.
 
 A packed value can also be reduced mod m without unpacking it: barrett
 returns a slot width and a reduction that maps every slot at once from
@@ -19,10 +19,10 @@ the product bound of degree-24 polynomials mod any m up to 13367 fits
 Slots of 1, 2, 4 or 8 bytes go through array and memoryview; wider slots
 (moduli above about 2^32 / sqrt(len)) go through int.to_bytes and
 int.from_bytes.  Both sides use the native byte order, so slot i holds c_i
-counted from the start of the byte string; unpack must therefore be told the
-full slot count of the value, and returns its leading slots.  unpack reduces
-each slot mod m; slots reads a value whose slots are already reduced (by
-barrett, say) as they stand.  Both go through one slot decoder.
+counted from the start of the byte string; slots must therefore be told the
+full slot count of the value, and returns its leading slots as they stand.
+mul leaves its product unreduced, so a caller that reduces anyway (as
+QExpansion does) pays for one reduction, not two.
 """
 
 import sys
@@ -47,28 +47,18 @@ def pack(coeffs, width):
     return int.from_bytes(b"".join(c.to_bytes(width, _ORDER) for c in coeffs), _ORDER)
 
 
-def _view(value, width, size, count):
-    """The first count of the size slots of value as a sequence of ints: a
-    memoryview for the array widths, a list for wider slots."""
-    data = memoryview(value.to_bytes(size * width, _ORDER))[: count * width]
+def slots(value, width, size, count=None):
+    """The first count (default all) of the size slots of value as a list,
+    each as it stands (no reduction)."""
+    data = memoryview(value.to_bytes(size * width, _ORDER))
+    data = data[: (size if count is None else count) * width]
     code = _CODES.get(width)
     if code is not None:
-        return data.cast(code)
+        return data.cast(code).tolist()
     return [
         int.from_bytes(data[i : i + width], _ORDER)
         for i in range(0, len(data), width)
     ]
-
-
-def slots(value, width, size):
-    """The size slots of value as a list, each as it stands (no reduction)."""
-    view = _view(value, width, size, size)
-    return view.tolist() if width in _CODES else view
-
-
-def unpack(value, width, size, m, count=None):
-    """The first count (default all) of the size slots of value, each mod m."""
-    return [c % m for c in _view(value, width, size, size if count is None else count)]
 
 
 def barrett(m, bound, size):
@@ -133,11 +123,12 @@ def barrett(m, bound, size):
 
 
 def mul(a, b, m, count=None):
-    """Product of two coefficient lists with entries in [0, m), mod m.
+    """Exact product of two coefficient lists with entries in [0, m).
 
     Returns the first count coefficients (default: all len a + len b - 1)
-    from one multiplication of packed ints.
+    from one multiplication of packed ints, unreduced: each lies in
+    [0, min(len a, len b) * (m - 1)^2].
     """
     size = max(len(a) + len(b) - 1, 0)
     width = slot_width(max(min(len(a), len(b)), 1) * (m - 1) ** 2)
-    return unpack(pack(a, width) * pack(b, width), width, size, m, count)
+    return slots(pack(a, width) * pack(b, width), width, size, count)

@@ -27,6 +27,9 @@ Everything is level 1 with trivial character, so the only type a series
 carries is an optional weight tag, a plain int.
 """
 
+from itertools import cycle
+from operator import mul
+
 from . import polyarith
 from .errors import (
     InsufficientPrecision,
@@ -76,10 +79,13 @@ class QExpansion:
         return self.coeffs[n]
 
     def truncate(self, n0):
+        """The series to precision n0; itself when it ends there already."""
         if n0 > self.precision:
             raise InsufficientPrecision(
                 f"cannot extend precision {self.precision} to {n0}"
             )
+        if n0 == self.precision:
+            return self
         return QExpansion(self.ell, self.coeffs[: n0 + 1], self.weight)
 
     def _check(self, other):
@@ -144,7 +150,8 @@ def series_mul(f, g):
 
     Both coefficient lists are packed into ints and multiplied once
     (Kronecker substitution, see polyarith); the first n + 1 slots of the
-    product are the truncated series.
+    exact product are the truncated series, reduced mod ell once, by the
+    QExpansion constructor.
     """
     f._check(g)
     n = min(f.precision, g.precision)
@@ -184,7 +191,7 @@ def _series(k, ell, n0):
     """E_k or delta_k mod ell to precision n0, from the cache or built into it."""
     f = _SERIES.get((k, ell))
     if f is not None and n0 <= f.precision:
-        return f if f.precision == n0 else f.truncate(n0)
+        return f.truncate(n0)
     if k in (4, 6):
         const, j = (240, 3) if k == 4 else (-504, 5)
         sig = _sigma_mod(j, n0, ell)
@@ -239,15 +246,19 @@ def theta(f):
 
 
 def theta_power(f, i):
-    """theta applied i times in one pass: a_n -> n^i * a_n."""
+    """theta applied i times in one pass: a_n -> n^i * a_n.
+
+    n^i mod ell depends on n mod ell only, so the powers of 0..ell-1 are
+    computed once and cycled along the coefficients.
+    """
     if i < 0:
         raise ValueError("theta exponent must be nonnegative")
     if i == 0:
         return f
     ell = f.ell
-    coeffs = [pow(n, i, ell) * c for n, c in enumerate(f.coeffs)]
+    powers = [pow(r, i, ell) for r in range(min(ell, len(f.coeffs)))]
     weight = None if f.weight is None else f.weight + i * (ell + 1)
-    return QExpansion(ell, coeffs, weight)
+    return QExpansion(ell, map(mul, cycle(powers), f.coeffs), weight)
 
 
 def hasse(ell, n0):
@@ -266,15 +277,16 @@ def sturm_bound(k):
 
 
 def equal_upto(f, g, m):
-    """Whether f and g agree as forms up to and including coefficient m.
+    """Whether f and g agree as forms up to and including coefficient m >= 0.
 
     When both carry weight tags the weights must be congruent mod ell - 1
     (incongruent weights can never be equal as mod-ell forms, whatever the
-    coefficients say).  Index 0
-    is compared too, so Eisenstein-vs-cusp comparisons fail immediately.
+    coefficients say).  Index 0 is compared too, so Eisenstein-vs-cusp
+    comparisons fail immediately.
     """
-    if f.ell != g.ell:
-        raise ModulusMismatch(f"moduli differ: {f.ell} vs {g.ell}")
+    f._check(g)
+    if m < 0:
+        raise ValueError(f"last index {m} is negative")
     if f.precision < m or g.precision < m:
         raise InsufficientPrecision(
             f"need precision {m}, have {f.precision} and {g.precision}"

@@ -7,6 +7,7 @@ check_twist certifies one candidate pair; twist_search scans (k', i) in a
 fixed deterministic order and returns the first pair that passes, which
 reduces a weight k > ell+1 form to one of weight k' <= ell+1 with an
 equivalent twisted representation (and an equal projective one).
+Both, and TwistCertificate.validate, take theta^i from qseries.theta_power.
 TwistCertificate is a collections.namedtuple subclass.
 """
 
@@ -21,7 +22,7 @@ from .errors import (
     WeightIncongruent,
 )
 from .ffield import check_prime, primes_upto
-from .qseries import SUPPORTED_WEIGHTS, delta_k
+from .qseries import SUPPORTED_WEIGHTS, delta_k, equal_upto, theta_power
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
 #: The (22, 11) row is printed there with i = 1, which fails the weight
@@ -66,8 +67,9 @@ class TwistCertificate(
 
         The stored checks alone are only self-consistent.  Given
         series=(f1, f2), the q-expansions of weights k1 and k2 mod ell to
-        precision at least the bound, each stored (p, lhs, rhs) must also
-        equal (a_p(f1), p^i a_p(f2) mod ell), re-derived from the series.
+        precision at least the largest stored prime, each stored
+        (p, lhs, rhs) must also equal (a_p(f1), a_p(theta^i f2)), re-derived
+        from the series with theta_power.
         """
         if not 0 <= self.i <= self.ell - 2:
             raise ValueError(f"exponent {self.i} outside [0, {self.ell - 2}]")
@@ -77,6 +79,8 @@ class TwistCertificate(
             )
         if self.bound < twist_bound(self.ell):
             raise ValueError(f"bound {self.bound} below required minimum")
+        if self.extended_terms < 0:
+            raise ValueError(f"extended_terms {self.extended_terms} is negative")
         seen = set()
         for p, lhs, rhs in self.prime_checks:
             if p == self.ell or p > self.bound:
@@ -92,8 +96,9 @@ class TwistCertificate(
         f1, f2 = series
         if f1.ell != self.ell or f2.ell != self.ell:
             raise ValueError(f"series are not mod {self.ell}")
+        g = theta_power(f2.truncate(max(seen, default=0)), self.i)
         for p, lhs, rhs in self.prime_checks:
-            derived = (f1.coeff(p), pow(p, self.i, self.ell) * f2.coeff(p) % self.ell)
+            derived = (f1.coeff(p), g.coeffs[p])
             if (lhs, rhs) != derived:
                 raise ValueError(
                     f"stored check at p={p} is {(lhs, rhs)}, the series give {derived}"
@@ -126,47 +131,36 @@ class TwistCertificate(
 def check_twist(f1, f2, i, extended=0):
     """Certify a_p(f1) = p^i a_p(f2) for all primes up to the twist bound.
 
-    Also confirms the full series identity a_n(f1) = n^i a_n(f2) for every
-    n <= extended, which is the statement f1 = theta^i f2.  Both series must
-    carry weight tags and reach precision max(bound, extended).
+    Also confirms f1 = theta^i f2 up to coefficient extended >= 0 with
+    equal_upto, i.e. a_n(f1) = n^i a_n(f2) for every n <= extended.  Both
+    series must carry weight tags and reach precision max(bound, extended),
+    to which theta_power builds theta^i f2 once.
     """
     f1._check(f2)
     if f1.weight is None or f2.weight is None:
         raise ValueError("both series need weight tags")
+    if extended < 0:
+        raise ValueError(f"extended {extended} is negative")
     ell = f1.ell
     if not weight_congruent(f1.weight, f2.weight, i, ell):
-        raise WeightIncongruent(
-            f"{f1.weight} != {f2.weight} + 2*{i} (mod {ell - 1})"
-        )
+        raise WeightIncongruent(f"{f1.weight} != {f2.weight} + 2*{i} (mod {ell - 1})")
     bound = twist_bound(ell)
     need = max(bound, extended)
     if f1.precision < need or f2.precision < need:
         raise InsufficientPrecision(
             f"need precision {need}, have {f1.precision} and {f2.precision}"
         )
-    checks = []
-    for p in primes_upto(bound):
-        if p == ell:
-            continue
-        lhs = f1.coeff(p)
-        rhs = pow(p, i, ell) * f2.coeff(p) % ell
+    g = theta_power(f2.truncate(need), i)
+    a, b = f1.coeffs, g.coeffs
+    checks = tuple((p, a[p], b[p]) for p in primes_upto(bound) if p != ell)
+    for p, lhs, rhs in checks:
         if lhs != rhs:
             raise PrimeMismatch(p, lhs, rhs)
-        checks.append((p, lhs, rhs))
-    for n in range(extended + 1):
-        lhs = f1.coeff(n)
-        rhs = pow(n, i, ell) * f2.coeff(n) % ell
-        if lhs != rhs:
-            raise CoefficientMismatch(n, lhs, rhs)
-    return TwistCertificate(
-        ell=ell,
-        k1=f1.weight,
-        k2=f2.weight,
-        i=i % (ell - 1),
-        bound=bound,
-        extended_terms=extended,
-        prime_checks=tuple(checks),
-    )
+    if not equal_upto(f1, g, extended):
+        n = next(n for n in range(extended + 1) if a[n] != b[n])
+        raise CoefficientMismatch(n, a[n], b[n])
+    return TwistCertificate(ell=ell, k1=f1.weight, k2=f2.weight, i=i % (ell - 1), bound=bound,
+                            extended_terms=extended, prime_checks=checks)
 
 
 def twist_search(k, ell, extended=1000):

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from thetatwist.ffield import is_prime, primes_upto
-from thetatwist.polyarith import barrett, mul, pack, slot_width, unpack
+from thetatwist.polyarith import barrett, mul, pack, slot_width, slots
 
 import oracles
 
@@ -28,21 +28,27 @@ def operands(draw):
 @settings(max_examples=300, deadline=None)
 @given(operands())
 def test_packed_product_matches_schoolbook(case):
+    # mul is exact: reduced mod m it is the schoolbook product, and no slot
+    # exceeds the bound its width was chosen for
     m, a, b = case
     full = oracles.poly_mul_mod(a, b, m)
-    assert mul(a, b, m) == full
+    exact = mul(a, b, m)
+    assert [c % m for c in exact] == full
+    assert all(c <= min(len(a), len(b)) * (m - 1) ** 2 for c in exact)
     for count in {0, len(full) // 2, len(full)}:
-        assert mul(a, b, m, count) == full[:count]
+        assert mul(a, b, m, count) == exact[:count]
 
 
 @pytest.mark.parametrize("m", [7, 4294967311])
 def test_packed_product_edge_cases(m):
     assert mul([], [], m) == []
     assert mul([], [1, 2, 3], m) == [0, 0]
-    assert mul([m - 1], [m - 1], m) == [1]
+    assert mul([m - 1], [m - 1], m) == [(m - 1) ** 2]
     assert mul([0, 0, 0], [0, 0], m) == [0, 0, 0, 0]
+    # every middle slot reaches the bound min(9, 4) * (m - 1)^2
     a, b = [m - 1] * 9, [m - 1] * 4
-    assert mul(a, b, m) == oracles.poly_mul_mod(a, b, m)
+    assert mul(a, b, m) == [j * (m - 1) ** 2 for j in (1, 2, 3, 4, 4, 4, 4, 4, 4, 3, 2, 1)]
+    assert [c % m for c in mul(a, b, m)] == oracles.poly_mul_mod(a, b, m)
 
 
 def test_slot_width_is_smallest_that_holds_the_bound():
@@ -59,8 +65,8 @@ def test_slot_width_is_smallest_that_holds_the_bound():
 def test_pack_unpack_roundtrip(width):
     coeffs = [0, 1, 2**(8 * width) - 1, 5, 0]
     value = pack(coeffs, width)
-    assert unpack(value, width, len(coeffs), 2**(8 * width)) == coeffs
-    assert unpack(value, width, len(coeffs), 2**(8 * width), 2) == coeffs[:2]
+    assert slots(value, width, len(coeffs)) == coeffs
+    assert slots(value, width, len(coeffs), 2) == coeffs[:2]
 
 
 def _frobenius_bound(n, p):
@@ -101,11 +107,11 @@ def test_barrett_reduces_every_slot(p):
         width, reduce = barrett(p, bound, 2 * n)
         edge = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, bound - 1, bound]
         for _ in range(20):
-            slots = [rng.choice(edge + [rng.randrange(bound + 1)]) for _ in range(2 * n)]
-            value = reduce(pack(slots, width))
-            assert unpack(value, width, 2 * n, 2 ** (8 * width)) == [c % p for c in slots]
+            cs = [rng.choice(edge + [rng.randrange(bound + 1)]) for _ in range(2 * n)]
+            value = reduce(pack(cs, width))
+            assert slots(value, width, 2 * n) == [c % p for c in cs]
         top = reduce(pack([bound] * (2 * n), width))
-        assert unpack(top, width, 2 * n, 2 ** (8 * width)) == [bound % p] * (2 * n)
+        assert slots(top, width, 2 * n) == [bound % p] * (2 * n)
 
 
 @pytest.mark.parametrize("p", BARRETT_PRIMES)
@@ -120,5 +126,5 @@ def test_barrett_reduced_product_matches_schoolbook(p):
             ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]),
         ):
             value = reduce(pack(a, width) * pack(b, width))
-            got = unpack(value, width, 2 * n - 1, 2 ** (8 * width))
+            got = slots(value, width, 2 * n - 1)
             assert got == oracles.poly_mul_mod(a, b, p)

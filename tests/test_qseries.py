@@ -105,6 +105,9 @@ def test_coeff_never_zero_extends():
         f.coeff(3)
     with pytest.raises(InsufficientPrecision):
         f.coeff(-1)
+    assert f.truncate(2) is f and f.truncate(1).coeffs == (0, 1)
+    with pytest.raises(InsufficientPrecision):
+        f.truncate(3)
 
 
 def test_delta12_matches_eta_product_oracle():
@@ -232,6 +235,8 @@ def test_theta_power():
     f = delta_k(12, 13, 50)
     t2 = theta(theta(f))
     assert theta_power(f, 2).coeffs == t2.coeffs
+    # against n^2 a_n directly, past n = ell where the powers repeat
+    assert t2.coeffs == tuple(n * n * c % 13 for n, c in enumerate(f.coeffs))
     assert theta_power(f, 2).weight == t2.weight
     assert theta_power(f, 0) is f
 
@@ -287,6 +292,12 @@ def test_equal_upto_errors():
         equal_upto(f, f, 6)
     with pytest.raises(ModulusMismatch):
         equal_upto(f, delta_k(12, 11, 5), 5)
+
+
+def test_equal_upto_refuses_negative_index():
+    # no coefficient is compared below index 0, so a pass would be vacuous
+    with pytest.raises(ValueError):
+        equal_upto(QExpansion(13, [1, 2, 3]), QExpansion(13, [4, 5, 6]), -1)
 
 
 def test_equal_upto_weight_incongruent_tags_fail():

@@ -2,6 +2,7 @@
 import pytest
 
 from thetatwist.errors import (
+    CoefficientMismatch,
     InsufficientPrecision,
     NotFound,
     PrimeMismatch,
@@ -86,6 +87,30 @@ def test_check_twist_insufficient_precision():
         check_twist(delta_k(16, 13, 10), delta_k(12, 13, 10), 2)
     with pytest.raises(InsufficientPrecision):
         check_twist(delta_k(16, 13, 20), delta_k(12, 13, 20), 2, extended=50)
+
+
+@pytest.mark.parametrize("n", [4, 13])
+def test_check_twist_coefficient_mismatch(n):
+    # 4 is a composite inside the bound 15, and 13 = ell the prime the scan
+    # skips: only the full series identity sees either corruption
+    f1, f2 = delta_k(16, 13, 40), delta_k(12, 13, 40)
+    coeffs = list(f1.coeffs)
+    coeffs[n] = (coeffs[n] + 1) % 13
+    with pytest.raises(CoefficientMismatch) as exc:
+        check_twist(QExpansion(13, coeffs, 16), f2, 2, extended=40)
+    assert exc.value.index == n
+    assert exc.value.lhs == coeffs[n]
+    assert exc.value.rhs == pow(n, 2, 13) * f2.coeff(n) % 13 == f1.coeff(n)
+
+
+def test_check_twist_refuses_negative_extended():
+    with pytest.raises(ValueError):
+        check_twist(delta_k(16, 13, 20), delta_k(12, 13, 20), 2, extended=-5)
+
+
+def test_twist_search_refuses_negative_extended():
+    with pytest.raises(ValueError):
+        twist_search(16, 13, extended=-7)
 
 
 def test_check_twist_requires_tags():
@@ -193,7 +218,18 @@ def test_certificate_validate_rederives_from_series():
     forged.validate()  # self-consistent: every stored lhs equals its rhs
     series = (delta_k(16, 13, 15), delta_k(12, 13, 15))
     cert.validate(series=series)
+    # precision up to the largest stored prime, 11, is enough
+    cert.validate(series=(delta_k(16, 13, 11), delta_k(12, 13, 11)))
     with pytest.raises(ValueError):
         forged.validate(series=series)
     with pytest.raises(ValueError):
         cert.validate(series=(delta_k(16, 17, 25), delta_k(12, 17, 25)))
+
+
+def test_certificate_validate_refuses_negative_extended_terms():
+    _, _, cert = twist_search(16, 13, extended=50)
+    bad = cert._replace(extended_terms=-5)
+    with pytest.raises(ValueError):
+        bad.validate()
+    with pytest.raises(ValueError):
+        TwistCertificate.from_json_dict(bad.to_json_dict()).validate()
