@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_17.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_18.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -34,10 +34,14 @@ records:
     reduction counted as a call too;
   - series_us: for each n in SERIES_NS, a cold delta_k(26, SERIES_ELL, n)
     (the series cache emptied before each call, so E4, E6 and the six
-    products of its chain are built) and a warm series_mul of E4 by E6 mod
-    SERIES_ELL to precision n, both through the public API only;
+    products of its chain are built), a cold delta_k(12, SERIES_ELL, n)
+    ("delta12_cold_us", Delta alone, however the tree builds it) and a
+    warm series_mul of E4 by E6 mod SERIES_ELL to precision n, all through
+    the public API only;
   - twist_us: a warm twist_search of each of the six bundled pairs at
-    extended TWIST_EXTENDED, all six in one call;
+    extended TWIST_EXTENDED, all six in one call, and a warm twist_search
+    of TWIST_LARGE at the same extended, whose search rejects ten
+    candidates over a twist bound of 39,848 coefficients;
   - runs_s, each a fresh process: the default `thetatwist tables`, as text
     and as JSON, `tables` at perfbench's sizes (PERFBENCH_TABLES), the
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
@@ -102,6 +106,7 @@ U_PS = (97, 9973)
 SERIES_ELL = 691
 SERIES_NS = (1000, 4000, 20000)
 TWIST_EXTENDED = 1000
+TWIST_LARGE = (26, 691)
 #: `tables` at the sizes of perfbench's tables workload
 PERFBENCH_TABLES = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
                     "--format", "json"]
@@ -265,29 +270,38 @@ def series_us():
     """Cold delta_k and warm series_mul times on the thetatwist on sys.path."""
     from thetatwist import delta_k, eisenstein, series_mul
 
-    def cold(n):
+    def cold(k, n):
         delta_k.cache_clear()
-        return delta_k(26, SERIES_ELL, n)
+        return delta_k(k, SERIES_ELL, n)
 
     out = {}
     for n in SERIES_NS:
         e4, e6 = eisenstein(4, SERIES_ELL, n), eisenstein(6, SERIES_ELL, n)
         out[f"n={n}"] = {
-            "delta_k_cold_us": _per_call_us(lambda: cold(n)),
+            "delta_k_cold_us": _per_call_us(lambda: cold(26, n)),
+            "delta12_cold_us": _per_call_us(lambda: cold(12, n)),
             "series_mul_us": _per_call_us(lambda: series_mul(e4, e6)),
         }
     return out
 
 
 def twist_us():
-    """A warm twist_search of the six bundled pairs on the thetatwist on sys.path."""
+    """Warm twist_search times on the thetatwist on sys.path."""
     from thetatwist import twist_search
 
     def call():
         return [twist_search(k, ell, TWIST_EXTENDED) for k, ell in RECORDS]
 
+    def large():
+        return twist_search(*TWIST_LARGE, TWIST_EXTENDED)
+
     call()  # fill the series caches
-    return {f"six pairs, extended={TWIST_EXTENDED}": {"call_us": _per_call_us(call)}}
+    large()
+    k, ell = TWIST_LARGE
+    return {
+        f"six pairs, extended={TWIST_EXTENDED}": {"call_us": _per_call_us(call)},
+        f"k={k},ell={ell}, extended={TWIST_EXTENDED}": {"call_us": _per_call_us(large)},
+    }
 
 
 def _env(tree):
@@ -431,6 +445,7 @@ def main(argv=None):
         "wrong_records_cases": {"mutation_pmax": MUTATION_PMAX, "ddf_pmax": DDF_PMAX},
         "series_cases": {"ell": SERIES_ELL, "n": list(SERIES_NS)},
         "twist_extended": TWIST_EXTENDED,
+        "twist_large": list(TWIST_LARGE),
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

@@ -154,11 +154,12 @@ def screen_exceptional(k, ell, bound):
     a = {p: f.coeff(p) for p in primes}
 
     # p0^j and p0^(k-1-j) advance by one multiplication per j; the other
-    # primes are tested only at a j where p0 passes
+    # primes are tested only at a j where p0 passes, which makes p0^j a root
+    # of x^2 - a_p0 x + p0^(k-1): none passes where that has no root in F_ell
     p0, rest = primes[0], primes[1:]
     x, y, p0_inv = 1, pow(p0, k - 1, ell), pow(p0, -1, ell)
     reducible_j = None
-    for j in range(ell - 1):
+    for j in range(ell - 1 if legendre(a[p0] ** 2 - 4 * y, ell) != -1 else 0):
         if (x + y) % ell == a[p0] and all(
             a[p] == (pow(p, j, ell) + pow(p, (k - 1 - j) % (ell - 1), ell)) % ell
             for p in rest

@@ -2,8 +2,8 @@
 
 A QExpansion records a prime modulus, a precision n0 and the coefficients
 a_0..a_{n0} as plain integers in [0, ell).  All arithmetic stays in F_ell;
-the Eisenstein constants and 1728 are invertible for ell >= 5, so no
-big-integer stage is ever needed.  Binary operations truncate to the smaller
+every series built here has integer coefficients and needs no division, so
+no big-integer stage is ever needed.  A product truncates to the smaller
 precision, and reading a coefficient past the recorded precision raises
 rather than silently returning zero.  A series product is one multiplication
 of packed integers (Kronecker substitution, see polyarith), not a
@@ -12,10 +12,11 @@ coefficient-by-coefficient Cauchy loop.
 The generators provided here are the weight 4 and 6 Eisenstein series, the
 one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26}, the
 theta operator q d/dq, and the weight ell-1 form with q-expansion 1 whose
-multiplication shifts nominal weight without touching coefficients.  Each
-delta_k above 12 is one product, by E4 or E6, of a lower-weight delta_k at
-the same (ell, n0), so a sweep over the six weights at one (ell, n0) costs
-8 series products: 3 for the discriminant form, then one per weight.
+multiplication shifts nominal weight without touching coefficients.  Delta
+is q (eta^3)^8 from Jacobi's sparse eta^3, 3 squarings; each delta_k above
+12 is one product, by E4 or E6, of a lower-weight delta_k at the same
+(ell, n0): E4 for weights 16, 20, 22 and 26, E6 for 18, 22 and 26.  A sweep
+over the six weights at one (ell, n0) costs 8 series products.
 
 eisenstein and delta_k share one cache: one series per (k, ell), at the
 largest precision asked so far.  A shorter request is a truncation, exact
@@ -28,6 +29,7 @@ carries is an optional weight tag, a plain int.
 """
 
 from itertools import cycle
+from math import isqrt
 from operator import mul
 
 from . import polyarith
@@ -36,7 +38,7 @@ from .errors import (
     ModulusMismatch,
     UnsupportedWeight,
 )
-from .ffield import check_prime
+from .ffield import check_prime, primes_upto
 
 #: weights k > 12 with dim S_k(SL_2(Z)) = 1, as steps (k0, j) in
 #: delta_k = delta_{k0} * E_j
@@ -49,17 +51,13 @@ SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 MAX_PRECISION = 10**7
 
 
-def _same_weight(f, g):
-    return f.weight if f.weight == g.weight else None
-
-
 class QExpansion:
     """Truncated q-series over F_ell, optionally tagged with a weight."""
 
     __slots__ = ("ell", "coeffs", "weight")
 
     def __init__(self, ell, coeffs, weight=None):
-        coeffs = tuple(c % ell for c in coeffs)
+        coeffs = tuple([c % ell for c in coeffs])
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self.ell = ell
@@ -91,23 +89,6 @@ class QExpansion:
     def _check(self, other):
         if self.ell != other.ell:
             raise ModulusMismatch(f"moduli differ: {self.ell} vs {other.ell}")
-
-    def __add__(self, other):
-        self._check(other)
-        n = min(self.precision, other.precision)
-        coeffs = [x + y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        return QExpansion(self.ell, coeffs, _same_weight(self, other))
-
-    def __sub__(self, other):
-        self._check(other)
-        n = min(self.precision, other.precision)
-        coeffs = [x - y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])]
-        return QExpansion(self.ell, coeffs, _same_weight(self, other))
-
-    def scale(self, scalar):
-        """Multiply every coefficient by a scalar in F_ell."""
-        s = scalar % self.ell
-        return QExpansion(self.ell, [s * c for c in self.coeffs], self.weight)
 
     def __mul__(self, other):
         return series_mul(self, other)
@@ -149,24 +130,34 @@ def series_mul(f, g):
     """Cauchy product truncated to the smaller precision.
 
     Both coefficient lists are packed into ints and multiplied once
-    (Kronecker substitution, see polyarith); the first n + 1 slots of the
-    exact product are the truncated series, reduced mod ell once, by the
-    QExpansion constructor.
+    (Kronecker substitution, see polyarith); series_mul(f, f) packs once and
+    squares.  The first n + 1 slots of the exact product are the truncated
+    series, reduced mod ell once, by the QExpansion constructor.
     """
     f._check(g)
     n = min(f.precision, g.precision)
-    out = polyarith.mul(f.coeffs[: n + 1], g.coeffs[: n + 1], f.ell, n + 1)
+    a = f.coeffs[: n + 1]
+    out = polyarith.mul(a, a if g is f else g.coeffs[: n + 1], f.ell, n + 1)
     weight = None if f.weight is None or g.weight is None else f.weight + g.weight
     return QExpansion(f.ell, out, weight)
 
 
 def _sigma_mod(j, n0, ell):
-    # sig[m] = sum of d^j over divisors d of m, mod ell
-    sig = [0] * (n0 + 1)
-    for d in range(1, n0 + 1):
-        pd = pow(d, j, ell)
-        for m in range(d, n0 + 1, d):
-            sig[m] += pd
+    """[sigma_j(m) mod ell for m in 0..n0], 0 at m = 0, in one step per m:
+    sigma_j(p^e s) = sigma_j(s) + p^j sigma_j(p^(e-1) s), p the least prime."""
+    spf = [0] * (n0 + 1)  # smallest prime factor of each composite, else 0
+    for p in reversed(primes_upto(isqrt(n0))):
+        spf[p * p :: p] = [p] * ((n0 - p * p) // p + 1)
+    sig = [0, 1][: n0 + 1] + [0] * (n0 - 1)
+    rest = [1] * (n0 + 1)  # m with every factor of its smallest prime removed
+    for m in range(2, n0 + 1):
+        p = spf[m]
+        if p:
+            q = m // p
+            s = rest[m] = rest[q] if q % p == 0 else q
+            sig[m] = (sig[s] + (sig[p] - 1) * sig[q]) % ell  # sig[p] - 1 = p^j
+        else:
+            sig[m] = (1 + pow(m, j, ell)) % ell
     return sig
 
 
@@ -174,10 +165,10 @@ def _sigma_mod(j, n0, ell):
 _SERIES = {}
 
 
-def _check(ell, n0, least):
-    """Raise where a cold call would; ell is proved once, as every series is
-    cached after its ell passed, and every delta_k caches E4."""
-    if (4, ell) not in _SERIES:
+def _check(k, ell, n0, least):
+    """Raise where a cold call would; ell is proved once per (k, ell), as a
+    series is cached only after its ell passed."""
+    if (k, ell) not in _SERIES:
         check_prime(ell)
         if ell < 5:
             raise ValueError("ell >= 5 required")
@@ -188,20 +179,26 @@ def _check(ell, n0, least):
 
 
 def _series(k, ell, n0):
-    """E_k or delta_k mod ell to precision n0, from the cache or built into it."""
+    """E_k (one _sigma_mod), Delta (Jacobi's eta^3) or delta_k (one product)
+    mod ell to precision n0, from the cache or built into it."""
     f = _SERIES.get((k, ell))
     if f is not None and n0 <= f.precision:
         return f.truncate(n0)
     if k in (4, 6):
         const, j = (240, 3) if k == 4 else (-504, 5)
         sig = _sigma_mod(j, n0, ell)
-        f = QExpansion(ell, [1] + [const * sig[m] for m in range(1, n0 + 1)], k)
+        f = QExpansion(ell, [1] + [const * s for s in sig[1:]], k)
     else:
         if k == 12:
-            e4 = _series(4, ell, n0)
-            e6 = _series(6, ell, n0)
-            e4sq = series_mul(e4, e4)
-            f = (series_mul(e4sq, e4) - series_mul(e6, e6)).scale(pow(1728, -1, ell))
+            # Jacobi: prod (1 - q^m)^3 = sum_j (-1)^j (2j + 1) q^(j(j+1)/2),
+            # and Delta = q prod (1 - q^m)^24 is q times its eighth power
+            eta3 = [0] * n0
+            for j in range((isqrt(8 * n0 - 7) + 1) // 2):  # j(j+1)/2 < n0
+                eta3[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+            f = QExpansion(ell, eta3)
+            for _ in range(3):
+                f = series_mul(f, f)
+            f = QExpansion(ell, (0,) + f.coeffs, 12)
         else:
             k0, j = _DELTA_STEPS[k]
             f = series_mul(_series(k0, ell, n0), _series(j, ell, n0))
@@ -215,24 +212,25 @@ def eisenstein(k, ell, n0):
     """Level-1 Eisenstein series E4 or E6 mod ell, to precision n0 >= 0."""
     if k not in (4, 6):
         raise UnsupportedWeight(f"only E4 and E6 are provided, not E{k}")
-    _check(ell, n0, 0)
+    _check(k, ell, n0, 0)
     return _series(k, ell, n0)
 
 
 def delta_k(k, ell, n0):
     """The normalized cusp form of level 1 and weight k, reduced mod ell.
 
-    delta_12 is Delta = (E4^3 - E6^2)/1728.  Every other weight is one
-    product delta_{k0} * E_j from its predecessor in _DELTA_STEPS, through
-    the shared cache, so a cold weight costs the products of its chain (6 for
-    delta_26 = Delta * E4 * E6 * E4) and each further weight at the same
-    (ell, n0) or below costs one.
+    delta_12 is Delta = q (eta^3)^8, three squarings of Jacobi's series.
+    Every other weight is one product delta_{k0} * E_j from its predecessor
+    in _DELTA_STEPS, through the shared cache, so a cold weight costs the
+    products of its chain (6 for delta_26 = Delta * E4 * E6 * E4), builds
+    only the Eisenstein series that chain multiplies by, and each further
+    weight at the same (ell, n0) or below costs one.
     """
     if k != 12 and k not in _DELTA_STEPS:
         raise UnsupportedWeight(
             f"weight {k} not in the one-dimensional list {SUPPORTED_WEIGHTS}"
         )
-    _check(ell, n0, 1)
+    _check(k, ell, n0, 1)
     return _series(k, ell, n0)
 
 

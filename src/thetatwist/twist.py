@@ -189,6 +189,9 @@ def twist_search(k, ell, extended=1000):
         for i in range(ell - 1):
             if not weight_congruent(k, kp, i, ell):
                 continue
+            # most candidates fail at p = 2: test it before theta^i f2 in full
+            if theta_power(f2.truncate(2), i).coeffs[2] != f1.coeffs[2]:
+                continue
             try:
                 check_twist(f1, f2, i)
             except PrimeMismatch:

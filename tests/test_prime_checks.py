@@ -39,6 +39,18 @@ def test_screen_runs_no_primality_test_on_a_warm_cache(is_prime_calls):
     assert is_prime_calls == []
 
 
+def test_warm_delta_k_runs_no_primality_test(is_prime_calls):
+    # a cold Delta builds no E4, so ell is remembered per cached (k, ell)
+    delta_k.cache_clear()
+    for k in (12, 26):
+        delta_k(k, 13, 50)
+        is_prime_calls.clear()
+        delta_k(k, 13, 40)
+        delta_k(k, 13, 80)
+        assert is_prime_calls == []
+    delta_k.cache_clear()
+
+
 def test_verify_record_tests_each_prime_once(is_prime_calls):
     series = delta_k(26, 23, 1000)
     is_prime_calls.clear()

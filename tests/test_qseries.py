@@ -7,7 +7,7 @@ from thetatwist.errors import (
     ModulusMismatch,
     UnsupportedWeight,
 )
-from thetatwist import qseries
+from thetatwist import polyarith, qseries
 from thetatwist.ffield import primes_upto
 from thetatwist.qseries import (
     MAX_PRECISION,
@@ -75,6 +75,28 @@ def test_series_mul_e4_e6_against_integer_oracle():
         assert list(got.coeffs) == [c % ell for c in e10_int]
     prod13 = series_mul(eisenstein(4, 13, 2), eisenstein(6, 13, 2))
     assert prod13.coeffs == (1, 9, 2)
+
+
+def test_series_square_packs_once(monkeypatch):
+    packs = []
+    pack = polyarith.pack
+
+    def counted(coeffs, width):
+        packs.append(len(coeffs))
+        return pack(coeffs, width)
+
+    monkeypatch.setattr(polyarith, "pack", counted)
+    rng = random.Random(18)
+    for ell in (13, 4294967311):
+        f = QExpansion(ell, [rng.randrange(ell) for _ in range(60)], 4)
+        packs.clear()
+        square = series_mul(f, f)
+        assert packs == [60]
+        assert list(square.coeffs) == oracles.poly_mul_mod(f.coeffs, f.coeffs, ell)[:60]
+        assert square.weight == 8
+        packs.clear()
+        assert series_mul(f, QExpansion(ell, f.coeffs, 4)) == square
+        assert packs == [60, 60]
 
 
 def test_series_mul_truncates_to_smaller_precision():

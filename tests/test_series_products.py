@@ -10,12 +10,17 @@ import random
 import pytest
 
 from thetatwist import cli, qseries
-from thetatwist.qseries import delta_k, eisenstein, series_mul
+from thetatwist.qseries import QExpansion, delta_k, eisenstein, series_mul
+
+import oracles
 
 WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 #: delta_k = Delta * E4^a * E6^b
 EXPONENTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+
+#: the j of each sigma_j a cold chain builds: sigma_3 for E4, sigma_5 for E6
+SIGMA_JS = {12: [], 16: [3], 18: [5], 20: [3], 22: [3, 5], 26: [3, 5]}
 
 
 @pytest.fixture
@@ -34,6 +39,19 @@ def products(monkeypatch):
     eisenstein.cache_clear()
 
 
+@pytest.fixture
+def sigmas(monkeypatch):
+    calls = []
+    sigma_mod = qseries._sigma_mod
+
+    def counted(j, n0, ell):
+        calls.append((j, n0, ell))
+        return sigma_mod(j, n0, ell)
+
+    monkeypatch.setattr(qseries, "_sigma_mod", counted)
+    return calls
+
+
 def test_six_weights_at_one_precision_cost_eight_products(products):
     for k in WEIGHTS:
         delta_k(k, 13, 50)
@@ -44,23 +62,36 @@ def test_six_weights_at_one_precision_cost_eight_products(products):
 @pytest.mark.parametrize(
     "k, cold", [(12, 3), (16, 4), (18, 4), (20, 5), (22, 5), (26, 6)]
 )
-def test_single_cold_weight_costs_its_chain(products, k, cold):
+def test_single_cold_weight_costs_its_chain(products, sigmas, k, cold):
     delta_k(k, 13, 50)
     assert len(products) == cold
+    # Delta is three squarings of Jacobi's eta^3 and needs no divisor sum;
+    # E4 and E6 are built only where the chain multiplies by them
+    assert sorted(j for j, _, _ in sigmas) == SIGMA_JS[k]
 
 
 def _direct(k, ell, n0):
     e4, e6 = eisenstein(4, ell, n0), eisenstein(6, ell, n0)
-    f = (series_mul(series_mul(e4, e4), e4) - series_mul(e6, e6)).scale(
-        pow(1728, -1, ell)
-    )
+    e4cube, e6sq = series_mul(series_mul(e4, e4), e4), series_mul(e6, e6)
+    inv = pow(1728, -1, ell)
+    f = QExpansion(ell, [(x - y) * inv for x, y in zip(e4cube.coeffs, e6sq.coeffs)], 12)
     a, b = EXPONENTS[k]
     for g in [e4] * a + [e6] * b:
         f = series_mul(f, g)
     return f
 
 
+def test_sigma_mod_matches_the_divisor_sum_oracle():
+    # ell <= n too, where ell divides some m and some sigma_j(m)
+    for j in (3, 5):
+        exact = [0] + [oracles.sigma(j, m) for m in range(1, 401)]
+        for ell in (5, 7, 13, 691, 4294967311):
+            for n in [*range(60), 400]:
+                assert qseries._sigma_mod(j, n, ell) == [s % ell for s in exact[: n + 1]]
+
+
 def test_every_weight_matches_the_direct_monomial():
+    # against E4^3 - E6^2, the route Delta was built by before Jacobi's eta^3
     delta_k.cache_clear()
     rng = random.Random(7)
     for ell in (5, 13, 691, 4294967311):
@@ -72,29 +103,23 @@ def test_every_weight_matches_the_direct_monomial():
             assert f.weight == k and f.precision == n0
 
 
-def test_tables_builds_each_series_once_at_its_largest_precision(products, monkeypatch, capsys):
-    sigmas = []
-    sigma_mod = qseries._sigma_mod
-
-    def counted(j, n0, ell):
-        sigmas.append((j, n0, ell))
-        return sigma_mod(j, n0, ell)
-
-    monkeypatch.setattr(qseries, "_sigma_mod", counted)
+def test_tables_builds_each_series_once_at_its_largest_precision(products, sigmas, capsys):
     argv = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150", "--format", "json"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # one E4 and one E6 per ell, and one product per link of each chain.  A
-    # cache keyed on the precision too builds 85 products and 30 sigmas, at
-    # the twist bound, at the screen's and verification's 100 and at the
-    # twist certificate's 150.  This cache builds 58 and 20, each chain
-    # twice, if the twist search asks for its bound first or the screen runs
-    # before the twist
-    assert len(sigmas) == 10
+    # one product per link of each chain, and one E4 and one E6 per ell but
+    # 17: Delta needs neither, and (20, 17) and its twist candidates 12 and
+    # 16 need only E4, so E6 mod 17 is never built (it was 10 sigmas when
+    # Delta was (E4^3 - E6^2)/1728).  A cache keyed on the precision too
+    # builds 85 products and 30 sigmas, at the twist bound, at the screen's
+    # and verification's 100 and at the twist certificate's 150.  This cache
+    # builds 58 and 20, each chain twice, if the twist search asks for its
+    # bound first or the screen runs before the twist
+    assert len(sigmas) == 9
     assert len(products) == 31
     held = {key: f.precision for key, f in qseries._SERIES.items()}
     assert all(f.weight == k and f.ell == ell for (k, ell), f in qseries._SERIES.items())
-    # one series per (k, ell): 30 of them, all at the twist certificate's 150
+    # one series per (k, ell): 29 of them, all at the twist certificate's 150
     # but the two twist candidates tried only at the twist bound of ell = 23
-    assert len(held) == 30
+    assert len(held) == 29
     assert {key: n0 for key, n0 in held.items() if n0 != 150} == {(18, 23): 46, (20, 23): 46}
