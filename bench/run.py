@@ -186,14 +186,12 @@ def cli_main():
 
 def verify_per_prime():
     """verify_record's time per tested prime over the six bundled records."""
-    from thetatwist import bundled_record, delta_k, verify_record
+    from thetatwist import bundled_record, verify_record
 
-    jobs = [(bundled_record(k, ell), k, ell, delta_k(k, ell, VERIFY_PER_PRIME_PMAX))
-            for k, ell in RECORDS]
+    jobs = [(bundled_record(k, ell), k, ell) for k, ell in RECORDS]
 
     def call():
-        return [verify_record(record, k, ell, VERIFY_PER_PRIME_PMAX, series=series)
-                for record, k, ell, series in jobs]
+        return [verify_record(record, k, ell, VERIFY_PER_PRIME_PMAX) for record, k, ell in jobs]
 
     tested = sum(len(rep.outcomes) - rep.counts["skipped_ell"] for rep in call())
     name = f"six records, pmax={VERIFY_PER_PRIME_PMAX}"
@@ -229,21 +227,20 @@ def rev_inverse_us():
 def wrong_records_us():
     """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
     from thetatwist import (ModPoly, NotSquarefree, ProjPolyRecord, bundled_record, ddf,
-                            delta_k, primes_upto, verify_record)
+                            primes_upto, verify_record)
 
     rng = random.Random(20250811)  # tests/test_acceptance.py's mutations, in its order
     mutations = []
     for k, ell in RECORDS:
-        record, series = bundled_record(k, ell), delta_k(k, ell, MUTATION_PMAX)
+        record = bundled_record(k, ell)
         for _ in range(20):
             coeffs = list(record.coeffs)
             coeffs[rng.randrange(record.degree)] += rng.choice((1, -1))
-            mutations.append((ProjPolyRecord(tuple(coeffs), k=k, ell=ell), k, ell, series))
+            mutations.append((ProjPolyRecord(tuple(coeffs), k=k, ell=ell), k, ell))
 
     def criterion_4():
-        for mutated, k, ell, series in mutations:
-            if verify_record(mutated, k, ell, MUTATION_PMAX, series=series,
-                             fail_fast=True).counts["fail"] < 1:
+        for mutated, k, ell in mutations:
+            if verify_record(mutated, k, ell, MUTATION_PMAX, fail_fast=True).counts["fail"] < 1:
                 raise RuntimeError(f"a mutation of ({k}, {ell}) was not caught")
 
     polys = [ModPoly(p, bundled_record(k, ell).coeffs)

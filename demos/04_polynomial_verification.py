@@ -8,7 +8,7 @@ mutation experiment at the end makes concrete.
 
 import random
 
-from thetatwist import BUNDLED_LABELS, ProjPolyRecord, bundled_record, delta_k, verify_record
+from thetatwist import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
 
 PMAX = 500
 
@@ -30,7 +30,7 @@ coeffs = list(record.coeffs)
 idx = rng.randrange(record.degree)
 coeffs[idx] += 1
 mutated = ProjPolyRecord(tuple(coeffs), k=22, ell=11)
-rep = verify_record(mutated, 22, 11, 200, series=delta_k(22, 11, 200), fail_fast=True)
+rep = verify_record(mutated, 22, 11, 200, fail_fast=True)
 print(
     f"mutated c_{idx}: first failing prime {rep.failures[0]}, "
     f"fail count {rep.counts['fail']} (scan stopped at the first failure)"

@@ -161,15 +161,6 @@ def cmd_twist_search(args):
     return EXIT_OK
 
 
-def _verify_one(args, k, ell):
-    if getattr(args, "poly_file", None):
-        record = load_poly_file(args.poly_file, k=k, ell=ell)
-        record.validate_label()
-    else:
-        record = bundled_record(k, ell, args.data_dir)
-    return verify_record(record, k, ell, args.pmax)
-
-
 def _render_verify_text(report):
     c = report.counts
     verdict = "consistent" if report.ok else "INCONSISTENT"
@@ -184,7 +175,13 @@ def _render_verify_text(report):
 
 
 def cmd_verify_poly(args):
-    report = _verify_one(args, args.weight, args.ell)
+    k, ell = args.weight, args.ell
+    if args.poly_file:
+        record = load_poly_file(args.poly_file, k=k, ell=ell)
+        record.validate_label()
+    else:
+        record = bundled_record(k, ell, args.data_dir)
+    report = verify_record(record, k, ell, args.pmax)
     if args.format == "json":
         _emit_json(report.to_json_dict(full=args.full))
     else:

@@ -22,10 +22,10 @@ in ascending order with the zero polynomial written as the empty tuple.
 
 ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
 subclasses, immutable tuples with named fields; ModPoly checks its modulus
-and reduces its coefficients in __new__.  As ell is, a modulus is proved
-prime once per public call: ddf and is_squarefree_mod take a ModPoly, and
-verify_record, whose primes come from a sieve, reduces the record mod p
-itself and calls their unchecked private twins on coefficient lists.
+and reduces its coefficients in __new__.  No modulus is proved prime twice:
+ddf and is_squarefree_mod take a ModPoly, verify_record reduces the record
+mod each sieved p itself and calls their unchecked private twins, and
+delta_k proves verify_record's ell once per (k, ell) it caches.
 """
 
 import os
@@ -41,7 +41,7 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .ffield import check_prime, factorize, is_prime, primes_upto
+from .ffield import factorize, is_prime, primes_upto
 from .galrep import _degree_pattern, _frobenius_class
 from .qseries import delta_k
 
@@ -553,7 +553,7 @@ def _pattern_from_json(pat):
     return tuple(pat)
 
 
-def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
+def verify_record(record, k, ell, pmax, fail_fast=False):
     """Check one polynomial record against Frobenius patterns for p <= pmax.
 
     For each unramified prime the observed distinct-degree multiset must
@@ -566,12 +566,13 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     at the first FAIL, which is enough for mutation testing.  Each p comes
     from primes_upto's sieve, so the record is reduced mod p here and handed
     to the private kernels as a coefficient list, with no ModPoly and so no
-    primality test per prime; ell is checked once.  For a monic record
-    u = 1/rev(f) mod x^n is computed once, over Z, and each set-up gets it
-    reduced mod p.  Raises ValueError for a record whose content, the gcd of
-    its coefficients, is not 1, since it vanishes mod every prime dividing
-    the content (a zero record has content 0); for a series not of weight k
-    mod ell; and when no prime was compared, since an empty scan would
+    primality test per prime.  The a_p come from delta_k(k, ell, pmax), the
+    one source of the series, which proves ell prime when (k, ell) is not
+    cached yet.  For a monic record u = 1/rev(f) mod x^n is computed once,
+    over Z, and each set-up gets it reduced mod p.  Raises ValueError for a
+    record whose content, the gcd of its coefficients, is not 1, since it
+    vanishes mod every prime dividing the content (a zero record has
+    content 0), and when no prime was compared, since an empty scan would
     otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
@@ -581,10 +582,7 @@ def verify_record(record, k, ell, pmax, series=None, fail_fast=False):
     content = gcd(*record.coeffs)
     if content != 1:
         raise ValueError(f"record is not primitive: content gcd(*coeffs) = {content}")
-    check_prime(ell)
-    if series is not None and (series.ell != ell or series.weight not in (None, k)):
-        raise ValueError(f"series is not of weight {k} mod {ell}")
-    f = series if series is not None else delta_k(k, ell, pmax)
+    f = delta_k(k, ell, pmax)
     monic = record.coeffs[-1] == 1
     u = _rev_inverse(record.coeffs) if monic else None
     outcomes = []

@@ -3,12 +3,14 @@
 Two normalized eigenforms f1, f2 of weights k1, k2 satisfy f1 = theta^i f2
 mod ell exactly when k1 = k2 + 2i (mod ell-1) and a_p(f1) = p^i a_p(f2) for
 every prime p != ell up to the level-1 bound ell(ell+1)/12.
-check_twist certifies one candidate pair; twist_search scans (k', i) in a
-fixed deterministic order and returns the first pair that passes, which
-reduces a weight k > ell+1 form to one of weight k' <= ell+1 with an
-equivalent twisted representation (and an equal projective one).
-Both, and TwistCertificate.validate, take theta^i from qseries.theta_power.
-TwistCertificate is a collections.namedtuple subclass.
+check_twist is the one prover of that congruence and certifies one
+candidate pair.  twist_search scans (k', i) in a fixed deterministic order
+and returns the first pair check_twist certifies, which reduces a weight
+k > ell+1 form to one of weight k' <= ell+1 with an equivalent twisted
+representation (and an equal projective one); TwistCertificate.validate
+re-runs check_twist.  Every series they read comes from qseries.delta_k and
+its cache, and theta^i from qseries.theta_power.  TwistCertificate is a
+collections.namedtuple subclass.
 """
 
 from collections import namedtuple
@@ -18,10 +20,10 @@ from .errors import (
     InsufficientPrecision,
     NotFound,
     PrimeMismatch,
-    UnsupportedWeight,
+    ThetaTwistError,
     WeightIncongruent,
 )
-from .ffield import check_prime, primes_upto
+from .ffield import primes_upto
 from .qseries import SUPPORTED_WEIGHTS, delta_k, equal_upto, theta_power
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
@@ -55,54 +57,33 @@ class TwistCertificate(
     """Auditable witness that f1 = theta^i f2, i.e. rho_{f1} ~ rho_{f2} (x) chi^i.
 
     prime_checks stores (p, a_p(f1), p^i * a_p(f2)) for every prime up to the
-    bound, so the claim can be re-verified without re-running the search.
+    bound, so the claim can be read without re-running the search, and
+    validate re-derives all of it.
     extended_terms records how far the full series identity a_n = n^i a_n'
     was confirmed beyond the bound.
     """
 
     __slots__ = ()
 
-    def validate(self, series=None):
-        """Re-check every stored invariant; raises ValueError on violation.
+    def validate(self):
+        """Re-prove the certificate; raises ValueError unless it is re-derived.
 
-        The stored checks alone are only self-consistent.  Given
-        series=(f1, f2), the q-expansions of weights k1 and k2 mod ell to
-        precision at least the largest stored prime, each stored
-        (p, lhs, rhs) must also equal (a_p(f1), a_p(theta^i f2)), re-derived
-        from the series with theta_power.
+        delta_k rebuilds the forms of weights k1 and k2 mod ell to precision
+        max(twist_bound(ell), extended_terms), check_twist re-runs on them
+        with i and extended_terms, and its certificate must equal this one
+        field by field.  Whatever delta_k or check_twist refuses (a weight
+        outside the supported list, an incongruence, a mismatch) is a
+        ValueError too.
         """
-        if not 0 <= self.i <= self.ell - 2:
-            raise ValueError(f"exponent {self.i} outside [0, {self.ell - 2}]")
-        if not weight_congruent(self.k1, self.k2, self.i, self.ell):
-            raise ValueError(
-                f"weights {self.k1}, {self.k2} incongruent for i={self.i} mod {self.ell - 1}"
-            )
-        if self.bound < twist_bound(self.ell):
-            raise ValueError(f"bound {self.bound} below required minimum")
-        if self.extended_terms < 0:
-            raise ValueError(f"extended_terms {self.extended_terms} is negative")
-        seen = set()
-        for p, lhs, rhs in self.prime_checks:
-            if p == self.ell or p > self.bound:
-                raise ValueError(f"prime {p} outside the checked range")
-            if lhs != rhs:
-                raise ValueError(f"stored check at p={p} does not match: {lhs} != {rhs}")
-            seen.add(p)
-        required = set(primes_upto(self.bound)) - {self.ell}
-        if seen != required:
-            raise ValueError("stored primes do not cover the required range")
-        if series is None:
-            return
-        f1, f2 = series
-        if f1.ell != self.ell or f2.ell != self.ell:
-            raise ValueError(f"series are not mod {self.ell}")
-        g = theta_power(f2.truncate(max(seen, default=0)), self.i)
-        for p, lhs, rhs in self.prime_checks:
-            derived = (f1.coeff(p), g.coeffs[p])
-            if (lhs, rhs) != derived:
-                raise ValueError(
-                    f"stored check at p={p} is {(lhs, rhs)}, the series give {derived}"
-                )
+        try:
+            n0 = max(twist_bound(self.ell), self.extended_terms)
+            f1, f2 = (delta_k(k, self.ell, n0) for k in (self.k1, self.k2))
+            proved = check_twist(f1, f2, self.i, self.extended_terms)
+        except ThetaTwistError as exc:
+            raise ValueError(f"certificate does not re-prove: {exc}") from exc
+        if proved != self:
+            wrong = [name for name, a, b in zip(self._fields, self, proved) if a != b]
+            raise ValueError(f"the re-derived certificate differs in {', '.join(wrong)}")
 
     def to_json_dict(self):
         return {
@@ -168,24 +149,19 @@ def twist_search(k, ell, extended=1000):
 
     Candidates k' run over the one-dimensional weights <= ell + 1 in
     increasing order, and i over [0, ell-2] in increasing order; the first
-    pair passing both the weight congruence and the bounded prime check wins,
-    making the result deterministic.  The search itself checks primes up to
-    the twist bound, with candidates built at that precision; the returned
-    certificate re-checks the winner with the full extended-series identity.
-    delta_k is asked for at the certificate's precision first, so its chain
-    is built once (see the qseries cache).
+    pair that check_twist certifies wins, making the result deterministic.
+    A weight-congruent candidate is tested at p = 2 alone first, where most
+    fail; one that passes gets one check_twist call at the certificate's
+    precision, and a PrimeMismatch moves on.  Every series comes from
+    delta_k at that precision, which builds each chain once and refuses an
+    unsupported weight, a composite ell or ell < 5.
     """
-    check_prime(ell)
-    if ell < 5:
-        raise ValueError("ell >= 5 required")
-    if k not in SUPPORTED_WEIGHTS:
-        raise UnsupportedWeight(f"weight {k} not in {SUPPORTED_WEIGHTS}")
-    bound = twist_bound(ell)
-    prec = max(bound, extended)
+    prec = max(twist_bound(ell), extended)
     f1 = delta_k(k, ell, prec)
-    candidates = [kp for kp in SUPPORTED_WEIGHTS if 2 <= kp <= ell + 1]
-    for kp in candidates:
-        f2 = delta_k(kp, ell, bound)
+    for kp in SUPPORTED_WEIGHTS:
+        if kp > ell + 1:
+            break
+        f2 = delta_k(kp, ell, prec)
         for i in range(ell - 1):
             if not weight_congruent(k, kp, i, ell):
                 continue
@@ -193,11 +169,9 @@ def twist_search(k, ell, extended=1000):
             if theta_power(f2.truncate(2), i).coeffs[2] != f1.coeffs[2]:
                 continue
             try:
-                check_twist(f1, f2, i)
+                return i, kp, check_twist(f1, f2, i, extended)
             except PrimeMismatch:
                 continue
-            cert = check_twist(f1, delta_k(kp, ell, prec), i, extended)
-            return i, kp, cert
     raise NotFound(
         f"no twist pair found for (k={k}, ell={ell}); "
         "ell may be exceptional or the configuration unsupported"

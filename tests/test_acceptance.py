@@ -109,13 +109,12 @@ def test_criterion_4_mutation_discriminating_power():
     trials = 0
     for k, ell in BUNDLED_LABELS:
         rec = bundled_record(k, ell)
-        series = delta_k(k, ell, 200)
         for _ in range(20):
             idx = rng.randrange(rec.degree)  # non-leading coefficient
             coeffs = list(rec.coeffs)
             coeffs[idx] += rng.choice((1, -1))
             mutated = ProjPolyRecord(tuple(coeffs), k=k, ell=ell)
-            rep = verify_record(mutated, k, ell, 200, series=series, fail_fast=True)
+            rep = verify_record(mutated, k, ell, 200, fail_fast=True)
             assert rep.counts["fail"] >= 1, (k, ell, idx)
             trials += 1
     print(

@@ -76,6 +76,8 @@ def test_twist_search_json_roundtrip(capsys):
     doc = json.loads(out)
     assert (doc["i"], doc["k_prime"]) == (2, 12)
     cert = TwistCertificate.from_json_dict(doc["certificate"])
+    # validate re-proves what was read back, rebuilding both series cold
+    delta_k.cache_clear()
     cert.validate()
 
 
@@ -287,6 +289,16 @@ def test_composite_ell_exits_2(capsys):
     code, _, err = run(capsys, "qexp", "--weight", "12", "--ell", "15")
     assert code == 2
     assert "not prime" in err
+
+
+def test_twist_search_reports_the_weight_before_the_modulus(capsys):
+    # delta_k checks the weight first, then proves ell prime
+    code, _, err = run(capsys, "twist-search", "--weight", "14", "--ell", "15")
+    assert code == 2
+    assert "weight 14" in err and "not prime" not in err
+    code, _, err = run(capsys, "twist-search", "--weight", "16", "--ell", "15")
+    assert code == 2
+    assert "15 is not prime" in err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from thetatwist import cli, polyverify
 from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import is_prime
 from thetatwist.polyverify import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
-from thetatwist.qseries import delta_k
 
 FALLBACK = ("skipped-ramified", "FAIL")
 
@@ -93,7 +92,7 @@ def test_bundled_records_factor_only_at_skipped_primes(ddf_calls, ddf_ends):
 def test_mutated_record_factors_at_each_fail(ddf_calls, ddf_ends):
     coeffs = list(bundled_record(26, 23).coeffs)
     coeffs[3] += 1
-    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, series=delta_k(26, 23, 200))
+    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200)
     assert rep.counts["fail"] >= 10
     assert ddf_calls == [p for p, status, _, _ in rep.outcomes if status in FALLBACK]
     # the degree loop runs at the FAIL primes only, and its pattern is the
@@ -117,7 +116,7 @@ def test_one_setup_per_tested_prime_on_bundled_records(setup_calls):
 def test_one_setup_per_tested_prime_on_a_mutated_record(setup_calls, ddf_calls):
     coeffs = list(bundled_record(26, 23).coeffs)
     coeffs[3] += 1
-    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, series=delta_k(26, 23, 200))
+    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200)
     assert rep.counts["fail"] >= 10
     # the FAIL primes reach the DDF, which reuses the pattern check's set-up
     assert setup_calls == _tested(rep)

@@ -26,7 +26,7 @@ from thetatwist.polyverify import (
 
 from thetatwist.ffield import primes_upto
 from thetatwist.galrep import frobenius_class, predicted_degree_pattern
-from thetatwist.qseries import QExpansion, delta_k
+from thetatwist.qseries import delta_k
 
 import oracles
 
@@ -242,19 +242,11 @@ def test_verify_record_rejects_wrong_label():
         verify_record(rec, 20, 13, 100)
 
 
-def test_verify_record_rejects_foreign_series():
-    rec = bundled_record(16, 13)
-    # a series of another modulus or weight must not read as a broken polynomial
-    with pytest.raises(ValueError, match="series"):
-        verify_record(rec, 16, 13, 100, series=delta_k(16, 17, 100))
-    with pytest.raises(ValueError, match="series"):
-        verify_record(rec, 16, 13, 100, series=delta_k(20, 13, 100))
-    untagged = QExpansion(13, delta_k(16, 13, 100).coeffs)
-    assert verify_record(rec, 16, 13, 100, series=untagged).ok
-    # the modulus is still proved prime when the caller brings the series
-    unlabeled = ProjPolyRecord(rec.coeffs)
-    with pytest.raises(ValueError, match="not prime"):
-        verify_record(unlabeled, 16, 15, 100, series=QExpansion(15, range(101), 16))
+def test_verify_record_rejects_a_composite_ell():
+    # delta_k, the one source of the series, proves the modulus prime
+    unlabeled = ProjPolyRecord(bundled_record(16, 13).coeffs)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        verify_record(unlabeled, 16, 15, 100)
 
 
 def test_verify_record_rejects_a_non_primitive_record_before_the_scan():
@@ -310,7 +302,7 @@ def test_verify_record_non_monic_records_match_per_prime_ddf():
         coeffs = bundled_record(k, ell).coeffs
         for lead in (2, 3, 5, 6, 7):
             record = ProjPolyRecord(coeffs[:-1] + (lead,))
-            rep = verify_record(record, k, ell, 100, series=series)
+            rep = verify_record(record, k, ell, 100)
             assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell, lead)
             for p, status, observed, _ in rep.outcomes:
                 if lead % p == 0 and p != ell:
@@ -333,7 +325,7 @@ def test_verify_record_mutated_records_match_per_prime_ddf():
             mutated = list(coeffs)
             mutated[rng.randrange(len(coeffs) - 1)] += rng.choice((1, -1, 2, -2))
             record = ProjPolyRecord(tuple(mutated))
-            rep = verify_record(record, k, ell, 100, series=series)
+            rep = verify_record(record, k, ell, 100)
             assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell)
 
 

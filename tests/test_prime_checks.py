@@ -52,10 +52,10 @@ def test_warm_delta_k_runs_no_primality_test(is_prime_calls):
 
 
 def test_verify_record_tests_each_prime_once(is_prime_calls):
-    series = delta_k(26, 23, 1000)
+    delta_k(26, 23, 1000)
     is_prime_calls.clear()
-    rep = verify_record(bundled_record(26, 23), 26, 23, 1000, series=series)
+    rep = verify_record(bundled_record(26, 23), 26, 23, 1000)
     tested = [p for p, status, _, _ in rep.outcomes if p != 23]
     assert len(tested) == 167
-    # the one check of ell, and none per tested prime
-    assert is_prime_calls == [23]
+    # none per tested prime, and ell was proved when the series was cached
+    assert is_prime_calls == []

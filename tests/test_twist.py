@@ -1,6 +1,7 @@
 
 import pytest
 
+from thetatwist import cli, qseries, twist
 from thetatwist.errors import (
     CoefficientMismatch,
     InsufficientPrecision,
@@ -171,6 +172,22 @@ def test_twist_keeps_every_frobenius_class():
             ), (k, ell, i, kp, p)
 
 
+def test_tables_makes_one_check_twist_call_per_pair(monkeypatch, capsys):
+    # one call per pair, at the certificate's precision: the search has no
+    # second tier at the twist bound
+    calls = []
+
+    def counted(f1, f2, i, extended=0):
+        calls.append((f1.weight, f2.weight, i, extended))
+        return check_twist(f1, f2, i, extended)
+
+    monkeypatch.setattr(twist, "check_twist", counted)
+    argv = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150", "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(k, kp, i, 150) for (k, _), (i, kp) in EXPECTED.items()]
+
+
 def test_published_discrepancy():
     assert published_discrepancy(16, 13, 2, 12) is None
     note = published_discrepancy(22, 11, 0, 12)
@@ -212,18 +229,39 @@ def test_certificate_validate_catches_corruption():
         incongruent.validate()
 
 
+def _self_consistent(cert, **fields):
+    """cert with fields replaced and its checks rewritten to agree with each
+    other at the primes of its bound."""
+    cert = cert._replace(**fields)
+    primes = [p for p in primes_upto(cert.bound) if p != cert.ell]
+    return cert._replace(prime_checks=tuple((p, 0, 0) for p in primes))
+
+
 def test_certificate_validate_rederives_from_series():
     _, _, cert = twist_search(16, 13, extended=200)
-    forged = cert._replace(prime_checks=tuple((p, 0, 0) for p, _, _ in cert.prime_checks))
-    forged.validate()  # self-consistent: every stored lhs equals its rhs
-    series = (delta_k(16, 13, 15), delta_k(12, 13, 15))
-    cert.validate(series=series)
-    # precision up to the largest stored prime, 11, is enough
-    cert.validate(series=(delta_k(16, 13, 11), delta_k(12, 13, 11)))
+    # both series are rebuilt, at max(twist bound, extended_terms)
+    delta_k.cache_clear()
+    cert.validate()
+    held = {key: f.precision for key, f in qseries._SERIES.items() if key[0] in (12, 16)}
+    assert held == {(12, 13): 200, (16, 13): 200}
+    forged = _self_consistent(cert)  # every stored lhs equals its rhs
     with pytest.raises(ValueError):
-        forged.validate(series=series)
+        forged.validate()
+    # i = 8 passes the weight congruence 16 = 12 + 2i (mod 12), and only
+    # the re-derived series refute it
+    assert weight_congruent(16, 12, 8, 13)
+    with pytest.raises(ValueError, match="re-prove"):
+        _self_consistent(cert, i=8).validate()
+    with pytest.raises(ValueError, match="bound"):
+        cert._replace(bound=cert.bound + 1).validate()
     with pytest.raises(ValueError):
-        cert.validate(series=(delta_k(16, 17, 25), delta_k(12, 17, 25)))
+        cert._replace(ell=17).validate()
+    with pytest.raises(ValueError):
+        _self_consistent(cert, ell=17, bound=twist_bound(17)).validate()
+    # an unsupported weight is a refused certificate, not a typed error
+    with pytest.raises(ValueError) as exc:
+        cert._replace(k2=14).validate()
+    assert type(exc.value) is ValueError
 
 
 def test_certificate_validate_refuses_negative_extended_terms():
