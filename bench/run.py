@@ -19,13 +19,12 @@ records:
   - verify_us_per_prime: verify_record over the six bundled records at
     pmax VERIFY_PER_PRIME_PMAX with warm series, through the public API
     only, divided by the number of primes tested (every p <= pmax but ell);
-  - rev_inverse_us, for a tree whose polyverify has _rev_inverse: the cost
-    of u = 1/rev(f) mod x^n for each of U_RECORDS, a bundled record and a
-    random monic record of degree 200 with 64-bit coefficients, at each p
-    of U_PS: the mod-p recurrence ("recurrence_us", what every prime paid
-    before u was computed once per record), the reduction of the integer u
-    ("reduce_us", what each prime pays now), and, once per record, the
-    integer u itself ("integer_us");
+  - rev_inverse_us: the cost of u = 1/rev(f) mod x^n for each of
+    U_RECORDS, a bundled record and a random monic record of degree 200
+    with 64-bit coefficients, at each p of U_PS: the mod-p recurrence
+    ("recurrence_us", what every prime paid before u was computed once per
+    record), the reduction of the integer u ("reduce_us", what each prime
+    pays now), and, once per record, the integer u itself ("integer_us");
   - wrong_records_us: the in-process cost of two calls that factor wrong
     or unchecked records, where the DDF's degree loop runs: acceptance
     criterion 4, verify_record with fail_fast on its 120 single +-1
@@ -199,13 +198,10 @@ def verify_per_prime():
 
 
 def rev_inverse_us():
-    """The cost of u = 1/rev(f) mod x^n per record and prime, as a dict; empty
-    for a tree that computes u only inside its Frobenius set-up."""
-    from thetatwist import bundled_record, polyverify
+    """The cost of u = 1/rev(f) mod x^n per record and prime, as a dict."""
+    from thetatwist import bundled_record
+    from thetatwist.polyverify import _rev_inverse as rev_inverse
 
-    if not hasattr(polyverify, "_rev_inverse"):
-        return {}
-    rev_inverse = polyverify._rev_inverse
     rng = random.Random(14)
     out = {}
     for name, label in U_RECORDS:

@@ -18,7 +18,7 @@ import json
 import sys
 import warnings
 
-from .errors import NotFound, ThetaTwistError, UnsupportedWeight
+from .errors import NotFound, ThetaTwistError
 from .galrep import screen_exceptional
 from .polyverify import BUNDLED_LABELS, bundled_record, load_poly_file, verify_record
 from .qseries import delta_k
@@ -301,9 +301,6 @@ def main(argv=None):
         warnings.showwarning = _show_warning
         try:
             return _COMMANDS[name][1](args)
-        except UnsupportedWeight as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except NotFound as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NOT_FOUND

@@ -3,6 +3,10 @@
 Values mod ell are plain Python ints; every function here takes and returns
 ints.  Factorization is trial division, which keeps moduli up to about 10^6
 (and group orders ell +- 1) cheap.
+
+check_prime is the one primality prover behind the public entry points.  It
+remembers every modulus it has proved, so each prime runs Miller-Rabin once
+per process; a composite is never remembered and raises on every call.
 """
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -32,10 +36,16 @@ def is_prime(n):
     return True
 
 
+#: moduli check_prime has proved prime in this process
+_PROVED = set()
+
+
 def check_prime(m):
-    """Guard for public entry points; callers otherwise guarantee primality."""
-    if not is_prime(m):
-        raise ValueError(f"modulus {m} is not prime")
+    """Raise ValueError unless m is prime; a prime is tested once per process."""
+    if m not in _PROVED:
+        if not is_prime(m):
+            raise ValueError(f"modulus {m} is not prime")
+        _PROVED.add(m)
 
 
 def primes_upto(n):

@@ -13,9 +13,8 @@ mod ell.  The order determines the cycle type of the class on the ell+1
 points of the projective line.
 
 ell must be prime.  frobenius_class and predicted_degree_pattern check it on
-every call.  The scans, screen_exceptional here (through delta_k) and
-verify_record in polyverify, prove it once and classify each prime with the
-unchecked _frobenius_class and _degree_pattern.
+every call through ffield.check_prime, which runs Miller-Rabin once per
+prime per process, so the scans call them once per tested p.
 
 screen_exceptional runs three bounded congruence tests (reducible, dihedral,
 small projective image) against the coefficients of delta_k.  These are
@@ -64,23 +63,16 @@ def _lucas_v(s, n, ell):
 def frobenius_class(trace, det, ell):
     """Classify the class of x^2 - trace*x + det over F_ell, for a prime ell.
 
-    A composite ell raises ValueError; see _frobenius_class.
+    A composite ell or a det divisible by ell raises ValueError.  Zero
+    discriminant t^2 - 4d gives the ambiguous class.  Otherwise the
+    eigenvalue ratio r (either one) has order dividing N = ell - 1 when the
+    discriminant is a square (split) and N = ell + 1 when it is not
+    (nonsplit).  With s = t^2/d - 2 = r + 1/r, the Lucas value
+    V_m(s) = r^m + r^-m equals 2 exactly when (r^m - 1)^2 = 0, so the
+    projective order is the least m | N with V_m(s) = 2, found by stripping
+    the prime factors of N.
     """
     check_prime(ell)
-    return _frobenius_class(trace, det, ell)
-
-
-def _frobenius_class(trace, det, ell):
-    """frobenius_class without the check that ell is prime.
-
-    A det divisible by ell raises ValueError.  Zero discriminant t^2 - 4d
-    gives the ambiguous class.  Otherwise the eigenvalue ratio r (either
-    one) has order dividing N = ell - 1 when the discriminant is a square
-    (split) and N = ell + 1 when it is not (nonsplit).  With
-    s = t^2/d - 2 = r + 1/r, the Lucas value V_m(s) = r^m + r^-m equals 2
-    exactly when (r^m - 1)^2 = 0, so the projective order is the least
-    m | N with V_m(s) = 2, found by stripping the prime factors of N.
-    """
     t, d = trace % ell, det % ell
     if not d:
         raise ValueError("determinant must be a unit")
@@ -98,20 +90,13 @@ def _frobenius_class(trace, det, ell):
 def predicted_degree_pattern(fc, ell):
     """Cycle-length multiset of the class acting on the ell+1 projective points.
 
-    A composite ell raises ValueError; see _degree_pattern.
+    A composite ell raises ValueError.  Split(n) fixes the two eigenlines
+    and moves the remaining ell-1 points in n-cycles; NonSplit(n) has no
+    fixed points and only n-cycles.  Ambiguous returns the pair of
+    admissible patterns (all fixed for a scalar, one fixed point plus one
+    ell-cycle for the non-semisimple class).
     """
     check_prime(ell)
-    return _degree_pattern(fc, ell)
-
-
-def _degree_pattern(fc, ell):
-    """predicted_degree_pattern without the check that ell is prime.
-
-    Split(n) fixes the two eigenlines and moves the remaining ell-1 points in
-    n-cycles; NonSplit(n) has no fixed points and only n-cycles.  Ambiguous
-    returns the pair of admissible patterns (all fixed for a scalar, one
-    fixed point plus one ell-cycle for the non-semisimple class).
-    """
     if fc.kind == AMBIGUOUS:
         return (1,) * (ell + 1), (1, ell)
     n = fc.order
@@ -172,7 +157,7 @@ def screen_exceptional(k, ell, bound):
     dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
 
     # lazy: classification stops at the first order > 5; no order at all reads as 6
-    orders = (_frobenius_class(a[p], pow(p, k - 1, ell), ell).order for p in primes)
+    orders = (frobenius_class(a[p], pow(p, k - 1, ell), ell).order for p in primes)
     orders = (n for n in orders if n is not None)
     small_image = next(orders, 6) <= 5 and all(n <= 5 for n in orders)
 

@@ -23,9 +23,10 @@ in ascending order with the zero polynomial written as the empty tuple.
 ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
 subclasses, immutable tuples with named fields; ModPoly checks its modulus
 and reduces its coefficients in __new__.  No modulus is proved prime twice:
-ddf and is_squarefree_mod take a ModPoly, verify_record reduces the record
-mod each sieved p itself and calls their unchecked private twins, and
-delta_k proves verify_record's ell once per (k, ell) it caches.
+ModPoly, delta_k and the galrep classifiers go through ffield.check_prime,
+which remembers each prime it proved, and the sieved p of verify_record
+never reach it, since it reduces the record mod p itself and calls the
+private kernels of ddf and is_squarefree_mod on coefficient lists.
 """
 
 import os
@@ -41,8 +42,8 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .ffield import factorize, is_prime, primes_upto
-from .galrep import _degree_pattern, _frobenius_class
+from .ffield import check_prime, factorize, primes_upto
+from .galrep import frobenius_class, predicted_degree_pattern
 from .qseries import delta_k
 
 MATCH = "match"
@@ -86,8 +87,7 @@ class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
     __slots__ = ()
 
     def __new__(cls, modulus, coeffs):
-        if not is_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
+        check_prime(modulus)
         return super().__new__(cls, modulus, tuple(_strip([x % modulus for x in coeffs])))
 
     @classmethod
@@ -567,13 +567,14 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     from primes_upto's sieve, so the record is reduced mod p here and handed
     to the private kernels as a coefficient list, with no ModPoly and so no
     primality test per prime.  The a_p come from delta_k(k, ell, pmax), the
-    one source of the series, which proves ell prime when (k, ell) is not
-    cached yet.  For a monic record u = 1/rev(f) mod x^n is computed once,
-    over Z, and each set-up gets it reduced mod p.  Raises ValueError for a
-    record whose content, the gcd of its coefficients, is not 1, since it
-    vanishes mod every prime dividing the content (a zero record has
-    content 0), and when no prime was compared, since an empty scan would
-    otherwise read consistent.
+    one source of the series.  ell is checked by delta_k and by the
+    classifiers at each p, and check_prime proves it once per process.  For
+    a monic record u = 1/rev(f) mod x^n is computed once, over Z, and each
+    set-up gets it reduced mod p.  Raises ValueError for a record whose
+    content, the gcd of its coefficients, is not 1, since it vanishes mod
+    every prime dividing the content (a zero record has content 0), and
+    when no prime was compared, since an empty scan would otherwise read
+    consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
@@ -599,8 +600,8 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
             counts["skipped_ell"] += 1
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
-        fc = _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
-        predicted = _degree_pattern(fc, ell)
+        fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
+        predicted = predicted_degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
         u_p = None if u is None else [c % p for c in u]
         setup = _setup(_strip([c % p for c in record.coeffs]), p, u_p)

@@ -166,12 +166,10 @@ _SERIES = {}
 
 
 def _check(k, ell, n0, least):
-    """Raise where a cold call would; ell is proved once per (k, ell), as a
-    series is cached only after its ell passed."""
-    if (k, ell) not in _SERIES:
-        check_prime(ell)
-        if ell < 5:
-            raise ValueError("ell >= 5 required")
+    """Refuse a composite ell, an ell below 5 and a precision out of range."""
+    check_prime(ell)
+    if ell < 5:
+        raise ValueError("ell >= 5 required")
     if n0 < least:
         raise ValueError(f"precision must be at least {least}")
     if n0 > MAX_PRECISION:

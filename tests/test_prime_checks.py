@@ -1,20 +1,23 @@
-"""The per-prime loops must not re-prove primes their callers already know.
+"""No modulus is proved prime twice in one process.
 
-ell is checked once per public call and each p comes from a sieve, so no
-Miller-Rabin runs inside a scan: verify_record reduces the record mod p
-itself instead of building a ModPoly, which proves its modulus prime.
-Every thetatwist module binding of is_prime is wrapped with one counter,
-since `from .ffield import is_prime` makes a separate binding.
+Every public entry point checks ell through ffield.check_prime, which runs
+Miller-Rabin once per prime and remembers it, and never remembers a
+composite.  Each p of a scan comes from a sieve and never reaches it:
+verify_record reduces the record mod p itself instead of building a
+ModPoly, which checks its modulus.  Every thetatwist module binding of
+is_prime is wrapped with one counter, since `from .ffield import is_prime`
+makes a separate binding, and check_prime's memory starts empty.
 """
 
 import sys
 
 import pytest
 
+from thetatwist import ffield
 from thetatwist.ffield import is_prime
-from thetatwist.galrep import screen_exceptional
+from thetatwist.galrep import frobenius_class, predicted_degree_pattern, screen_exceptional
 from thetatwist.polyverify import bundled_record, verify_record
-from thetatwist.qseries import delta_k
+from thetatwist.qseries import SUPPORTED_WEIGHTS, delta_k
 
 
 @pytest.fixture
@@ -29,6 +32,7 @@ def is_prime_calls(monkeypatch):
     for module in modules:
         if getattr(module, "is_prime", None) is is_prime:
             monkeypatch.setattr(module, "is_prime", counted)
+    monkeypatch.setattr(ffield, "_PROVED", set())
     return calls
 
 
@@ -59,3 +63,25 @@ def test_verify_record_tests_each_prime_once(is_prime_calls):
     assert len(tested) == 167
     # none per tested prime, and ell was proved when the series was cached
     assert is_prime_calls == []
+
+
+def test_public_classifiers_prove_ell_once(is_prime_calls):
+    for t in range(100):
+        fc = frobenius_class(t, 1, 691)
+        predicted_degree_pattern(fc, 691)
+    assert is_prime_calls == [691]
+
+
+def test_cold_delta_k_proves_ell_once_for_all_six_weights(is_prime_calls):
+    delta_k.cache_clear()
+    for k in SUPPORTED_WEIGHTS:
+        delta_k(k, 691, 50)
+    delta_k.cache_clear()
+    assert is_prime_calls == [691]
+
+
+def test_a_composite_ell_is_tested_on_every_call(is_prime_calls):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="15 is not prime"):
+            frobenius_class(1, 1, 15)
+    assert is_prime_calls == [15, 15]

@@ -10,7 +10,7 @@ from thetatwist.errors import (
     WeightIncongruent,
 )
 from thetatwist.ffield import primes_upto
-from thetatwist.galrep import _frobenius_class
+from thetatwist.galrep import frobenius_class
 from thetatwist.qseries import QExpansion, delta_k, equal_upto, theta_power
 from thetatwist.twist import (
     PUBLISHED_TWISTS,
@@ -167,7 +167,7 @@ def test_twist_keeps_every_frobenius_class():
         for p in primes_upto(3000):
             if p == ell:
                 continue
-            assert _frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell) == _frobenius_class(
+            assert frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell) == frobenius_class(
                 g.coeff(p), pow(p, kp - 1, ell), ell
             ), (k, ell, i, kp, p)
 
