@@ -8,7 +8,7 @@ import pytest
 
 from thetatwist import cli
 from thetatwist.cli import main
-from thetatwist.polyverify import BUNDLED_LABELS, VerificationReport, data_path
+from thetatwist.polyverify import BUNDLED_LABELS, VerificationReport, bundled_record, data_path
 from thetatwist.qseries import delta_k
 from thetatwist.galrep import ScreeningReport
 from thetatwist.twist import TwistCertificate
@@ -242,6 +242,43 @@ def test_tables_json_bytes_are_pinned(argv, sha256, capsys):
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
     delta_k.cache_clear()
+
+
+def _mutated_22_11(tmp_path):
+    """The bundled (22, 11) record with c_3 raised by 1, written as a poly file."""
+    coeffs = list(bundled_record(22, 11).coeffs)
+    coeffs[3] += 1
+    path = tmp_path / "pk22_l11_c3.txt"
+    path.write_text("".join(f"{c:+}*x^{e}" for e, c in enumerate(coeffs) if c))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutated, code, sha256",
+    [
+        # all four non-FAIL statuses, 16 ambiguous passes carrying pattern pairs
+        (False, 0, "c3aa7dfba4f22b5f1023ae30a90c4a4e17d5036294be0735288881365749d615"),
+        # 40 FAIL rows with their observed patterns
+        (True, 5, "0f5a1f4f0ece4d02aa5e56de5be9aa7d751497b21e5a74030fcc5a1641344564"),
+    ],
+    ids=["bundled", "c3 + 1"],
+)
+def test_verify_poly_full_json_bytes_are_pinned(mutated, code, sha256, capsys, tmp_path):
+    argv = ["verify-poly", "--weight", "22", "--ell", "11", "--full", "--format", "json"]
+    if mutated:
+        argv += ["--pmax", "200", "--poly-file", str(_mutated_22_11(tmp_path))]
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    outcomes = json.loads(out)["outcomes"]
+    statuses = [status for _, status, _, _ in outcomes]
+    if mutated:
+        assert statuses.count("FAIL") == 40
+        assert all(obs is not None for _, status, obs, _ in outcomes if status == "FAIL")
+    else:
+        assert set(statuses) == {"match", "ambiguous-pass", "skipped-ramified", "skipped-ell"}
+        pairs = [pred for _, status, _, pred in outcomes if status == "ambiguous-pass"]
+        assert len(pairs) == 16 and all(isinstance(pred[0], list) for pred in pairs)
 
 
 def test_tables_missing_data_exits_4(capsys, tmp_path):
