@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_18.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_21.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -46,7 +46,9 @@ records:
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
     each bundled record, and `import thetatwist` with the six bundled
     records loaded, run with and without -S (no site module, so nothing
-    the package imports is loaded in advance).
+    the package imports is loaded in advance);
+  - src_lines: the line count of each module in src/thetatwist/*.py, as
+    wc -l counts it, and their total.
 
 Every measurement runs in a fresh interpreter with the tree's src/ first on
 the path.  The in-process figures are timed under perfbench's SpeedProbe:
@@ -385,7 +387,15 @@ def measure(trees, rounds):
             )
             for name, walls in run_samples[label].items()
         }
+        out[label]["src_lines"] = _src_lines(trees[label])
     return out
+
+
+def _src_lines(tree):
+    """{module file name: line count} of the tree's src/thetatwist/*.py, and "total"."""
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((tree / "src" / "thetatwist").glob("*.py"))}
+    return dict(lines, total=sum(lines.values()))
 
 
 def _tree(spec):

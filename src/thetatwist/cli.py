@@ -212,7 +212,6 @@ def cmd_screen(args):
 
 
 def cmd_tables(args):
-    ok = True
     screens = []
     twists = []
     verifies = []
@@ -235,10 +234,7 @@ def cmd_tables(args):
         if key not in verified:
             verified[key] = verify_record(record, k, ell, args.pmax)
         verifies.append(verified[key]._replace(k=k))
-    for rep in screens:
-        ok = ok and rep.verdict == "likely unexceptional"
-    for rep in verifies:
-        ok = ok and rep.ok
+    ok = all(r.verdict == "likely unexceptional" for r in screens) and all(r.ok for r in verifies)
 
     if args.format == "json":
         _emit_json(

@@ -17,8 +17,11 @@ u = 1/rev(f) mod x^n, which verify_record computes once over Z for a monic
 record and reduces mod each p.
 
 This is a consistency test across many primes, not a proof of correctness:
-reports say how far the scan went.  Mod-p polynomials are coefficient lists
-in ascending order with the zero polynomial written as the empty tuple.
+reports say how far the scan went.  A report is its outcomes, one
+(p, status, observed, predicted) per prime; its counts and failures are
+read off them, and its JSON is its fields with tuples as lists.  Mod-p
+polynomials are coefficient lists in ascending order with the zero
+polynomial written as the empty tuple.
 
 ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
 subclasses, immutable tuples with named fields; ModPoly checks its modulus
@@ -31,7 +34,7 @@ private kernels of ddf and is_squarefree_mod on coefficient lists.
 
 import os
 import warnings
-from collections import namedtuple
+from collections import Counter, namedtuple
 from math import gcd
 from operator import mul as _imul
 
@@ -44,13 +47,16 @@ from .errors import (
 )
 from .ffield import check_prime, factorize, primes_upto
 from .galrep import frobenius_class, predicted_degree_pattern
-from .qseries import delta_k
+from .qseries import _lists, _tuples, delta_k
 
 MATCH = "match"
 AMBIGUOUS_PASS = "ambiguous-pass"
 SKIPPED_RAMIFIED = "skipped-ramified"
 SKIPPED_ELL = "skipped-ell"
 FAIL = "FAIL"
+#: the counts key of each status, in the order of a report's counts
+_COUNT_KEYS = {MATCH: "match", AMBIGUOUS_PASS: "ambiguous_pass",
+               SKIPPED_RAMIFIED: "skipped_ramified", SKIPPED_ELL: "skipped_ell", FAIL: "fail"}
 
 #: (k, ell) labels of the records shipped in the data directory
 BUNDLED_LABELS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
@@ -111,7 +117,8 @@ def parse_poly(text, k=None, ell=None):
 
     Exponents may be braced (x^{14}) or bare (x^14); whitespace is ignored;
     '*' between a coefficient and x is required.  Duplicate exponents raise
-    DuplicateTerm; a non-monic result only warns.
+    DuplicateTerm; a non-monic result only warns.  With ell given, an
+    exponent above ell + 1 raises ParseError before any list is built.
     """
     n = len(text)
 
@@ -176,6 +183,8 @@ def parse_poly(text, k=None, ell=None):
         else:
             raise ParseError("expected a term", i)
 
+        if ell is not None and exp > ell + 1:
+            raise ParseError(f"exponent {exp} exceeds ell + 1 = {ell + 1}", i)
         if exp in terms:
             raise DuplicateTerm(f"exponent {exp} appears twice", i)
         terms[exp] = sign * (1 if coef is None else coef)
@@ -496,8 +505,9 @@ def _has_pattern(setup, p, *patterns):
 class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes counts failures")):
     """Per-prime outcomes of the factorization-pattern consistency check.
 
-    outcomes holds (p, status, observed, predicted) per prime, counts the
-    number of primes per status, and failures the failing primes.
+    outcomes holds (p, status, observed, predicted) per prime.  counts, the
+    number of primes per status under the status's count key, and failures,
+    the FAIL primes in order, are read off the outcomes by verify_record.
     """
 
     __slots__ = ()
@@ -507,50 +517,16 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
         return self.counts["fail"] == 0
 
     def to_json_dict(self, full=False):
-        d = {
-            "k": self.k,
-            "ell": self.ell,
-            "pmax": self.pmax,
-            "counts": dict(self.counts),
-            "failures": list(self.failures),
-        }
-        if full:
-            d["outcomes"] = [
-                [p, status, _pattern_to_json(obs), _pattern_to_json(pred)]
-                for p, status, obs, pred in self.outcomes
-            ]
-        return d
+        """The fields with every tuple a list; outcomes only when full."""
+        d = self._asdict()
+        if not full:
+            del d["outcomes"]
+        return _lists(d)
 
     @classmethod
     def from_json_dict(cls, d):
-        outcomes = tuple(
-            (p, status, _pattern_from_json(obs), _pattern_from_json(pred))
-            for p, status, obs, pred in d.get("outcomes", [])
-        )
-        return cls(
-            k=d["k"],
-            ell=d["ell"],
-            pmax=d["pmax"],
-            outcomes=outcomes,
-            counts=dict(d["counts"]),
-            failures=tuple(d["failures"]),
-        )
-
-
-def _pattern_to_json(pat):
-    if pat is None:
-        return None
-    if pat and isinstance(pat[0], tuple):
-        return [list(q) for q in pat]
-    return list(pat)
-
-
-def _pattern_from_json(pat):
-    if pat is None:
-        return None
-    if pat and isinstance(pat[0], list):
-        return tuple(tuple(q) for q in pat)
-    return tuple(pat)
+        """Inverse of to_json_dict; a document without outcomes reads as ()."""
+        return cls(**_tuples({"outcomes": [], **d}))
 
 
 def verify_record(record, k, ell, pmax, fail_fast=False):
@@ -562,7 +538,10 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
     holds, it is the observed pattern.  Only otherwise does ddf run, to
     report the observed pattern of a FAIL or to skip a prime whose
-    reduction is not squarefree as ramified.  With fail_fast the scan stops
+    reduction is not squarefree as ramified.  Each prime appends one
+    (p, status, observed, predicted), FAIL when observed is not a predicted
+    pattern, and the counts per status and the FAIL primes are read off the
+    outcomes after the scan.  With fail_fast the scan stops
     at the first FAIL, which is enough for mutation testing.  Each p comes
     from primes_upto's sieve, so the record is reduced mod p here and handed
     to the private kernels as a coefficient list, with no ModPoly and so no
@@ -587,17 +566,8 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     monic = record.coeffs[-1] == 1
     u = _rev_inverse(record.coeffs) if monic else None
     outcomes = []
-    failures = []
-    counts = {
-        "match": 0,
-        "ambiguous_pass": 0,
-        "skipped_ramified": 0,
-        "skipped_ell": 0,
-        "fail": 0,
-    }
     for p in primes_upto(pmax):
         if p == ell:
-            counts["skipped_ell"] += 1
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
         fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
@@ -610,36 +580,24 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
             try:
                 observed = _ddf(setup, p)
             except NotSquarefree:
-                counts["skipped_ramified"] += 1
                 outcomes.append((p, SKIPPED_RAMIFIED, None, None))
                 continue
-        if fc.is_ambiguous:
-            status = AMBIGUOUS_PASS if observed in predicted else FAIL
+        if observed not in candidates:
+            status = FAIL
         else:
-            status = MATCH if observed == predicted else FAIL
-        if status == FAIL:
-            counts["fail"] += 1
-            failures.append(p)
-        elif status == MATCH:
-            counts["match"] += 1
-        else:
-            counts["ambiguous_pass"] += 1
+            status = AMBIGUOUS_PASS if fc.is_ambiguous else MATCH
         outcomes.append((p, status, observed, predicted))
         if fail_fast and status == FAIL:
             break
+    tally = Counter(status for _, status, _, _ in outcomes)
+    counts = {key: tally[status] for status, key in _COUNT_KEYS.items()}
     if counts["match"] + counts["ambiguous_pass"] + counts["fail"] == 0:
         raise ValueError(
             f"no prime p <= {pmax} could be checked "
             f"({counts['skipped_ramified']} ramified, {counts['skipped_ell']} ell skip)"
         )
-    return VerificationReport(
-        k=k,
-        ell=ell,
-        pmax=pmax,
-        outcomes=tuple(outcomes),
-        counts=counts,
-        failures=tuple(failures),
-    )
+    failures = tuple(p for p, status, _, _ in outcomes if status == FAIL)
+    return VerificationReport(k, ell, pmax, tuple(outcomes), counts, failures)
 
 
 def data_path(k, ell, data_dir=None):

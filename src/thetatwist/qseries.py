@@ -126,6 +126,20 @@ class QExpansion:
         return cls(d["ell"], d["coeffs"], d.get("k"))
 
 
+def _lists(x):
+    """x with every tuple in it, at any depth, made a list, as JSON reads it back."""
+    if isinstance(x, dict):
+        return {key: _lists(value) for key, value in x.items()}
+    return [_lists(y) for y in x] if isinstance(x, tuple) else x
+
+
+def _tuples(x):
+    """Inverse of _lists: x with every list in it, at any depth, made a tuple."""
+    if isinstance(x, dict):
+        return {key: _tuples(value) for key, value in x.items()}
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 def series_mul(f, g):
     """Cauchy product truncated to the smaller precision.
 

@@ -24,7 +24,7 @@ from .errors import (
     WeightIncongruent,
 )
 from .ffield import primes_upto
-from .qseries import SUPPORTED_WEIGHTS, delta_k, equal_upto, theta_power
+from .qseries import SUPPORTED_WEIGHTS, _lists, _tuples, delta_k, equal_upto, theta_power
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
 #: The (22, 11) row is printed there with i = 1, which fails the weight
@@ -86,27 +86,17 @@ class TwistCertificate(
             raise ValueError(f"the re-derived certificate differs in {', '.join(wrong)}")
 
     def to_json_dict(self):
-        return {
-            "ell": self.ell,
-            "k1": self.k1,
-            "k2": self.k2,
-            "i": self.i,
-            "bound": self.bound,
-            "extended_terms": self.extended_terms,
-            "checks": [list(t) for t in self.prime_checks],
-        }
+        """The fields with every tuple a list, prime_checks under "checks"."""
+        d = _lists(self._asdict())
+        d["checks"] = d.pop("prime_checks")
+        return d
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            ell=d["ell"],
-            k1=d["k1"],
-            k2=d["k2"],
-            i=d["i"],
-            bound=d["bound"],
-            extended_terms=d["extended_terms"],
-            prime_checks=tuple(tuple(t) for t in d["checks"]),
-        )
+        """Inverse of to_json_dict: every list a tuple, "checks" read as prime_checks."""
+        d = _tuples(d)
+        d["prime_checks"] = d.pop("checks")
+        return cls(**d)
 
 
 def check_twist(f1, f2, i, extended=0):

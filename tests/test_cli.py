@@ -3,6 +3,7 @@ import hashlib
 import json
 import shutil
 import sys
+import tracemalloc
 
 import pytest
 
@@ -351,6 +352,31 @@ def test_precision_beyond_memory_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: precision ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^99999999999999999999",  # no list of that length can be built
+        "x^20000000",  # a list of that length takes about 305 MiB
+    ],
+)
+def test_exponent_beyond_the_label_exits_2(text, capsys, tmp_path):
+    poly = tmp_path / "huge.txt"
+    poly.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "verify-poly", "--weight", "16", "--ell", "13", "--poly-file", str(poly)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent ") and err.count("\n") == 1
+    assert "ell + 1 = 14" in err and "Traceback" not in err
+    assert peak < 2**20  # refused before a coefficient list is built
 
 
 def test_repeated_calls_print_the_same_bytes(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 
@@ -73,6 +74,13 @@ def test_parse_nonmonic_warns():
     with pytest.warns(NonMonicWarning):
         rec = parse_poly("2*x^2+1")
     assert rec.coeffs == (1, 0, 2)
+
+
+def test_labelled_parse_refuses_an_exponent_above_ell_plus_1():
+    with pytest.raises(ParseError, match=r"exponent 15 exceeds ell \+ 1 = 14"):
+        parse_poly("x^15 + 1", k=16, ell=13)
+    assert parse_poly("x^14 + 1", k=16, ell=13).degree == 14
+    assert parse_poly("x^15 + 1").degree == 15  # an unlabelled parse has no bound
 
 
 def test_validate_label():
@@ -327,6 +335,40 @@ def test_verify_record_mutated_records_match_per_prime_ddf():
             record = ProjPolyRecord(tuple(mutated))
             rep = verify_record(record, k, ell, 100)
             assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell)
+
+
+#: the counts key of each status
+_COUNT_KEY = {
+    "match": "match",
+    "ambiguous-pass": "ambiguous_pass",
+    "skipped-ramified": "skipped_ramified",
+    "skipped-ell": "skipped_ell",
+    "FAIL": "fail",
+}
+
+
+@pytest.mark.parametrize(
+    "k, ell, change, pmax",
+    [(k, ell, None, 1000) for k, ell in BUNDLED_LABELS]
+    + [(22, 11, "c3 + 1", 200), (16, 13, "lead 6", 200)],
+)
+def test_report_counts_and_failures_are_read_off_the_outcomes(k, ell, change, pmax):
+    coeffs = list(bundled_record(k, ell).coeffs)
+    if change == "c3 + 1":
+        coeffs[3] += 1
+    elif change == "lead 6":
+        coeffs[-1] = 6
+    rep = verify_record(ProjPolyRecord(tuple(coeffs)), k, ell, pmax)
+    statuses = [status for _, status, _, _ in rep.outcomes]
+    assert set(statuses) <= set(_COUNT_KEY)
+    assert rep.counts == {key: statuses.count(status) for status, key in _COUNT_KEY.items()}
+    assert rep.failures == tuple(p for p, status, _, _ in rep.outcomes if status == "FAIL")
+    assert bool(rep.failures) == (change is not None)
+    full = json.loads(json.dumps(rep.to_json_dict(full=True)))
+    assert VerificationReport.from_json_dict(full) == rep
+    slim = json.loads(json.dumps(rep.to_json_dict()))
+    assert "outcomes" not in slim
+    assert VerificationReport.from_json_dict(slim) == rep._replace(outcomes=())
 
 
 def test_verification_report_json_roundtrip():
