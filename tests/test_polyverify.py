@@ -42,6 +42,47 @@ def test_parse_simple():
         assert parse_poly("7").coeffs == (7,)
         assert parse_poly("-x^3+2").coeffs == (2, 0, 0, -1)
         assert parse_poly(" 5*x \t+ 1 ").coeffs == (1, 5)
+        assert parse_poly("x ^ { 3 } − 2 * x").coeffs == (0, -2, 0, 1)  # U+2212 minus
+        assert parse_poly("−x^{ 2 }+ 1").coeffs == (1, 0, -1)
+
+
+def test_parse_round_trips_a_random_polynomial():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ws = st.text(" \t\r\n", max_size=2)
+
+    @st.composite
+    def spelled(draw):
+        """(coefficients, text): any spelling of a nonzero integer polynomial."""
+        big = st.integers(-(10**20), 10**20)
+        coeffs = draw(st.lists(big, max_size=30)) + [draw(big.filter(bool))]
+        terms = draw(st.permutations([(e, c) for e, c in enumerate(coeffs) if c]))
+        parts = []
+        for e, c in terms:
+            if c < 0:
+                parts.append(draw(st.sampled_from("-−")))
+            elif parts or draw(st.booleans()):
+                parts.append("+")
+            if e == 0 or abs(c) != 1 or draw(st.booleans()):
+                parts.append(str(abs(c)))
+                if e:
+                    parts.append("*")
+            if e:
+                parts.append("x")
+            if e > 1 or e == 1 and draw(st.booleans()):
+                braced = draw(st.booleans())
+                parts += ["^", "{", str(e), "}"] if braced else ["^", str(e)]
+        return tuple(coeffs), draw(ws) + "".join(part + draw(ws) for part in parts)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(spelled())
+    def round_trip(case):
+        coeffs, text = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMonicWarning)
+            assert parse_poly(text).coeffs == coeffs
+
+    round_trip()
 
 
 def test_parse_braced_and_bare_exponents_agree():
@@ -64,10 +105,19 @@ def test_parse_duplicate_term():
         parse_poly("2 - 1")
 
 
+#: malformed texts and the position of the error each raises: the end of
+#: the longest prefix that can begin a polynomial expression
+PARSE_ERROR_POSITIONS = {
+    "": 0, "x^": 2, "3**x": 2, "x+": 2, "+": 1, "4x": 1, "x^{3": 4, "x4": 1, "* x": 0,
+    "2^3": 1, "x^{}": 3, "x - - x": 4, "5 *": 3, "−": 1,
+}
+
+
 def test_parse_errors():
-    for text in ("", "x^", "3**x", "x+", "+", "4x", "x^{3", "x4", "* x"):
-        with pytest.raises(ParseError):
+    for text, position in PARSE_ERROR_POSITIONS.items():
+        with pytest.raises(ParseError) as exc:
             parse_poly(text)
+        assert exc.value.position == position, text
 
 
 def test_parse_nonmonic_warns():
