@@ -178,7 +178,6 @@ def cmd_verify_poly(args):
     k, ell = args.weight, args.ell
     if args.poly_file:
         record = load_poly_file(args.poly_file, k=k, ell=ell)
-        record.validate_label()
     else:
         record = bundled_record(k, ell, args.data_dir)
     report = verify_record(record, k, ell, args.pmax)

@@ -2,7 +2,9 @@
 
 A ProjPolyRecord holds the exact integer coefficients of a degree ell+1
 polynomial whose splitting field realizes a projective mod-ell
-representation.  verify_record checks it against the eigenform of weight k:
+representation; parse_poly reads one from text, one regular-expression
+match per term, and given the (k, ell) label it is the label check too.
+verify_record checks it against the eigenform of weight k:
 for each prime p the distinct-degree factorization pattern of the polynomial
 mod p must equal the cycle type of the Frobenius class predicted from
 (a_p mod ell, p^{k-1} mod ell).  The prediction is checked directly
@@ -33,6 +35,7 @@ private kernels of ddf and is_squarefree_mod on coefficient lists.
 """
 
 import os
+import re
 import warnings
 from collections import Counter, namedtuple
 from math import gcd
@@ -47,7 +50,7 @@ from .errors import (
 )
 from .ffield import check_prime, factorize, primes_upto
 from .galrep import frobenius_class, predicted_degree_pattern
-from .qseries import _lists, _tuples, delta_k
+from .qseries import MAX_PRECISION, _lists, _tuples, delta_k
 
 MATCH = "match"
 AMBIGUOUS_PASS = "ambiguous-pass"
@@ -70,17 +73,6 @@ class ProjPolyRecord(namedtuple("ProjPolyRecord", "coeffs k ell", defaults=(None
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def validate_label(self):
-        """Check the degree ell+1 and monic invariants of a labeled record."""
-        if self.ell is None:
-            raise ValueError("record carries no (k, ell) label")
-        if self.degree != self.ell + 1:
-            raise ValueError(
-                f"degree {self.degree} != ell + 1 = {self.ell + 1}"
-            )
-        if self.coeffs[-1] != 1:
-            raise ValueError("labeled records must be monic")
 
 
 class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
@@ -108,97 +100,63 @@ class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
         return not self.coeffs
 
 
-_WS = " \t\r\n"
-_MINUS = "-−"
+#: one term, or the longest start of one that the text holds: sign,
+#: coefficient, '*', x, '^', '{', exponent and, after '{', '}', in this
+#: order, each optional and followed by any whitespace ('_' in the pattern)
+_TERM = re.compile(r"""
+    _ ([-+−]?) _ (?: (\d+) _ (?: (\*) _ )? )?
+    (?: (x) _ (?: (\^) _ (?: (\{) _ )? (?: (\d+) _ (?(6) (?: (\}) _ )? ) )? )? )?
+    """.replace("_", r"[ \t\r\n]*"), re.VERBOSE)
 
 
 def parse_poly(text, k=None, ell=None):
     """Parse a sum of c*x^e / x^e / c*x / x / c terms into a record.
 
     Exponents may be braced (x^{14}) or bare (x^14); whitespace is ignored;
-    '*' between a coefficient and x is required.  Duplicate exponents raise
-    DuplicateTerm; a non-monic result only warns.  With ell given, an
-    exponent above ell + 1 raises ParseError before any list is built.
+    '*' between a coefficient and x is required; '-' or the minus sign '−'
+    negates.  Each term is one match of _TERM; a ParseError gives the end of
+    the longest prefix that can begin an expression.  Duplicate exponents
+    raise DuplicateTerm; a non-monic result only warns.  An exponent above
+    qseries.MAX_PRECISION, or with ell given above ell + 1, raises ParseError
+    before any list is built.  With ell given the parse is the label check:
+    after the warning, a degree other than ell + 1 or a leading coefficient
+    other than 1 raises ValueError.
     """
-    n = len(text)
-
-    def skip_ws(i):
-        while i < n and text[i] in _WS:
-            i += 1
-        return i
-
-    def read_int(i):
-        j = i
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == i:
-            raise ParseError("expected digits", i)
-        return int(text[i:j]), j
-
-    terms = {}
-    i = skip_ws(0)
-    if i >= n:
-        raise ParseError("empty polynomial expression", i)
-    first = True
-    while i < n:
-        sign = 1
-        if text[i] == "+" or text[i] in _MINUS:
-            sign = -1 if text[i] in _MINUS else 1
-            i = skip_ws(i + 1)
-        elif not first:
+    bound, name = (MAX_PRECISION, "the maximum") if ell is None else (ell + 1, "ell + 1 =")
+    terms, i = {}, 0
+    while not terms or i < len(text):
+        m = _TERM.match(text, i)
+        sign, coef, star, x, caret, brace, exp, close = m.groups()
+        if terms and not sign:
             raise ParseError(f"expected '+' or '-', got {text[i]!r}", i)
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign", i)
-
-        coef = None
-        starred = False
-        if text[i].isdigit():
-            coef, i = read_int(i)
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                starred = True
-                i = skip_ws(i + 1)
-                if i >= n or text[i] != "x":
-                    raise ParseError("expected 'x' after '*'", i)
-
-        if coef is not None and not starred:
-            if i < n and text[i] == "x":
-                raise ParseError("missing '*' between coefficient and x", i)
-            exp = 0
-        elif i < n and text[i] == "x":
-            i = skip_ws(i + 1)
-            exp = 1
-            if i < n and text[i] == "^":
-                i = skip_ws(i + 1)
-                braced = i < n and text[i] == "{"
-                if braced:
-                    i = skip_ws(i + 1)
-                exp, i = read_int(i)
-                if braced:
-                    i = skip_ws(i)
-                    if i >= n or text[i] != "}":
-                        raise ParseError("expected '}'", i)
-                    i += 1
-        else:
+        i = m.end()
+        if not (coef or x):
             raise ParseError("expected a term", i)
-
-        if ell is not None and exp > ell + 1:
-            raise ParseError(f"exponent {exp} exceeds ell + 1 = {ell + 1}", i)
-        if exp in terms:
-            raise DuplicateTerm(f"exponent {exp} appears twice", i)
-        terms[exp] = sign * (1 if coef is None else coef)
-        i = skip_ws(i)
+        if coef and x and not star:
+            raise ParseError("missing '*' between coefficient and x", m.start(4))
+        if star and not x:
+            raise ParseError("expected 'x' after '*'", i)
+        if caret and not exp:
+            raise ParseError("expected digits", i)
+        if brace and not close:
+            raise ParseError("expected '}'", i)
+        e = int(exp) if exp else 1 if x else 0
+        if e > bound:
+            raise ParseError(f"exponent {e} exceeds {name} {bound}", i)
+        if e in terms:
+            raise DuplicateTerm(f"exponent {e} appears twice", i)
+        c = int(coef or 1)
+        terms[e] = -c if sign in ("-", "−") else c
 
     deg = max(terms)
-    coeffs = [0] * (deg + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
+    coeffs = tuple(terms.get(e, 0) for e in range(deg + 1))
     if coeffs[-1] != 1:
-        warnings.warn(
-            f"leading coefficient is {coeffs[-1]}, not 1", NonMonicWarning
-        )
-    return ProjPolyRecord(coeffs=tuple(coeffs), k=k, ell=ell)
+        warnings.warn(f"leading coefficient is {coeffs[-1]}, not 1", NonMonicWarning)
+    if ell is not None and deg != ell + 1:
+        raise ValueError(f"degree {deg} != ell + 1 = {ell + 1}")
+    if ell is not None and coeffs[-1] != 1:
+        raise ValueError("labeled records must be monic")
+    return ProjPolyRecord(coeffs=coeffs, k=k, ell=ell)
 
 
 # -- raw coefficient-list kernels (ascending order, stripped) --
@@ -611,13 +569,13 @@ def data_path(k, ell, data_dir=None):
 
 
 def load_poly_file(path, k=None, ell=None):
-    """Read one polynomial expression from a UTF-8 text file."""
+    """parse_poly of a UTF-8 text file: with ell given, a labelled record."""
     with open(path, encoding="utf-8") as fh:
         return parse_poly(fh.read(), k=k, ell=ell)
 
 
 def bundled_record(k, ell, data_dir=None):
-    """The shipped Table row for (k, ell), parsed and label-validated.
+    """The shipped Table row for (k, ell), read by the labelled parse_poly.
 
     Without data_dir, a label outside BUNDLED_LABELS raises ValueError naming
     the bundled ones; a file missing under data_dir raises OSError.
@@ -625,6 +583,4 @@ def bundled_record(k, ell, data_dir=None):
     if data_dir is None and (k, ell) not in BUNDLED_LABELS:
         labels = ", ".join(f"({a}, {b})" for a, b in BUNDLED_LABELS)
         raise ValueError(f"no bundled record for (k, ell) = ({k}, {ell}); bundled: {labels}")
-    rec = load_poly_file(data_path(k, ell, data_dir), k=k, ell=ell)
-    rec.validate_label()
-    return rec
+    return load_poly_file(data_path(k, ell, data_dir), k=k, ell=ell)

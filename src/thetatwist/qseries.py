@@ -46,8 +46,9 @@ _DELTA_STEPS = {16: (12, 4), 18: (12, 6), 20: (16, 4), 22: (16, 6), 26: (22, 4)}
 
 SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 
-#: largest precision of a series; eisenstein and delta_k refuse more, so a
-#: request far beyond memory fails as ValueError, not MemoryError
+#: largest precision of a series; eisenstein, delta_k and hasse refuse more,
+#: so a request far beyond memory fails as ValueError, not MemoryError, and
+#: an unlabelled polyverify.parse_poly refuses a larger exponent
 MAX_PRECISION = 10**7
 
 
@@ -179,8 +180,9 @@ def _sigma_mod(j, n0, ell):
 _SERIES = {}
 
 
-def _check(k, ell, n0, least):
-    """Refuse a composite ell, an ell below 5 and a precision out of range."""
+def _check(ell, n0, least):
+    """Refuse a composite ell, an ell below 5 and a precision n0 outside
+    [least, MAX_PRECISION]; eisenstein, delta_k and hasse call it first."""
     check_prime(ell)
     if ell < 5:
         raise ValueError("ell >= 5 required")
@@ -224,7 +226,7 @@ def eisenstein(k, ell, n0):
     """Level-1 Eisenstein series E4 or E6 mod ell, to precision n0 >= 0."""
     if k not in (4, 6):
         raise UnsupportedWeight(f"only E4 and E6 are provided, not E{k}")
-    _check(k, ell, n0, 0)
+    _check(ell, n0, 0)
     return _series(k, ell, n0)
 
 
@@ -242,7 +244,7 @@ def delta_k(k, ell, n0):
         raise UnsupportedWeight(
             f"weight {k} not in the one-dimensional list {SUPPORTED_WEIGHTS}"
         )
-    _check(k, ell, n0, 1)
+    _check(ell, n0, 1)
     return _series(k, ell, n0)
 
 
@@ -272,12 +274,13 @@ def theta_power(f, i):
 
 
 def hasse(ell, n0):
-    """Constant series 1 with weight tag ell - 1.
+    """Constant series 1 with weight tag ell - 1, to precision n0 >= 0.
 
     Multiplying by it changes nominal weight without changing coefficients,
     which is what lets forms of congruent weights be compared directly.
+    ell and n0 are checked as eisenstein checks them.
     """
-    check_prime(ell)
+    _check(ell, n0, 0)
     return QExpansion(ell, [1] + [0] * n0, ell - 1)
 
 

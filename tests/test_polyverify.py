@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -27,7 +28,7 @@ from thetatwist.polyverify import (
 
 from thetatwist.ffield import primes_upto
 from thetatwist.galrep import frobenius_class, predicted_degree_pattern
-from thetatwist.qseries import delta_k
+from thetatwist.qseries import MAX_PRECISION, delta_k
 
 import oracles
 
@@ -130,15 +131,26 @@ def test_labelled_parse_refuses_an_exponent_above_ell_plus_1():
     with pytest.raises(ParseError, match=r"exponent 15 exceeds ell \+ 1 = 14"):
         parse_poly("x^15 + 1", k=16, ell=13)
     assert parse_poly("x^14 + 1", k=16, ell=13).degree == 14
-    assert parse_poly("x^15 + 1").degree == 15  # an unlabelled parse has no bound
+    assert parse_poly("x^15 + 1").degree == 15  # unlabelled, the bound is MAX_PRECISION
+    for text in ("x^99999999999999999999", "x^20000000"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"exceeds the maximum {MAX_PRECISION}"):
+                parse_poly(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, text  # refused before a coefficient list is built
 
 
 def test_validate_label():
-    rec = parse_poly("x^2+1", k=16, ell=13)
-    with pytest.raises(ValueError):
-        rec.validate_label()  # degree 2 != 14
+    # a labelled parse is the label check: degree ell + 1, then monic
+    with pytest.raises(ValueError, match=r"degree 2 != ell \+ 1 = 14"):
+        parse_poly("x^2+1", k=16, ell=13)
+    with pytest.warns(NonMonicWarning), pytest.raises(ValueError, match="must be monic"):
+        parse_poly("2*x^14+1", k=16, ell=13)
     for k, ell in BUNDLED_LABELS:
-        bundled_record(k, ell).validate_label()
+        assert bundled_record(k, ell).degree == ell + 1
 
 
 def test_modpoly_reduces_record():

@@ -278,6 +278,10 @@ def test_hasse():
     assert a.coeffs == (1, 0, 0, 0, 0, 0)
     assert a.weight == 12
     assert hasse(11, 3).weight == 10
+    assert hasse(13, 0).coeffs == (1,)
+    for ell, n0 in ((13, -1), (13, MAX_PRECISION + 1), (3, 5), (15, 5)):
+        with pytest.raises(ValueError):
+            hasse(ell, n0)
     f = delta_k(12, 13, 5)
     assert series_mul(a, f).coeffs == f.coeffs
 
