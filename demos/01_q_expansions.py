@@ -5,7 +5,7 @@ assembled from divisor sums, the weight-k cusp forms are monomials in E4, E6
 and the discriminant form, and theta is q d/dq acting on coefficients.
 """
 
-from thetatwist import delta_k, eisenstein, hasse, sturm_bound, theta, equal_upto, theta_power
+from thetatwist import QExpansion, delta_k, eisenstein, equal_upto, series_mul, sturm_bound, theta_power
 
 ELL = 13
 
@@ -18,14 +18,15 @@ f = delta_k(12, ELL, 10)
 print(f"\ndelta_12 mod {ELL} (the tau values reduced):", f.coeffs)
 print("tagged with weight k =", f.weight)
 
-tf = theta(f)
+tf = theta_power(f, 1)
 print(f"\ntheta delta_12: a_n = n * a_n, weight jumps by ell + 1 = {ELL + 1}")
 print("coefficients:", tf.coeffs)
-print("note a_13 of any theta image vanishes:", theta(delta_k(12, ELL, 14)).coeff(13))
+print("note a_13 of any theta image vanishes:", theta_power(delta_k(12, ELL, 14), 1).coeff(13))
 
-a = hasse(ELL, 10)
+a = QExpansion(ELL, [1] + [0] * 10, ELL - 1)
+af = series_mul(a, f)
 print(f"\nthe weight {ELL - 1} form with q-expansion 1 leaves series alone:")
-print("hasse * delta_12 == delta_12:", (a * f).coeffs == f.coeffs)
+print("1 * delta_12 == delta_12:", af.coeffs == f.coeffs, "with weight", af.weight)
 
 # two forms of congruent weights agreeing far enough must be equal:
 # delta_16 = theta^2 delta_12 mod 13, checkable up to the bound

@@ -50,10 +50,8 @@ from .qseries import (
     delta_k,
     eisenstein,
     equal_upto,
-    hasse,
     series_mul,
     sturm_bound,
-    theta,
     theta_power,
 )
 from .twist import (

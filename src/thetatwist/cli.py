@@ -32,7 +32,10 @@ EXIT_VERIFY_FAIL = 5
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not positive")
     return value

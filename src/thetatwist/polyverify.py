@@ -4,19 +4,19 @@ A ProjPolyRecord holds the exact integer coefficients of a degree ell+1
 polynomial whose splitting field realizes a projective mod-ell
 representation; parse_poly reads one from text, one regular-expression
 match per term, and given the (k, ell) label it is the label check too.
-verify_record checks it against the eigenform of weight k:
-for each prime p the distinct-degree factorization pattern of the polynomial
-mod p must equal the cycle type of the Frobenius class predicted from
-(a_p mod ell, p^{k-1} mod ell).  The prediction is checked directly
-(_has_pattern: the trace of the Frobenius matrix, one walk of the Frobenius
-map and at most one gcd); only where it fails does ddf, a plain
-degree-by-degree distinct-degree factorization, run, to tell a FAIL from a
-reduction that is not squarefree, which is skipped as ramified, as p = ell
-always is.  Both apply the Frobenius map as a linear operator on
-packed integer rows (polyarith), built once per prime by _frobenius with
-slot-wise Barrett reduction mod p.  Its reduction mod f needs
-u = 1/rev(f) mod x^n, which verify_record computes once over Z for a monic
-record and reduces mod each p.
+verify_record checks it against the eigenform of weight k: for each prime
+p the distinct-degree factorization pattern of the polynomial mod p must
+equal the cycle type of the Frobenius class predicted from (a_p mod ell,
+p^{k-1} mod ell).  The prediction is checked directly (_has_pattern: the
+trace of the Frobenius matrix, one walk of the Frobenius map and at most
+one gcd); only where it fails does ddf, a plain degree-by-degree
+distinct-degree factorization, run, to tell a FAIL from a reduction that
+is not squarefree, which is skipped as ramified, as p = ell always is.
+Both share one set-up per prime: _frobenius makes the reduction monic and
+builds the Frobenius map as a linear operator on packed integer rows
+(polyarith), with slot-wise Barrett reduction mod p.  Its reduction mod f
+needs u = 1/rev(f) mod x^n, which verify_record computes once over Z for
+a monic record and reduces mod each p.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  A report is its outcomes, one
@@ -26,12 +26,11 @@ polynomials are coefficient lists in ascending order with the zero
 polynomial written as the empty tuple.
 
 ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
-subclasses, immutable tuples with named fields; ModPoly checks its modulus
-and reduces its coefficients in __new__.  No modulus is proved prime twice:
-ModPoly, delta_k and the galrep classifiers go through ffield.check_prime,
-which remembers each prime it proved, and the sieved p of verify_record
-never reach it, since it reduces the record mod p itself and calls the
-private kernels of ddf and is_squarefree_mod on coefficient lists.
+subclasses; ModPoly checks its modulus and reduces its coefficients in
+__new__.  No modulus is proved prime twice: ModPoly, delta_k and the galrep
+classifiers go through ffield.check_prime, which remembers each prime it
+proved, and the sieved p of verify_record never reach it, since it reduces
+the record mod p itself and calls the private kernels on coefficient lists.
 """
 
 import os
@@ -96,9 +95,6 @@ class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
 
 #: one term, or the longest start of one that the text holds: sign,
 #: coefficient, '*', x, '^', '{', exponent and, after '{', '}', in this
@@ -116,11 +112,12 @@ def parse_poly(text, k=None, ell=None):
     '*' between a coefficient and x is required; '-' or the minus sign '−'
     negates.  Each term is one match of _TERM; a ParseError gives the end of
     the longest prefix that can begin an expression.  Duplicate exponents
-    raise DuplicateTerm; a non-monic result only warns.  An exponent above
-    qseries.MAX_PRECISION, or with ell given above ell + 1, raises ParseError
-    before any list is built.  With ell given the parse is the label check:
-    after the warning, a degree other than ell + 1 or a leading coefficient
-    other than 1 raises ValueError.
+    raise DuplicateTerm; a non-monic result only warns.  ParseError refuses
+    an exponent above qseries.MAX_PRECISION, or with ell given above ell + 1,
+    before any list is built (by its length first), and a coefficient longer
+    than int() converts, at its start.  With ell given the parse is the label
+    check: after the warning, a degree other than ell + 1 or a leading
+    coefficient other than 1 raises ValueError.
     """
     bound, name = (MAX_PRECISION, "the maximum") if ell is None else (ell + 1, "ell + 1 =")
     terms, i = {}, 0
@@ -140,12 +137,18 @@ def parse_poly(text, k=None, ell=None):
             raise ParseError("expected digits", i)
         if brace and not close:
             raise ParseError("expected '}'", i)
-        e = int(exp) if exp else 1 if x else 0
+        exp = (exp or ("1" if x else "")).lstrip("0")  # "" is exponent 0
+        if len(exp) > len(str(bound)):  # refused before int() reads it
+            raise ParseError(f"exponent of {len(exp)} digits exceeds {name} {bound}", i)
+        e = int(exp or 0)
         if e > bound:
             raise ParseError(f"exponent {e} exceeds {name} {bound}", i)
         if e in terms:
             raise DuplicateTerm(f"exponent {e} appears twice", i)
-        c = int(coef or 1)
+        try:
+            c = int(coef or 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"coefficient of {len(coef)} digits is too long", m.start(2)) from None
         terms[e] = -c if sign in ("-", "−") else c
 
     deg = max(terms)
@@ -258,32 +261,39 @@ def _rev_inverse(f, p=None):
 
 
 def _frobenius(f, p, u=None):
-    """(frobenius, mulmod, trace) for a monic f of degree n >= 2 over F_p.
+    """(work, frobenius, mulmod, trace): f made monic, and its Frobenius map.
 
-    frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on coefficient
-    lists of length n with entries in [0, p), return such lists, and trace
-    is the trace of the Frobenius matrix Q mod p: the sum over i < n of the
-    coefficient of x^i in x^(i*p) mod f, slot i of row i, read off the
-    reduced rows with one shift and one mask each.  For a squarefree f it
-    is the number of linear factors mod p (see _has_pattern).  The maps work
-    on packed ints (polyarith) with the slot width of polyarith.barrett for
-    slots up to bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the
+    f is a stripped coefficient list mod a prime p, which is not checked
+    (ModPoly proved it, or verify_record took p from a sieve).  One set-up
+    serves both _has_pattern and _ddf at a prime; below degree 2 there is
+    no map to build, and the last three are None.  Else, for f = work of
+    degree n, frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f take
+    and return coefficient lists of length n with entries in [0, p), and
+    trace is the trace of the Frobenius matrix Q mod p: the sum over i < n
+    of the coefficient of x^i in x^(i*p) mod f, slot i of row i, read off
+    the reduced rows with one shift and one mask each.  For a squarefree f
+    it is the number of linear factors mod p (see _has_pattern).  The maps
+    work on packed ints (polyarith) with the slot width of polyarith.barrett
+    for slots up to bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the
     Frobenius rows x^(i*p) mod f, i < n, stay packed from first to last,
-    reduced mod f by the quotient instead of by reduction rows x^(n+j) mod
-    f.  The square and multiply ladder for x^p starts at x^e, e the longest
-    binary prefix of p below n: that power is one slot and needs no
-    reduction, so the squarings that stay below degree n cost nothing, and
-    for p < n none is left.  A product c = L + x^n H of at most 2n slots has
-    every slot reduced mod p at once (Barrett); then the quotient Q of c by
-    f is the top n slots of H * rev(u), where u = _rev_inverse(f, p) holds
-    the first n terms of x^n / f in powers of 1/x, and c mod f is
-    L + Q * (-f_low mod p) truncated to n slots; verify_record passes u in,
-    reduced from its record's.  Each of these products has n or fewer terms
-    of (p - 1)^2 per slot, so every slot stays within bound.  The Frobenius map
-    is one sum over the packed rows, sum(map(mul, h, rows)).  Its result and
-    mulmod's are reduced mod p slot-wise by the same Barrett reduction and
-    read out as they stand (polyarith.slots), with no % p per coefficient.
+    reduced mod f through the quotient.  The square and multiply ladder for
+    x^p starts at x^e, e the longest binary prefix of p below n: that power
+    is one slot and needs no reduction, so the squarings that stay below
+    degree n cost nothing, and for p < n none is left.  A product
+    c = L + x^n H of at most 2n slots has every slot reduced mod p at once
+    (Barrett); then the quotient Q of c by f is the top n slots of
+    H * rev(u), where u = _rev_inverse(f, p), which verify_record passes in
+    reduced from its record's, holds the first n terms of x^n / f in powers
+    of 1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.
+    Each of these products has n or fewer terms of (p - 1)^2 per slot, so
+    every slot stays within bound.  The Frobenius map is one sum over the
+    packed rows, sum(map(mul, h, rows)).  Its result and mulmod's are
+    reduced mod p slot-wise by the same Barrett reduction and read out as
+    they stand (polyarith.slots), with no % p per coefficient.
     """
+    f = _monic(f, p)
+    if len(f) < 3:
+        return f, None, None, None
     n = len(f) - 1
     width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
     bits = 8 * width
@@ -320,7 +330,7 @@ def _frobenius(f, p, u=None):
         rows.append(reduce(remainder(rows[-1] * xp)))
     mask = (1 << bits) - 1
     trace = sum(row >> i * bits & mask for i, row in enumerate(rows)) % p
-    return frobenius, mulmod, trace
+    return f, frobenius, mulmod, trace
 
 
 def ddf(f):
@@ -338,26 +348,11 @@ def ddf(f):
     which is then itself irreducible.  Only the degrees are returned, never
     the factors.
     """
-    return _ddf(_setup(f.coeffs, f.modulus), f.modulus)
-
-
-def _setup(f, p, u=None):
-    """(work, frobenius, mulmod, trace): f made monic, with _frobenius of it.
-
-    f is a stripped coefficient list with entries in [0, p) for a prime p,
-    which is not checked: ModPoly has proved it, or verify_record took p
-    from a sieve; u, if given, is _rev_inverse(work, p).  One set-up serves
-    both _has_pattern and _ddf at a prime; below degree 2 there is no
-    Frobenius map to build, and the three are None.
-    """
-    work = _monic(f, p)
-    if len(work) < 3:
-        return work, None, None, None
-    return (work, *_frobenius(work, p, u))
+    return _ddf(_frobenius(f.coeffs, f.modulus), f.modulus)
 
 
 def _ddf(setup, p):
-    """ddf of f from its set-up _setup(f, p), squarefree check included."""
+    """ddf of f from its set-up _frobenius(f, p), squarefree check included."""
     work, frobenius = setup[:2]
     if not _is_squarefree(work, p):
         raise NotSquarefree("input polynomial is not squarefree")
@@ -387,9 +382,9 @@ def _has_pattern(setup, p, *patterns):
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
     degree L (every pattern predicted_degree_pattern returns has this form).
     A non-squarefree f has no pattern, so None is returned for it, as for
-    the zero polynomial.  setup is _setup(f, p): f made monic, as in ddf, and
-    one Frobenius set-up that serves all the patterns, and the _ddf that
-    verify_record runs on a miss.  Checking a known pattern needs no
+    the zero polynomial.  setup is _frobenius(f, p): f made monic, as in
+    ddf, and one Frobenius set-up that serves all the patterns and the _ddf
+    that verify_record runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
 
     The trace lemma: for a squarefree f the trace t of the Frobenius matrix
@@ -494,20 +489,18 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     equal the predicted cycle type (either admissible pattern counts as a
     pass for ambiguous classes).  The prediction is checked first with
     _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
-    holds, it is the observed pattern.  Only otherwise does ddf run, to
-    report the observed pattern of a FAIL or to skip a prime whose
-    reduction is not squarefree as ramified.  Each prime appends one
-    (p, status, observed, predicted), FAIL when observed is not a predicted
-    pattern, and the counts per status and the FAIL primes are read off the
-    outcomes after the scan.  With fail_fast the scan stops
-    at the first FAIL, which is enough for mutation testing.  Each p comes
-    from primes_upto's sieve, so the record is reduced mod p here and handed
-    to the private kernels as a coefficient list, with no ModPoly and so no
-    primality test per prime.  The a_p come from delta_k(k, ell, pmax), the
-    one source of the series.  ell is checked by delta_k and by the
-    classifiers at each p, and check_prime proves it once per process.  For
-    a monic record u = 1/rev(f) mod x^n is computed once, over Z, and each
-    set-up gets it reduced mod p.  Raises ValueError for a record whose
+    holds, it is the observed pattern.  Only otherwise does ddf run, on the
+    same _frobenius set-up, to report the observed pattern of a FAIL or to
+    skip a prime whose reduction is not squarefree as ramified.  Each prime
+    appends one (p, status, observed, predicted), FAIL when observed is not
+    a predicted pattern; the counts per status and the FAIL primes are read
+    off the outcomes after the scan.  With fail_fast the scan stops at the
+    first FAIL, which is enough for mutation testing.  Each p comes from
+    primes_upto's sieve, so the record is reduced mod p here, with no
+    ModPoly and so no primality test.  The a_p come from delta_k(k, ell,
+    pmax), which checks ell, as the classifiers do at each p.  For a monic
+    record u = 1/rev(f) mod x^n is computed once, over Z, and each set-up
+    gets it reduced mod p.  Raises ValueError for a record whose
     content, the gcd of its coefficients, is not 1, since it vanishes mod
     every prime dividing the content (a zero record has content 0), and
     when no prime was compared, since an empty scan would otherwise read
@@ -532,7 +525,7 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         predicted = predicted_degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
         u_p = None if u is None else [c % p for c in u]
-        setup = _setup(_strip([c % p for c in record.coeffs]), p, u_p)
+        setup = _frobenius(_strip([c % p for c in record.coeffs]), p, u_p)
         observed = _has_pattern(setup, p, *candidates)
         if observed is None:
             try:

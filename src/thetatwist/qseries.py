@@ -6,13 +6,11 @@ every series built here has integer coefficients and needs no division, so
 no big-integer stage is ever needed.  A product truncates to the smaller
 precision, and reading a coefficient past the recorded precision raises
 rather than silently returning zero.  A series product is one multiplication
-of packed integers (Kronecker substitution, see polyarith), not a
-coefficient-by-coefficient Cauchy loop.
+of packed integers (Kronecker substitution, see polyarith).
 
-The generators provided here are the weight 4 and 6 Eisenstein series, the
-one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26}, the
-theta operator q d/dq, and the weight ell-1 form with q-expansion 1 whose
-multiplication shifts nominal weight without touching coefficients.  Delta
+The generators provided here are the weight 4 and 6 Eisenstein series and
+the one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26};
+theta_power applies the theta operator q d/dq any number of times.  Delta
 is q (eta^3)^8 from Jacobi's sparse eta^3, 3 squarings; each delta_k above
 12 is one product, by E4 or E6, of a lower-weight delta_k at the same
 (ell, n0): E4 for weights 16, 20, 22 and 26, E6 for 18, 22 and 26.  A sweep
@@ -46,7 +44,7 @@ _DELTA_STEPS = {16: (12, 4), 18: (12, 6), 20: (16, 4), 22: (16, 6), 26: (22, 4)}
 
 SUPPORTED_WEIGHTS = (12,) + tuple(sorted(_DELTA_STEPS))
 
-#: largest precision of a series; eisenstein, delta_k and hasse refuse more,
+#: largest precision of a series; eisenstein and delta_k refuse more,
 #: so a request far beyond memory fails as ValueError, not MemoryError, and
 #: an unlabelled polyverify.parse_poly refuses a larger exponent
 MAX_PRECISION = 10**7
@@ -91,9 +89,6 @@ class QExpansion:
         if self.ell != other.ell:
             raise ModulusMismatch(f"moduli differ: {self.ell} vs {other.ell}")
 
-    def __mul__(self, other):
-        return series_mul(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -102,9 +97,6 @@ class QExpansion:
             and self.coeffs == other.coeffs
             and self.weight == other.weight
         )
-
-    def __hash__(self):
-        return hash((self.ell, self.coeffs, self.weight))
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -182,7 +174,7 @@ _SERIES = {}
 
 def _check(ell, n0, least):
     """Refuse a composite ell, an ell below 5 and a precision n0 outside
-    [least, MAX_PRECISION]; eisenstein, delta_k and hasse call it first."""
+    [least, MAX_PRECISION]; eisenstein and delta_k call it first."""
     check_prime(ell)
     if ell < 5:
         raise ValueError("ell >= 5 required")
@@ -252,13 +244,8 @@ def delta_k(k, ell, n0):
 eisenstein.cache_clear = delta_k.cache_clear = _SERIES.clear
 
 
-def theta(f):
-    """q d/dq: a_n -> n*a_n; shifts the weight tag by ell + 1."""
-    return theta_power(f, 1)
-
-
 def theta_power(f, i):
-    """theta applied i times in one pass: a_n -> n^i * a_n.
+    """theta (q d/dq) applied i times in one pass: a_n -> n^i * a_n.
 
     n^i mod ell depends on n mod ell only, so the powers of 0..ell-1 are
     computed once and cycled along the coefficients.
@@ -271,17 +258,6 @@ def theta_power(f, i):
     powers = [pow(r, i, ell) for r in range(min(ell, len(f.coeffs)))]
     weight = None if f.weight is None else f.weight + i * (ell + 1)
     return QExpansion(ell, map(mul, cycle(powers), f.coeffs), weight)
-
-
-def hasse(ell, n0):
-    """Constant series 1 with weight tag ell - 1, to precision n0 >= 0.
-
-    Multiplying by it changes nominal weight without changing coefficients,
-    which is what lets forms of congruent weights be compared directly.
-    ell and n0 are checked as eisenstein checks them.
-    """
-    _check(ell, n0, 0)
-    return QExpansion(ell, [1] + [0] * n0, ell - 1)
 
 
 def sturm_bound(k):

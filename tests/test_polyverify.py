@@ -143,6 +143,21 @@ def test_labelled_parse_refuses_an_exponent_above_ell_plus_1():
         assert peak < 2**20, text  # refused before a coefficient list is built
 
 
+def test_parse_refuses_numbers_longer_than_int_reads():
+    # a coefficient past int()'s digit limit is refused at its start, and an
+    # exponent with more digits than its bound by its length, before int()
+    with pytest.raises(ParseError, match="coefficient of 5000 digits") as exc:
+        parse_poly("9" * 5000 + "*x")
+    assert exc.value.position == 0
+    with pytest.raises(ParseError, match=r"exponent of 5000 digits exceeds ell \+ 1 = 14") as exc:
+        parse_poly("x^" + "9" * 5000, k=16, ell=13)
+    assert exc.value.position == 5002
+    with pytest.raises(ParseError, match=f"exponent of 9 digits exceeds the maximum {MAX_PRECISION}"):
+        parse_poly("x^123456789")
+    # leading zeros are not digits of the bound
+    assert parse_poly("x^" + "0" * 5000 + "14 + 1", k=16, ell=13).degree == 14
+
+
 def test_validate_label():
     # a labelled parse is the label check: degree ell + 1, then monic
     with pytest.raises(ValueError, match=r"degree 2 != ell \+ 1 = 14"):
@@ -497,7 +512,8 @@ def test_frobenius_setup_matches_long_division(p):
             # frobenius(x) is x^p mod f, the top of the ladder
             powers = [(h, _pow_mod(h, p, f, p)) for h in (x, a, top)]
             for given in (None, u):
-                frobenius, mulmod, got = _frobenius(f, p, given)
+                work, frobenius, mulmod, got = _frobenius(f, p, given)
+                assert work == f, (n, low, given)
                 assert got == trace % p, (n, low, given)
                 for g, h, expected in products:
                     assert _reduced(mulmod(g, h), p, n) == expected, (n, low, given)

@@ -1,0 +1,50 @@
+"""The package's public names are pinned, so adding or removing one is a
+deliberate edit of PUBLIC_NAMES."""
+
+import types
+
+import pytest
+
+import thetatwist
+from thetatwist.qseries import QExpansion
+
+#: every name `import thetatwist` binds that does not start with '_',
+#: submodules left out (which of them are bound depends on what was imported)
+PUBLIC_NAMES = [
+    "AMBIGUOUS", "BUNDLED_LABELS", "CoefficientMismatch", "DuplicateTerm", "FrobeniusClass",
+    "InsufficientPrecision", "ModPoly", "ModulusMismatch", "NONSPLIT", "NonMonicWarning",
+    "NotFound", "NotSquarefree", "PUBLISHED_TWISTS", "ParseError", "PrimeMismatch",
+    "ProjPolyRecord", "QExpansion", "SPLIT", "SUPPORTED_WEIGHTS", "ScreeningReport",
+    "ThetaTwistError", "TwistCertificate", "UnsupportedWeight", "VerificationReport",
+    "WeightIncongruent", "bundled_record", "check_twist", "ddf", "delta_k", "eisenstein",
+    "equal_upto", "frobenius_class", "is_prime", "is_squarefree_mod", "legendre",
+    "load_poly_file", "parse_poly", "predicted_degree_pattern", "primes_upto",
+    "published_discrepancy", "screen_exceptional", "series_mul", "sturm_bound",
+    "theta_power", "twist_bound", "twist_search", "verify_record", "weight_congruent",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, obj in vars(thetatwist).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", ["theta", "hasse"])
+def test_second_names_are_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(thetatwist, name)
+    with pytest.raises(AttributeError):
+        getattr(thetatwist.qseries, name)
+
+
+def test_a_series_has_no_product_operator_and_no_hash():
+    f = QExpansion(13, [1, 2, 3], 12)
+    with pytest.raises(TypeError):
+        f * f
+    with pytest.raises(TypeError):
+        hash(f)
+    assert f == QExpansion(13, [14, 15, 16], 12)

@@ -16,10 +16,8 @@ from thetatwist.qseries import (
     delta_k,
     eisenstein,
     equal_upto,
-    hasse,
     series_mul,
     sturm_bound,
-    theta,
     theta_power,
 )
 
@@ -245,17 +243,17 @@ def test_hecke_relations_spot():
 
 def test_theta():
     f = delta_k(12, 13, 20)
-    tf = theta(f)
+    tf = theta_power(f, 1)
     assert tf.coeff(2) == 2 * f.coeff(2) % 13 == 4
     assert tf.coeff(13) == 0
     assert tf.weight == 12 + 13 + 1
     const = QExpansion(13, [1, 0, 0])
-    assert theta(const).coeffs == (0, 0, 0)
+    assert theta_power(const, 1).coeffs == (0, 0, 0)
 
 
 def test_theta_power():
     f = delta_k(12, 13, 50)
-    t2 = theta(theta(f))
+    t2 = theta_power(theta_power(f, 1), 1)
     assert theta_power(f, 2).coeffs == t2.coeffs
     # against n^2 a_n directly, past n = ell where the powers repeat
     assert t2.coeffs == tuple(n * n * c % 13 for n, c in enumerate(f.coeffs))
@@ -269,21 +267,8 @@ def test_theta_fermat_identity():
         f = delta_k(12, ell, 100)
         iterated = f
         for _ in range(ell):
-            iterated = theta(iterated)
-        assert iterated.coeffs == theta(f).coeffs
-
-
-def test_hasse():
-    a = hasse(13, 5)
-    assert a.coeffs == (1, 0, 0, 0, 0, 0)
-    assert a.weight == 12
-    assert hasse(11, 3).weight == 10
-    assert hasse(13, 0).coeffs == (1,)
-    for ell, n0 in ((13, -1), (13, MAX_PRECISION + 1), (3, 5), (15, 5)):
-        with pytest.raises(ValueError):
-            hasse(ell, n0)
-    f = delta_k(12, 13, 5)
-    assert series_mul(a, f).coeffs == f.coeffs
+            iterated = theta_power(iterated, 1)
+        assert iterated.coeffs == theta_power(f, 1).coeffs
 
 
 def test_sturm_bound():
@@ -300,7 +285,7 @@ def test_equal_upto():
     m = sturm_bound(max(16, 12 + 2 * (13 + 1)))
     assert m == 3
     assert equal_upto(f, t2g, m)
-    tg = theta(g)  # weight 26, incongruent to 16 mod 12
+    tg = theta_power(g, 1)  # weight 26, incongruent to 16 mod 12
     assert not equal_upto(f, tg, 2)
     # also differs in coefficients: a_2 is 8 vs 4
     assert f.coeff(2) == 8 and tg.coeff(2) == 4

@@ -116,4 +116,4 @@ def test_mod_poly_checks_and_strips():
     with pytest.raises(ValueError, match="not prime"):
         ModPoly(3, (1, 1))._replace(modulus=4)
     assert ModPoly(3, (1, 1))._replace(coeffs=(2, 3)) == ModPoly(3, (2,))
-    assert ModPoly(5, (5, 10)).is_zero()
+    assert ModPoly(5, (5, 10)).coeffs == ()
