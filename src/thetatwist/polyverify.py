@@ -9,14 +9,14 @@ p the distinct-degree factorization pattern of the polynomial mod p must
 equal the cycle type of the Frobenius class predicted from (a_p mod ell,
 p^{k-1} mod ell).  The prediction is checked directly (_has_pattern: the
 trace of the Frobenius matrix, one walk of the Frobenius map and at most
-one gcd); only where it fails does ddf, a plain degree-by-degree
+two gcds); only where it fails does ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
 is not squarefree, which is skipped as ramified, as p = ell always is.
-Both share one set-up per prime: _frobenius makes the reduction monic and
-builds the Frobenius map as a linear operator on packed integer rows
-(polyarith), with slot-wise Barrett reduction mod p.  Its reduction mod f
-needs u = 1/rev(f) mod x^n, which verify_record computes once over Z for
-a monic record and reduces mod each p.
+Both share one set-up per prime: _frobenius builds the Frobenius map as a
+linear operator on packed integer rows (polyarith), with slot-wise Barrett
+reduction mod p.  verify_record takes monic records of degree ell + 1 only,
+as the labelled parse_poly does, and computes the u = 1/rev(f) mod x^n of
+that reduction mod f once over Z, reducing it mod each p.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  A report is its outcomes, one
@@ -37,7 +37,6 @@ import os
 import re
 import warnings
 from collections import Counter, namedtuple
-from math import gcd
 from operator import mul as _imul
 
 from . import polyarith
@@ -116,8 +115,8 @@ def parse_poly(text, k=None, ell=None):
     an exponent above qseries.MAX_PRECISION, or with ell given above ell + 1,
     before any list is built (by its length first), and a coefficient longer
     than int() converts, at its start.  With ell given the parse is the label
-    check: after the warning, a degree other than ell + 1 or a leading
-    coefficient other than 1 raises ValueError.
+    check: after the warning, _check_shape refuses a degree other than ell + 1
+    or a leading coefficient other than 1 with ValueError.
     """
     bound, name = (MAX_PRECISION, "the maximum") if ell is None else (ell + 1, "ell + 1 =")
     terms, i = {}, 0
@@ -155,11 +154,17 @@ def parse_poly(text, k=None, ell=None):
     coeffs = tuple(terms.get(e, 0) for e in range(deg + 1))
     if coeffs[-1] != 1:
         warnings.warn(f"leading coefficient is {coeffs[-1]}, not 1", NonMonicWarning)
-    if ell is not None and deg != ell + 1:
-        raise ValueError(f"degree {deg} != ell + 1 = {ell + 1}")
-    if ell is not None and coeffs[-1] != 1:
-        raise ValueError("labeled records must be monic")
+    if ell is not None:
+        _check_shape(coeffs, ell)
     return ProjPolyRecord(coeffs=coeffs, k=k, ell=ell)
+
+
+def _check_shape(coeffs, ell):
+    """Raise ValueError unless coeffs is monic of degree ell + 1."""
+    if len(coeffs) != ell + 2:
+        raise ValueError(f"degree {len(coeffs) - 1} != ell + 1 = {ell + 1}")
+    if coeffs[-1] != 1:
+        raise ValueError("labeled records must be monic")
 
 
 # -- raw coefficient-list kernels (ascending order, stripped) --
@@ -169,26 +174,6 @@ def _strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [x % p for x in a]
-    _strip(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for shift in range(len(a) - 1 - db, -1, -1):
-        c = a[shift + db]
-        if c:
-            c = c * inv % p
-            q[shift] = c
-            top = shift + db + 1
-            a[shift:top] = [(x - c * y) % p for x, y in zip(a[shift:top], b)]
-    return q, _strip(a)
 
 
 def _monic(a, p):
@@ -282,9 +267,9 @@ def _frobenius(f, p, u=None):
     degree n cost nothing, and for p < n none is left.  A product
     c = L + x^n H of at most 2n slots has every slot reduced mod p at once
     (Barrett); then the quotient Q of c by f is the top n slots of
-    H * rev(u), where u = _rev_inverse(f, p), which verify_record passes in
-    reduced from its record's, holds the first n terms of x^n / f in powers
-    of 1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.
+    H * rev(u), where u = _rev_inverse(work, p), or verify_record's integer
+    u reduced mod p, holds the first n terms of x^n / f in powers of 1/x,
+    and c mod f is L + Q * (-f_low mod p) truncated to n slots.
     Each of these products has n or fewer terms of (p - 1)^2 per slot, so
     every slot stays within bound.  The Frobenius map is one sum over the
     packed rows, sum(map(mul, h, rows)).  Its result and mulmod's are
@@ -336,17 +321,15 @@ def _frobenius(f, p, u=None):
 def ddf(f):
     """Degree multiset of the irreducible factors of a squarefree monic f.
 
-    Distinct-degree factorization: the product of the irreducible factors of
-    degree d divides x^{p^d} - x, and a factor of degree e divides
-    x^{p^d} - x exactly when e | d.  x^{p^d} mod f is kept modulo the
-    original f of degree n and advanced by the Frobenius map
+    Distinct-degree factorization: a factor of degree e divides x^{p^d} - x
+    exactly when e | d.  x^{p^d} mod f is advanced by the Frobenius map
     h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
-    (von zur Gathen-Shoup); since the remaining part divides f, every gcd
-    with it is unchanged.  At each d = 1, 2, ... the gcd of the remaining
-    part with x^{p^d} - x is the product of its factors of degree d, which
-    then leave it.  The scan stops once 2d exceeds the remaining degree,
-    which is then itself irreducible.  Only the degrees are returned, never
-    the factors.
+    (von zur Gathen-Shoup).  At each d = 1, 2, ... the gcd of f with
+    x^{p^d} - x is the product of its factors of degree dividing d, so its
+    degree less that of the factors counted at the e | d, e < d, is the
+    degree-d part, a multiple of d; nothing is divided out.  The scan stops
+    once 2d exceeds the degree not yet counted, which is then one
+    irreducible factor.  Only the degrees are returned, never the factors.
     """
     return _ddf(_frobenius(f.coeffs, f.modulus), f.modulus)
 
@@ -356,24 +339,22 @@ def _ddf(setup, p):
     work, frobenius = setup[:2]
     if not _is_squarefree(work, p):
         raise NotSquarefree("input polynomial is not squarefree")
-    n = len(work) - 1
+    left = len(work) - 1
     out = []
-    h = [0, 1] + [0] * (n - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
+    h = [0, 1] + [0] * (left - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
     d = 1
-    while 2 * d <= len(work) - 1:
+    while 2 * d <= left:
         h = frobenius(h)
         u = list(h)
         u[1] = (u[1] - 1) % p
-        g = _gcd(work, u, p)
-        if len(g) > 1:
-            out.extend([d] * ((len(g) - 1) // d))
-            work = _divmod(work, g, p)[0]
+        new = len(_gcd(work, u, p)) - 1 - sum(e for e in out if d % e == 0)
+        assert new % d == 0, "the degree-d part must be a multiple of d"
+        out.extend([d] * (new // d))
+        left -= new
         d += 1
-    if len(work) > 1:
-        out.append(len(work) - 1)
-    result = tuple(out)  # ascending: the remainder's degree exceeds the last d
-    assert sum(result) == n, "factor degrees must sum to deg f"
-    return result
+    if left:
+        out.append(left)
+    return tuple(out)  # ascending: the remainder's degree is at least d
 
 
 def _has_pattern(setup, p, *patterns):
@@ -381,10 +362,10 @@ def _has_pattern(setup, p, *patterns):
 
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
     degree L (every pattern predicted_degree_pattern returns has this form).
-    A non-squarefree f has no pattern, so None is returned for it, as for
-    the zero polynomial.  setup is _frobenius(f, p): f made monic, as in
-    ddf, and one Frobenius set-up that serves all the patterns and the _ddf
-    that verify_record runs on a miss.  Checking a known pattern needs no
+    A non-squarefree f has no pattern, so None is returned for it.  setup is
+    _frobenius(f, p) of an f of degree at least 2: f made monic, as in ddf,
+    and one Frobenius set-up that serves all the patterns and the _ddf that
+    verify_record runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
 
     The trace lemma: for a squarefree f the trace t of the Frobenius matrix
@@ -396,14 +377,14 @@ def _has_pattern(setup, p, *patterns):
     n = deg f:
       0. t == a mod p, checked before any walk: a squarefree f with N_1 = a
          passes, and a non-squarefree one has no pattern to lose;
-      1. deg f == a + bL, the degree of f mod p, which drops when p divides
-         the leading coefficient;
+      1. deg f == a + bL is not checked: in verify_record both are ell + 1,
+         as the record is monic of that degree;
       2. h_L == x, where h_d = x^{p^d} mod f is walked with the Frobenius
          map.  This holds exactly when f | x^{p^L} - x, that is when f is
          squarefree and the degree of every factor divides L;
       3. for L > 1, G = gcd(f, prod (h_m - x) mod f) over m = L/q for the
          primes q | L, and m = 1 for p <= n, has degree a and, for p <= n,
-         divides h_1 - x = x^p - x.
+         divides h_1 - x = x^p - x: gcd(h_1 - x, G) == G.
     After step 2 a factor of degree e divides h_m - x exactly when e | m.
     Every proper divisor of L divides 1 or some L/q, and L divides none of
     them, so G is the product of the factors of degree below L (the linear
@@ -411,20 +392,15 @@ def _has_pattern(setup, p, *patterns):
     distinct linear factors.  For p > n step 2 has proved f squarefree, so
     step 0 gives N_1 == a mod p, and as both lie in [0, n] with n < p, it
     gives N_1 = a; then deg G == a leaves no factor of degree strictly
-    between 1 and L, G needs no m = 1 term and no division test, and for a
-    prime L the product is empty and no gcd runs.  For p <= n the trace
-    only fixes N_1 mod p (over F_3 three linear factors read as none), so
-    step 3 keeps the m = 1 term and the test.  Either way the n - a degrees
-    left are all L, b of them.  Conversely f with pattern {1^a, L^b}
-    passes every step.
+    between 1 and L, G needs no m = 1 term and no divisibility test, and
+    for a prime L the product is empty and no gcd runs.  For p <= n the
+    trace only fixes N_1 mod p (over F_3 three linear factors read as
+    none), so step 3 keeps the m = 1 term and the test.  Either way the
+    n - a degrees left are all L, b of them.  Conversely f with pattern
+    {1^a, L^b} passes every step.
     """
     work, frobenius, mulmod, trace = setup
     n = len(work) - 1
-    patterns = [pattern for pattern in patterns if sum(pattern) == n]
-    if not patterns:
-        return None
-    if n < 2:  # a constant or a linear f is squarefree
-        return patterns[0]
     x = [0, 1] + [0] * (n - 2)
     exact = p > n  # the trace is the exact count of linear factors
     for pattern in patterns:
@@ -450,7 +426,7 @@ def _has_pattern(setup, p, *patterns):
         if product is None:  # L = 1, or L prime and p > n
             return pattern
         g = _gcd(work, product, p)
-        if len(g) - 1 == a and (exact or not _divmod(u1, g, p)[1]):
+        if len(g) - 1 == a and (exact or _gcd(u1, g, p) == g):
             return pattern
     return None
 
@@ -498,24 +474,20 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     first FAIL, which is enough for mutation testing.  Each p comes from
     primes_upto's sieve, so the record is reduced mod p here, with no
     ModPoly and so no primality test.  The a_p come from delta_k(k, ell,
-    pmax), which checks ell, as the classifiers do at each p.  For a monic
-    record u = 1/rev(f) mod x^n is computed once, over Z, and each set-up
-    gets it reduced mod p.  Raises ValueError for a record whose
-    content, the gcd of its coefficients, is not 1, since it vanishes mod
-    every prime dividing the content (a zero record has content 0), and
-    when no prime was compared, since an empty scan would otherwise read
-    consistent.
+    pmax), which checks ell, as the classifiers do at each p.  A record
+    not monic of degree ell + 1 raises the labelled parse_poly's ValueError
+    (_check_shape) before the scan, so every reduction keeps that degree
+    and u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p
+    for each set-up.  Raises ValueError too when no prime was compared,
+    since an empty scan would otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
     if record.k is not None and record.k != k:
         raise ValueError("record label disagrees with requested k")
-    content = gcd(*record.coeffs)
-    if content != 1:
-        raise ValueError(f"record is not primitive: content gcd(*coeffs) = {content}")
     f = delta_k(k, ell, pmax)
-    monic = record.coeffs[-1] == 1
-    u = _rev_inverse(record.coeffs) if monic else None
+    _check_shape(record.coeffs, ell)
+    u = _rev_inverse(record.coeffs)
     outcomes = []
     for p in primes_upto(pmax):
         if p == ell:
@@ -524,8 +496,7 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
         predicted = predicted_degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
-        u_p = None if u is None else [c % p for c in u]
-        setup = _frobenius(_strip([c % p for c in record.coeffs]), p, u_p)
+        setup = _frobenius([c % p for c in record.coeffs], p, [c % p for c in u])
         observed = _has_pattern(setup, p, *candidates)
         if observed is None:
             try:

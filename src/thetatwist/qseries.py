@@ -113,9 +113,10 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; rejects any level but 1."""
+        """Inverse of to_json_dict; rejects any level but 1 and an ell not prime."""
         if d.get("N") not in (None, 1):
             raise ValueError(f"level {d['N']} is not supported, only level 1")
+        check_prime(d["ell"])
         return cls(d["ell"], d["coeffs"], d.get("k"))
 
 

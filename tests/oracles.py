@@ -4,8 +4,11 @@ Everything here recomputes expected values by a different route from the
 package: integer eta-product expansion instead of Eisenstein monomials,
 exhaustive power enumeration instead of factored-order computation, explicit
 matrix orbits on the projective line instead of pattern formulas, and root
-counting instead of distinct-degree factorization.  Keep these naive.
+counting and trial division instead of distinct-degree factorization.
+Keep these naive.
 """
+
+from itertools import product
 
 
 def sigma(j, n):
@@ -32,16 +35,23 @@ def poly_mul_mod(a, b, m):
     return [c % m for c in out]
 
 
-def poly_rem_monic(a, f, m):
-    """a mod the monic f by long division, one leading term at a time,
-    as a list of exactly deg f entries in [0, m)."""
+def poly_divmod_monic(a, f, m):
+    """Quotient and remainder of a by the monic f mod m, by long division,
+    one leading term at a time; the remainder as exactly deg f entries in
+    [0, m)."""
     n = len(f) - 1
     rem = [c % m for c in a]
+    q = [0] * max(len(rem) - n, 0)
     for top in range(len(rem) - 1, n - 1, -1):
-        c = rem[top]
+        c = q[top - n] = rem[top]
         for i in range(n + 1):
             rem[top - n + i] = (rem[top - n + i] - c * f[i]) % m
-    return (rem + [0] * n)[:n]
+    return q, (rem + [0] * n)[:n]
+
+
+def poly_rem_monic(a, f, m):
+    """The remainder of poly_divmod_monic(a, f, m)."""
+    return poly_divmod_monic(a, f, m)[1]
 
 
 def poly_gcd(a, b, m):
@@ -65,6 +75,44 @@ def poly_gcd(a, b, m):
             )
         a, b = b, rem
     return [x * pow(a[-1], -1, m) % m for x in a] if a else []
+
+
+def ddf_by_trial_division(f, m):
+    """Sorted degrees of the irreducible factors of a nonzero f mod the
+    prime m, or None when one of them repeats.
+
+    Trial division by every monic polynomial of degree d = 1, 2, ... in
+    turn, while 2d <= the degree left: each divisor found has no factor of
+    lower degree left to share, so it is irreducible, and it is divided out
+    once and must not divide again.  What is left is 1 or irreducible.
+    Costs about m^(deg f / 2) divisions: for small m and deg f only.
+    """
+    f = [c % m for c in f]
+    while not f[-1]:
+        f.pop()
+    f = [c * pow(f[-1], -1, m) % m for c in f]
+    degrees, d = [], 1
+    while 2 * d <= len(f) - 1:
+        for low in product(range(m), repeat=d):
+            g = [*low, 1]
+            q, r = poly_divmod_monic(f, g, m)
+            if not any(r):
+                if not any(poly_divmod_monic(q, g, m)[1]):
+                    return None
+                f = q
+                degrees.append(d)
+        d += 1
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return tuple(degrees)
+
+
+def degree_patterns(n):
+    """Every sorted pattern {1^a, L^b} of degree n."""
+    out = [(1,) * n]
+    for top in range(2, n + 1):
+        out.extend((1,) * (n - b * top) + (top,) * b for b in range(1, n // top + 1))
+    return out
 
 
 def eta24_int(nmax):

@@ -5,13 +5,12 @@ factorization path, runs just where that check fails: at the primes skipped
 as ramified and at the primes that FAIL.  verify_record reaches it through
 _ddf, which takes the Frobenius set-up of the pattern check, so each tested
 prime builds exactly one set-up.  Above deg f the trace of the Frobenius
-matrix counts the linear factors, so the pattern check divides only at
-primes p <= deg f and runs no gcd where the predicted degree L is prime.
-On a correct record every DDF call ends at its squarefree test, so the
-degree loop runs only at FAIL primes.
-The polyverify module bindings of _ddf, _frobenius, _has_pattern, _divmod
-and _gcd are wrapped, since verify_record and _has_pattern look them up
-there.  tables verifies each projective representation once: the (26, 13)
+matrix counts the linear factors, so the pattern check runs its second gcd,
+the divisibility test, only at primes p <= deg f, and no gcd at all where
+the predicted degree L is prime.  On a correct record every DDF call ends
+at its squarefree test, so the degree loop runs only at FAIL primes.
+The polyverify module bindings of _ddf, _frobenius, _has_pattern and _gcd
+are wrapped, since verify_record and _has_pattern look them up there.  tables verifies each projective representation once: the (26, 13)
 record, which twists to the same delta_12 mod 13 as (16, 13) and has the
 same coefficients, gets the (16, 13) report relabelled.
 """
@@ -139,31 +138,25 @@ def test_tables_transports_the_report_it_would_compute(capsys):
 
 @pytest.fixture
 def pattern_checks(monkeypatch):
-    """Per _has_pattern call: [p, deg f, the patterns' degrees L, _divmod calls, _gcd calls]."""
+    """Per _has_pattern call: [p, deg f, the patterns' degrees L, _gcd calls]."""
     checks, active = [], []
-    has_pattern = polyverify._has_pattern
+    has_pattern, gcd = polyverify._has_pattern, polyverify._gcd
 
     def tracked(setup, p, *patterns):
-        active.append([p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0, 0])
+        active.append([p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0])
         checks.append(active[-1])
         try:
             return has_pattern(setup, p, *patterns)
         finally:
             active.pop()
 
-    def counter(name, slot):
-        kernel = getattr(polyverify, name)
-
-        def counted(*args):
-            if active:  # the DDF fallback's calls are not counted
-                active[-1][slot] += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(polyverify, name, counted)
+    def counted(*args):
+        if active:  # the DDF fallback's calls are not counted
+            active[-1][3] += 1
+        return gcd(*args)
 
     monkeypatch.setattr(polyverify, "_has_pattern", tracked)
-    counter("_divmod", 3)
-    counter("_gcd", 4)
+    monkeypatch.setattr(polyverify, "_gcd", counted)
     return checks
 
 
@@ -171,12 +164,13 @@ def test_pattern_check_divides_only_at_small_primes(pattern_checks):
     for k, ell in BUNDLED_LABELS:
         verify_record(bundled_record(k, ell), k, ell, 1000)
     assert len(pattern_checks) == 1002
-    for p, n, tops, divmods, gcds in pattern_checks:
+    for p, n, tops, gcds in pattern_checks:
         if p > n:
-            assert divmods == 0, (p, n, tops)
+            # at most the gcd G of step 3, and none where every L is 1 or prime
+            assert gcds <= 1, (p, n, tops)
             if all(top == 1 or is_prime(top) for top in tops):
                 assert gcds == 0, (p, n, tops)
-    # without the trace there are 993 of each, one per check that reaches
-    # step 3
-    assert sum(check[3] for check in pattern_checks) == 30
-    assert sum(check[4] for check in pattern_checks) == 664
+    # the divisibility test, gcd(x^p - x, G) == G, is a second gcd at p <= deg f
+    # only; without the trace there would be 993 of G and 993 of the test
+    assert sum(gcds == 2 for p, n, tops, gcds in pattern_checks if p <= n) == 30
+    assert sum(check[3] for check in pattern_checks) == 694

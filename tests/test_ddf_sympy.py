@@ -21,7 +21,7 @@ from thetatwist.polyverify import (
     is_squarefree_mod,
 )
 
-from oracles import poly_mul_mod
+from oracles import degree_patterns, poly_mul_mod
 
 X = sympy.symbols("x")
 
@@ -146,14 +146,6 @@ def test_ddf_planted_block_shapes(p, degrees):
     assert ddf(f) == planted
 
 
-def _patterns(n):
-    """Every sorted pattern {1^a, L^b} of degree n."""
-    out = [(1,) * n]
-    for top in range(2, n + 1):
-        out.extend((1,) * (n - b * top) + (top,) * b for b in range(1, n // top + 1))
-    return out
-
-
 def setup_of(f):
     return _frobenius(f.coeffs, f.modulus)
 
@@ -178,18 +170,17 @@ def _ddf_or_none(f):
 )
 def test_has_pattern_agrees_with_ddf(p, low, square, lead):
     # f = lead * (low + x^len) * (square + x^len)^2: non-monic, and not
-    # squarefree whenever the squared factor has positive degree
+    # squarefree whenever the squared factor has positive degree; every
+    # pattern has degree deg f >= 2, as in verify_record
     base = tuple(low) + (1,)
     sq = tuple(square) + (1,)
     f = ModPoly(p, [(lead % p or 1) * c for c in poly_mul_mod(base, poly_mul_mod(sq, sq, p), p)])
+    assume(f.degree >= 2)
     observed = _ddf_or_none(f)
-    patterns = _patterns(f.degree)
+    patterns = degree_patterns(f.degree)
     for pattern in patterns:
         assert (has_pattern(f, pattern) == pattern) == (observed == pattern), pattern
     assert has_pattern(f, *patterns) == (observed if observed in patterns else None)
-    # a pattern of another degree never holds
-    assert has_pattern(f, (1,) * (f.degree + 1)) is None
-    assert has_pattern(f, (f.degree + 1,)) is None
 
 
 def _planted(p, degrees, seed=0):
@@ -216,7 +207,7 @@ def test_has_pattern_planted_cases():
         f = ModPoly(5, poly_mul_mod(poly_mul_mod(g, g, 5), h, 5))
         with pytest.raises(NotSquarefree):
             ddf(f)
-        for pattern in _patterns(f.degree):
+        for pattern in degree_patterns(f.degree):
             assert has_pattern(f, pattern) is None, pattern
     # L = 1: a product of distinct linears splits, one quadratic factor does not
     f = ModPoly(11, poly_mul_mod(poly_mul_mod((1, 1), (2, 1), 11), (5, 1), 11))

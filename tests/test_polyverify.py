@@ -2,9 +2,11 @@ import json
 import random
 import tracemalloc
 import warnings
+from itertools import product
 
 import pytest
 
+from thetatwist import polyverify
 from thetatwist.errors import (
     DuplicateTerm,
     NonMonicWarning,
@@ -18,6 +20,7 @@ from thetatwist.polyverify import (
     VerificationReport,
     _frobenius,
     _gcd,
+    _has_pattern,
     _rev_inverse,
     bundled_record,
     ddf,
@@ -305,6 +308,88 @@ def test_ddf_full_splitting_polynomial():
         assert ddf(ModPoly(p, tuple(frob))) == (1,) * p
 
 
+def test_trial_division_counts_the_irreducibles():
+    # the judge below, checked on its own: there are (1/d) sum_{e | d}
+    # mu(d/e) p^e monic irreducibles of degree d over F_p (Gauss)
+    for p, d, count in [(2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 6, 9),
+                        (3, 2, 3), (3, 3, 8), (3, 4, 18), (5, 2, 10), (5, 3, 40)]:
+        lows = product(range(p), repeat=d)
+        assert sum(oracles.ddf_by_trial_division([*low, 1], p) == (d,) for low in lows) == count
+
+
+def _matches_trial_division(f, p):
+    """ddf and _has_pattern on f mod p against oracles.ddf_by_trial_division."""
+    expected = oracles.ddf_by_trial_division(f, p)
+    poly = ModPoly(p, f)
+    if expected is None:
+        with pytest.raises(NotSquarefree):
+            ddf(poly)
+    else:
+        assert ddf(poly) == expected, (p, f)
+    setup = _frobenius(poly.coeffs, p)
+    for pattern in oracles.degree_patterns(poly.degree):
+        assert (_has_pattern(setup, p, pattern) == pattern) == (pattern == expected), (p, f, pattern)
+    return expected
+
+
+def _irreducible(d, p, rng):
+    while True:
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if oracles.ddf_by_trial_division(g, p) == (d,):
+            return g
+
+
+@pytest.mark.parametrize(
+    "p, degrees",
+    [
+        # a degree and its divisors together: the gcd at d = 6 holds the
+        # factors of degree 1, 2 and 3 too, and at d = 4 the two quadratics
+        (2, (1, 2, 3, 6)),
+        (3, (1, 2, 3, 6)),
+        (3, (2, 2, 4)),
+        (5, (1, 1, 2, 4)),
+        (2, (4, 4)),
+        # p <= deg f with trace 0: three linear factors over F_3
+        (3, (1, 1, 1, 3)),
+        # p > deg f, where the trace counts the linear factors exactly
+        (11, (1, 2, 3)),
+        (11, (1, 1, 4)),
+    ],
+)
+def test_ddf_and_has_pattern_match_trial_division_on_planted_mixes(p, degrees):
+    rng = random.Random(p * 100 + len(degrees))
+    factors = []
+    for d in degrees:
+        g = _irreducible(d, p, rng)
+        while g in factors:
+            g = _irreducible(d, p, rng)
+        factors.append(g)
+    f = [1]
+    for g in factors:
+        f = oracles.poly_mul_mod(f, g, p)
+    assert _matches_trial_division(f, p) == tuple(sorted(degrees))
+    # with a planted factor squared no pattern holds
+    assert _matches_trial_division(oracles.poly_mul_mod(f, factors[-1], p), p) is None
+
+
+def test_ddf_and_has_pattern_match_trial_division_on_random_polynomials():
+    rng = random.Random(24)
+    seen = set()
+    for p, top in [(2, 10), (3, 8), (5, 6), (7, 6), (11, 5)]:
+        for i in range(60):
+            if i % 2:  # a product of small factors: repeats and divisor mixes are common
+                f = [rng.randrange(1, p)]
+                while len(f) <= 2:
+                    for _ in range(rng.randrange(2, 5)):
+                        d = rng.randrange(1, 4)
+                        f = oracles.poly_mul_mod(f, [rng.randrange(p) for _ in range(d)] + [1], p)
+            else:
+                f = [rng.randrange(p) for _ in range(rng.randrange(2, top + 1))] + [rng.randrange(1, p)]
+            seen.add(_matches_trial_division(f, p))
+    # squarefree and not, split and not, and patterns with a degree and its divisors
+    assert None in seen and (1, 1) in seen and (2, 4) in seen and len(seen) > 40
+
+
 def test_verify_record_bundled_16_13():
     rep = verify_record(bundled_record(16, 13), 16, 13, 100)
     assert rep.counts["fail"] == 0
@@ -334,16 +419,31 @@ def test_verify_record_rejects_a_composite_ell():
         verify_record(unlabeled, 16, 15, 100)
 
 
-def test_verify_record_rejects_a_non_primitive_record_before_the_scan():
-    # 2 f vanishes mod 2: the scan must not reach p = 2 and fail there on
-    # the zero polynomial, and the error names the content
-    with pytest.raises(ValueError, match=r"content gcd\(\*coeffs\) = 2$"):
-        verify_record(ProjPolyRecord((2, 0, 0, 0, 0, 0, 2)), 16, 5, 50)
-    for coeffs in ((), (0,)):
-        with pytest.raises(ValueError, match=r"content gcd\(\*coeffs\) = 0$"):
+def test_verify_record_refuses_a_record_of_another_shape_before_the_scan(monkeypatch):
+    # verify_record reads the one shape the labelled parse_poly reads, monic
+    # of degree ell + 1, and refuses any other with the same texts before
+    # any prime is scanned
+    def no_scan(n):
+        raise AssertionError("a prime was scanned")
+
+    monkeypatch.setattr(polyverify, "primes_upto", no_scan)
+    for coeffs, error in [
+        # not monic, primitive or not: 2 f would vanish mod 2
+        ((3, 0, 0, 0, 0, 0, 2), "labeled records must be monic"),
+        ((2, 0, 0, 0, 0, 0, 2), "labeled records must be monic"),
+        ((1, 0, 0, 0, 0, 1, 0), "labeled records must be monic"),
+        # of a degree other than ell + 1 = 6, unstripped or zero
+        ((1, 0, 1), r"degree 2 != ell \+ 1 = 6"),
+        ((1, 0, 0, 0, 0, 0, 1, 0), r"degree 7 != ell \+ 1 = 6"),
+        ((), r"degree -1 != ell \+ 1 = 6"),
+        ((0,), r"degree 0 != ell \+ 1 = 6"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{error}$"):
             verify_record(ProjPolyRecord(coeffs), 16, 5, 50)
-    # a primitive record whose leading coefficient is not 1 is still scanned
-    assert verify_record(ProjPolyRecord((3, 0, 0, 0, 0, 0, 2)), 16, 5, 50).counts["fail"] >= 1
+    with pytest.raises(ValueError, match=r"^degree 2 != ell \+ 1 = 6$"):
+        parse_poly("x^2 + 1", k=16, ell=5)
+    with pytest.warns(NonMonicWarning), pytest.raises(ValueError, match="^labeled records must be monic$"):
+        parse_poly("2*x^6 + 3", k=16, ell=5)
 
 
 def test_verify_record_detects_mutation():
@@ -377,30 +477,6 @@ def _reference_outcomes(record, k, ell, pmax, series):
     return tuple(outcomes)
 
 
-def test_verify_record_non_monic_records_match_per_prime_ddf():
-    # the leading coefficient is replaced, so each prime dividing it drops the
-    # degree of the reduction, and at the others the pattern must be checked
-    # on the monic associate, as ddf does
-    statuses, dropped = [], 0
-    for k, ell in BUNDLED_LABELS:
-        series = delta_k(k, ell, 100)
-        coeffs = bundled_record(k, ell).coeffs
-        for lead in (2, 3, 5, 6, 7):
-            record = ProjPolyRecord(coeffs[:-1] + (lead,))
-            rep = verify_record(record, k, ell, 100)
-            assert rep.outcomes == _reference_outcomes(record, k, ell, 100, series), (k, ell, lead)
-            for p, status, observed, _ in rep.outcomes:
-                if lead % p == 0 and p != ell:
-                    assert status in ("FAIL", "skipped-ramified"), (k, ell, lead, p)
-                    dropped += status == "FAIL" and sum(observed) == ell
-            statuses.extend(status for _, status, _, _ in rep.outcomes)
-    # every branch is exercised: primes where the prediction holds, FAILs,
-    # and FAILs of a reduction of degree ell
-    assert statuses.count("match") >= 1
-    assert statuses.count("FAIL") >= 100
-    assert dropped >= 10
-
-
 def test_verify_record_mutated_records_match_per_prime_ddf():
     rng = random.Random(8)
     for k, ell in BUNDLED_LABELS:
@@ -427,14 +503,14 @@ _COUNT_KEY = {
 @pytest.mark.parametrize(
     "k, ell, change, pmax",
     [(k, ell, None, 1000) for k, ell in BUNDLED_LABELS]
-    + [(22, 11, "c3 + 1", 200), (16, 13, "lead 6", 200)],
+    + [(22, 11, "c3 + 1", 200), (16, 13, "c13 + 6", 200)],
 )
 def test_report_counts_and_failures_are_read_off_the_outcomes(k, ell, change, pmax):
     coeffs = list(bundled_record(k, ell).coeffs)
     if change == "c3 + 1":
         coeffs[3] += 1
-    elif change == "lead 6":
-        coeffs[-1] = 6
+    elif change == "c13 + 6":
+        coeffs[13] += 6
     rep = verify_record(ProjPolyRecord(tuple(coeffs)), k, ell, pmax)
     statuses = [status for _, status, _, _ in rep.outcomes]
     assert set(statuses) <= set(_COUNT_KEY)

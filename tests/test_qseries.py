@@ -333,3 +333,12 @@ def test_qexpansion_json_roundtrip():
         d["N"] = level
         with pytest.raises(ValueError, match="level"):
             QExpansion.from_json_dict(d)
+
+
+@pytest.mark.parametrize("ell", [15, 1, 0, -13])
+def test_qexpansion_from_json_refuses_an_ell_not_prime(ell):
+    # a series is over F_ell: 15 and 1 were read as moduli, 0 ended in a
+    # bare ZeroDivisionError
+    d = {"ell": ell, "N": 1, "k": 16, "coeffs": [0, 1, 2]}
+    with pytest.raises(ValueError, match=f"modulus {ell} is not prime"):
+        QExpansion.from_json_dict(d)
