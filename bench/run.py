@@ -1,6 +1,6 @@
 """Record per-prime kernel times and whole-run times of one or more source trees.
 
-    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_21.json
+    python bench/run.py --src parent=../parent --src change=. --rounds 5 --out BENCH_25.json
 
 Each --src names a checkout, as label=path or as a bare path labelled by its
 directory name, whose src/ holds the thetatwist package.  For every tree it
@@ -8,7 +8,8 @@ records:
 
   - kernels_us: the per-prime costs of the Frobenius pattern check for a
     random monic f of degree n mod p, n in NS and p in PS: the _frobenius
-    set-up, one step of the Frobenius walk, one mulmod of two random
+    set-up, given u = 1/rev(f) mod x^n reduced mod p as verify_record
+    gives it, one step of the Frobenius walk, one mulmod of two random
     polynomials of degree below n and one _gcd of f with a random
     polynomial of degree n - 1, in microseconds per call; and, as the cases
     "ladder n=..,p=..", the set-up for each (n, p) in LADDER, where the
@@ -21,16 +22,15 @@ records:
     only, divided by the number of primes tested (every p <= pmax but ell);
   - rev_inverse_us: the cost of u = 1/rev(f) mod x^n for each of
     U_RECORDS, a bundled record and a random monic record of degree 200
-    with 64-bit coefficients, at each p of U_PS: the mod-p recurrence
-    ("recurrence_us", what every prime paid before u was computed once per
-    record), the reduction of the integer u ("reduce_us", what each prime
-    pays now), and, once per record, the integer u itself ("integer_us");
+    with 64-bit coefficients: the reduction of the integer u at each p of
+    U_PS ("reduce_us", what each prime pays) and, once per record, the
+    integer u itself ("integer_us");
   - wrong_records_us: the in-process cost of two calls that factor wrong
     or unchecked records, where the DDF's degree loop runs: acceptance
     criterion 4, verify_record with fail_fast on its 120 single +-1
-    mutations of the bundled records at pmax MUTATION_PMAX, and public ddf
-    at every prime p <= DDF_PMAX of each bundled record, a NotSquarefree
-    reduction counted as a call too;
+    mutations of the bundled records at pmax MUTATION_PMAX, and _ddf on the
+    _frobenius set-up at every prime p <= DDF_PMAX of each bundled record,
+    u given, a NotSquarefree reduction counted as a call too;
   - series_us: for each n in SERIES_NS, a cold delta_k(26, SERIES_ELL, n)
     (the series cache emptied before each call, so E4, E6 and the six
     products of its chain are built), a cold delta_k(12, SERIES_ELL, n)
@@ -96,7 +96,7 @@ RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 VERIFY_PMAX = 10000
 VERIFY_PER_PRIME_PMAX = 1000
 #: pmax of the criterion 4 mutation case, and the largest p of the
-#: public ddf case, of wrong_records_us
+#: _ddf case, of wrong_records_us
 MUTATION_PMAX = 200
 DDF_PMAX = 1000
 #: the records of rev_inverse_us, (name, label): a bundled (k, ell) label, or
@@ -154,19 +154,19 @@ def kernels():
             # stay the cases earlier BENCH files timed
             factors = random.Random(n * p)
             a, b = ([factors.randrange(p) for _ in range(n)] for _ in range(2))
-            # the two maps before the trace, whether or not the set-up
-            # returns the monic f first
-            frobenius, mulmod = polyverify._frobenius(f, p)[-3:-1]
+            u = [c % p for c in polyverify._rev_inverse(f)]
+            frobenius, mulmod = polyverify._frobenius(f, p, u)[1:3]
             out[f"n={n},p={p}"] = {
-                "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
+                "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p, u)),
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
                 "mulmod_us": _per_call_us(lambda: mulmod(a, b)),
                 "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
             }
     for n, p in LADDER:
         f = [rng.randrange(p) for _ in range(n)] + [1]
+        u = [c % p for c in polyverify._rev_inverse(f)]
         out[f"ladder n={n},p={p}"] = {
-            "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p)),
+            "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p, u)),
         }
     return out
 
@@ -216,18 +216,15 @@ def rev_inverse_us():
         u = rev_inverse(f)
         out[name] = {"integer_us": _per_call_us(lambda: rev_inverse(f))}
         for p in U_PS:
-            fp = [c % p for c in f]
-            out[f"{name},p={p}"] = {
-                "recurrence_us": _per_call_us(lambda: rev_inverse(fp, p)),
-                "reduce_us": _per_call_us(lambda: [c % p for c in u]),
-            }
+            out[f"{name},p={p}"] = {"reduce_us": _per_call_us(lambda: [c % p for c in u])}
     return out
 
 
 def wrong_records_us():
     """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
-    from thetatwist import (ModPoly, NotSquarefree, ProjPolyRecord, bundled_record, ddf,
-                            primes_upto, verify_record)
+    from thetatwist import (NotSquarefree, ProjPolyRecord, bundled_record, primes_upto,
+                            verify_record)
+    from thetatwist.polyverify import _ddf, _frobenius, _rev_inverse
 
     rng = random.Random(20250811)  # tests/test_acceptance.py's mutations, in its order
     mutations = []
@@ -243,13 +240,16 @@ def wrong_records_us():
             if verify_record(mutated, k, ell, MUTATION_PMAX, fail_fast=True).counts["fail"] < 1:
                 raise RuntimeError(f"a mutation of ({k}, {ell}) was not caught")
 
-    polys = [ModPoly(p, bundled_record(k, ell).coeffs)
-             for k, ell in RECORDS for p in primes_upto(DDF_PMAX)]
+    polys = []
+    for k, ell in RECORDS:
+        coeffs = bundled_record(k, ell).coeffs
+        u = _rev_inverse(coeffs)
+        polys += [([c % p for c in coeffs], p, [c % p for c in u]) for p in primes_upto(DDF_PMAX)]
 
-    def public_ddf():
-        for f in polys:
+    def ddf():
+        for fp, p, up in polys:
             try:
-                ddf(f)
+                _ddf(_frobenius(fp, p, up), p)
             except NotSquarefree:
                 pass
 
@@ -257,8 +257,8 @@ def wrong_records_us():
         f"criterion 4, {len(mutations)} mutations, pmax={MUTATION_PMAX}": {
             "call_us": _per_call_us(criterion_4),
         },
-        f"public ddf, six records, p<={DDF_PMAX}": {
-            "call_us": _per_call_us(public_ddf), "calls": len(polys),
+        f"_ddf on its set-up, six records, p<={DDF_PMAX}": {
+            "call_us": _per_call_us(ddf), "calls": len(polys),
         },
     }
 

@@ -5,40 +5,31 @@ F_ell.  Whether its discriminant is a square decides split vs nonsplit, the
 order of the eigenvalue ratio gives the projective order, and that order
 dictates the cycle type on the ell + 1 points of the projective line, which
 is exactly the degree multiset of the projective polynomial mod p.
+verify_record compares the two at every prime; its outcomes carry the
+observed and the predicted pattern of each.
 """
 
-from thetatwist import (
-    ModPoly,
-    bundled_record,
-    ddf,
-    delta_k,
-    frobenius_class,
-    is_squarefree_mod,
-    predicted_degree_pattern,
-)
+from thetatwist import bundled_record, delta_k, frobenius_class, verify_record
 
-K, ELL = 16, 13
-series = delta_k(K, ELL, 60)
+K, ELL, PMAX = 16, 13, 59
+series = delta_k(K, ELL, PMAX)
 record = bundled_record(K, ELL)
+report = verify_record(record, K, ELL, PMAX)
 
 print(f"form weight {K}, modulus {ELL}, polynomial degree {record.degree}\n")
 print(f"{'p':>4} {'a_p':>4} {'class':>9} {'ord':>4}   predicted == observed")
-for p in (2, 3, 5, 7, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
-    fp = ModPoly(p, record.coeffs)
-    if not is_squarefree_mod(fp):
+for p, status, observed, predicted in report.outcomes:
+    if status == "skipped-ell":
+        print(f"{p:>4}    -         -    -   p = ell, skipped")
+        continue
+    if status == "skipped-ramified":
         print(f"{p:>4}    -   ramified    -   reduction not squarefree, skipped")
         continue
     fc = frobenius_class(series.coeff(p), pow(p, K - 1, ELL), ELL)
-    predicted = predicted_degree_pattern(fc, ELL)
-    observed = ddf(fp)
-    if fc.is_ambiguous:
-        tag = "ambiguous, observed matches an admissible pattern"
-        ok = observed in predicted
-    else:
-        tag = ""
-        ok = observed == predicted
+    tag = "ambiguous, observed matches an admissible pattern" if fc.is_ambiguous else ""
     order = fc.order if fc.order is not None else "-"
-    print(f"{p:>4} {series.coeff(p):>4} {fc.kind:>9} {order:>4}   {observed} {'ok' if ok else 'MISMATCH'} {tag}")
+    verdict = "MISMATCH" if status == "FAIL" else "ok"
+    print(f"{p:>4} {series.coeff(p):>4} {fc.kind:>9} {order:>4}   {observed} {verdict} {tag}")
 
 print("\nsplit classes show the two fixed eigenlines as the pair of 1s;")
 print("nonsplit classes have no fixed points, so all factors share one degree")

@@ -34,12 +34,9 @@ from .galrep import (
 )
 from .polyverify import (
     BUNDLED_LABELS,
-    ModPoly,
     ProjPolyRecord,
     VerificationReport,
     bundled_record,
-    ddf,
-    is_squarefree_mod,
     load_poly_file,
     parse_poly,
     verify_record,

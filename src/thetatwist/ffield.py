@@ -41,7 +41,11 @@ _PROVED = set()
 
 
 def check_prime(m):
-    """Raise ValueError unless m is prime; a prime is tested once per process."""
+    """Raise ValueError unless m is a prime int; a prime is tested once per
+    process.  The type is checked first, so 13.0, equal to a proved 13, is
+    refused too."""
+    if not isinstance(m, int):
+        raise ValueError(f"modulus {m!r} is not an int")
     if m not in _PROVED:
         if not is_prime(m):
             raise ValueError(f"modulus {m} is not prime")

@@ -9,7 +9,7 @@ p the distinct-degree factorization pattern of the polynomial mod p must
 equal the cycle type of the Frobenius class predicted from (a_p mod ell,
 p^{k-1} mod ell).  The prediction is checked directly (_has_pattern: the
 trace of the Frobenius matrix, one walk of the Frobenius map and at most
-two gcds); only where it fails does ddf, a plain degree-by-degree
+two gcds); only where it fails does _ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
 is not squarefree, which is skipped as ramified, as p = ell always is.
 Both share one set-up per prime: _frobenius builds the Frobenius map as a
@@ -23,14 +23,14 @@ reports say how far the scan went.  A report is its outcomes, one
 (p, status, observed, predicted) per prime; its counts and failures are
 read off them, and its JSON is its fields with tuples as lists.  Mod-p
 polynomials are coefficient lists in ascending order with the zero
-polynomial written as the empty tuple.
+polynomial written as the empty list.
 
-ProjPolyRecord, ModPoly and VerificationReport are collections.namedtuple
-subclasses; ModPoly checks its modulus and reduces its coefficients in
-__new__.  No modulus is proved prime twice: ModPoly, delta_k and the galrep
-classifiers go through ffield.check_prime, which remembers each prime it
-proved, and the sieved p of verify_record never reach it, since it reduces
-the record mod p itself and calls the private kernels on coefficient lists.
+ProjPolyRecord and VerificationReport are collections.namedtuple
+subclasses.  No modulus is proved prime twice: verify_record, delta_k and
+the galrep classifiers prove ell through ffield.check_prime, which
+remembers each prime it proved, and the sieved p of verify_record never
+reach it, since it reduces the record mod p itself and calls the private
+kernels on coefficient lists.
 """
 
 import os
@@ -67,28 +67,6 @@ class ProjPolyRecord(namedtuple("ProjPolyRecord", "coeffs k ell", defaults=(None
     """Exact integer polynomial c_0 + c_1 x + ... + c_deg x^deg, with label."""
 
     __slots__ = ()
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
-class ModPoly(namedtuple("ModPoly", "modulus coeffs")):
-    """Polynomial over F_p: ascending coefficients, stripped, () for zero.
-
-    A modulus that is not prime raises ValueError: the gcds and the DDF
-    pattern are only meaningful over a field.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, modulus, coeffs):
-        check_prime(modulus)
-        return super().__new__(cls, modulus, tuple(_strip([x % modulus for x in coeffs])))
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks and strips too
-        return cls(*iterable)
 
     @property
     def degree(self):
@@ -219,40 +197,33 @@ def _deriv(a, p):
     return _strip([i * a[i] % p for i in range(1, len(a))])
 
 
-def is_squarefree_mod(f):
-    """True iff gcd(f, f') = 1; a vanishing derivative is handled by the gcd."""
-    return _is_squarefree(f.coeffs, f.modulus)
-
-
 def _is_squarefree(f, p):
-    """is_squarefree_mod for a coefficient list f mod the prime p."""
-    if not f:
-        raise ValueError("zero polynomial has no squarefree meaning")
+    """True iff the nonzero coefficient list f mod the prime p is squarefree:
+    gcd(f, f') = 1, a vanishing derivative handled by the gcd."""
     return len(_gcd(f, _deriv(f, p), p)) == 1
 
 
-def _rev_inverse(f, p=None):
-    """u = 1/rev(f) mod x^n for a monic f of degree n, mod p or over Z.
+def _rev_inverse(f):
+    """u = 1/rev(f) mod x^n over Z for a monic integer f of degree n.
 
-    u_0 = 1, u_k = -(f_(n-k) u_0 + ... + f_(n-1) u_(k-1)): an integer u
-    reduced mod p is the u of f mod p.
+    u_0 = 1, u_k = -(f_(n-k) u_0 + ... + f_(n-1) u_(k-1)): the recurrence
+    needs no division, so u reduced mod p is the u of f mod p.
     """
     n = len(f) - 1
     u = [1]
     for k in range(1, n):
-        c = -sum(map(_imul, f[n - k : n], u))
-        u.append(c if p is None else c % p)
+        u.append(-sum(map(_imul, f[n - k : n], u)))
     return u
 
 
-def _frobenius(f, p, u=None):
-    """(work, frobenius, mulmod, trace): f made monic, and its Frobenius map.
+def _frobenius(f, p, u):
+    """(f, frobenius, mulmod, trace): the Frobenius map of a monic f mod p.
 
-    f is a stripped coefficient list mod a prime p, which is not checked
-    (ModPoly proved it, or verify_record took p from a sieve).  One set-up
-    serves both _has_pattern and _ddf at a prime; below degree 2 there is
-    no map to build, and the last three are None.  Else, for f = work of
-    degree n, frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f take
+    f is a monic coefficient list of degree n >= 2 with entries in [0, p),
+    p a prime that is not checked (verify_record took it from a sieve), and
+    u is _rev_inverse(f) reduced mod p, which verify_record computes once
+    per record over Z.  One set-up serves both _has_pattern and _ddf at a
+    prime.  frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f take
     and return coefficient lists of length n with entries in [0, p), and
     trace is the trace of the Frobenius matrix Q mod p: the sum over i < n
     of the coefficient of x^i in x^(i*p) mod f, slot i of row i, read off
@@ -267,24 +238,18 @@ def _frobenius(f, p, u=None):
     degree n cost nothing, and for p < n none is left.  A product
     c = L + x^n H of at most 2n slots has every slot reduced mod p at once
     (Barrett); then the quotient Q of c by f is the top n slots of
-    H * rev(u), where u = _rev_inverse(work, p), or verify_record's integer
-    u reduced mod p, holds the first n terms of x^n / f in powers of 1/x,
-    and c mod f is L + Q * (-f_low mod p) truncated to n slots.
+    H * rev(u), where u holds the first n terms of x^n / f in powers of
+    1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.
     Each of these products has n or fewer terms of (p - 1)^2 per slot, so
     every slot stays within bound.  The Frobenius map is one sum over the
     packed rows, sum(map(mul, h, rows)).  Its result and mulmod's are
     reduced mod p slot-wise by the same Barrett reduction and read out as
     they stand (polyarith.slots), with no % p per coefficient.
     """
-    f = _monic(f, p)
-    if len(f) < 3:
-        return f, None, None, None
     n = len(f) - 1
     width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
     bits = 8 * width
     pack, slots = polyarith.pack, polyarith.slots
-    if u is None:
-        u = _rev_inverse(f, p)
     u_rev = pack(u[::-1], width)
     f_neg = pack([-c % p for c in f[:n]], width)
     top, middle = n * bits, (n - 1) * bits
@@ -318,9 +283,10 @@ def _frobenius(f, p, u=None):
     return f, frobenius, mulmod, trace
 
 
-def ddf(f):
+def _ddf(setup, p):
     """Degree multiset of the irreducible factors of a squarefree monic f.
 
+    setup is _frobenius(f, p, u); a non-squarefree f raises NotSquarefree.
     Distinct-degree factorization: a factor of degree e divides x^{p^d} - x
     exactly when e | d.  x^{p^d} mod f is advanced by the Frobenius map
     h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
@@ -331,11 +297,6 @@ def ddf(f):
     once 2d exceeds the degree not yet counted, which is then one
     irreducible factor.  Only the degrees are returned, never the factors.
     """
-    return _ddf(_frobenius(f.coeffs, f.modulus), f.modulus)
-
-
-def _ddf(setup, p):
-    """ddf of f from its set-up _frobenius(f, p), squarefree check included."""
     work, frobenius = setup[:2]
     if not _is_squarefree(work, p):
         raise NotSquarefree("input polynomial is not squarefree")
@@ -358,14 +319,14 @@ def _ddf(setup, p):
 
 
 def _has_pattern(setup, p, *patterns):
-    """The first of patterns that equals ddf(f), or None if none does.
+    """The first of patterns that equals _ddf(setup, p), or None if none does.
 
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
     degree L (every pattern predicted_degree_pattern returns has this form).
     A non-squarefree f has no pattern, so None is returned for it.  setup is
-    _frobenius(f, p) of an f of degree at least 2: f made monic, as in ddf,
-    and one Frobenius set-up that serves all the patterns and the _ddf that
-    verify_record runs on a miss.  Checking a known pattern needs no
+    _frobenius(f, p, u) of a monic f of degree at least 2, one Frobenius
+    set-up that serves all the patterns and the _ddf that verify_record
+    runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
 
     The trace lemma: for a squarefree f the trace t of the Frobenius matrix
@@ -465,28 +426,30 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     equal the predicted cycle type (either admissible pattern counts as a
     pass for ambiguous classes).  The prediction is checked first with
     _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
-    holds, it is the observed pattern.  Only otherwise does ddf run, on the
-    same _frobenius set-up, to report the observed pattern of a FAIL or to
-    skip a prime whose reduction is not squarefree as ramified.  Each prime
-    appends one (p, status, observed, predicted), FAIL when observed is not
-    a predicted pattern; the counts per status and the FAIL primes are read
-    off the outcomes after the scan.  With fail_fast the scan stops at the
-    first FAIL, which is enough for mutation testing.  Each p comes from
-    primes_upto's sieve, so the record is reduced mod p here, with no
-    ModPoly and so no primality test.  The a_p come from delta_k(k, ell,
-    pmax), which checks ell, as the classifiers do at each p.  A record
-    not monic of degree ell + 1 raises the labelled parse_poly's ValueError
-    (_check_shape) before the scan, so every reduction keeps that degree
-    and u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p
-    for each set-up.  Raises ValueError too when no prime was compared,
-    since an empty scan would otherwise read consistent.
+    holds, it is the observed pattern.  Only otherwise does _ddf run, on
+    the same _frobenius set-up, to report the observed pattern of a FAIL or
+    to skip a prime whose reduction is not squarefree as ramified.  Each
+    prime appends one (p, status, observed, predicted), FAIL when observed
+    is not a predicted pattern; the counts per status and the FAIL primes
+    are read off the outcomes after the scan.  With fail_fast the scan
+    stops at the first FAIL, which is enough for mutation testing.  Each p
+    comes from primes_upto's sieve, so the record is reduced mod p here,
+    with no primality test.  After the label checks ell is proved prime
+    (check_prime), and a record not monic of degree ell + 1 raises the
+    labelled parse_poly's ValueError (_check_shape), both before any
+    series is built; so every reduction keeps that degree and
+    u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p for
+    each set-up.  The a_p come from delta_k(k, ell, pmax).  Raises
+    ValueError too when no prime was compared, since an empty scan would
+    otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
     if record.k is not None and record.k != k:
         raise ValueError("record label disagrees with requested k")
-    f = delta_k(k, ell, pmax)
+    check_prime(ell)
     _check_shape(record.coeffs, ell)
+    f = delta_k(k, ell, pmax)
     u = _rev_inverse(record.coeffs)
     outcomes = []
     for p in primes_upto(pmax):

@@ -113,11 +113,15 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; rejects any level but 1 and an ell not prime."""
+        """Inverse of to_json_dict; rejects any level but 1, an ell not a
+        prime int, and a weight or coefficient not an int."""
         if d.get("N") not in (None, 1):
             raise ValueError(f"level {d['N']} is not supported, only level 1")
         check_prime(d["ell"])
-        return cls(d["ell"], d["coeffs"], d.get("k"))
+        k, coeffs = d.get("k"), d["coeffs"]
+        if not (k is None or isinstance(k, int)) or not all(isinstance(c, int) for c in coeffs):
+            raise ValueError("the weight and the coefficients must be ints")
+        return cls(d["ell"], coeffs, k)
 
 
 def _lists(x):

@@ -65,7 +65,7 @@ def setup_calls(monkeypatch):
     calls = []
     frobenius = polyverify._frobenius
 
-    def counted(f, p, u=None):
+    def counted(f, p, u):
         calls.append(p)
         return frobenius(f, p, u)
 

@@ -12,13 +12,13 @@ from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import primes_upto
 from thetatwist.polyverify import (
     BUNDLED_LABELS,
-    ModPoly,
+    _ddf,
     _frobenius,
     _gcd,
     _has_pattern,
+    _is_squarefree,
+    _rev_inverse,
     bundled_record,
-    ddf,
-    is_squarefree_mod,
 )
 
 from oracles import degree_patterns, poly_mul_mod
@@ -26,9 +26,26 @@ from oracles import degree_patterns, poly_mul_mod
 X = sympy.symbols("x")
 
 
-def sympy_degrees(f):
-    """Sorted irreducible-factor degrees of a squarefree ModPoly, by sympy."""
-    poly = sympy.Poly(list(reversed(f.coeffs)), X, modulus=f.modulus)
+def reduced(coeffs, p):
+    """coeffs mod p as a stripped list."""
+    f = [c % p for c in coeffs]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def setup_of(f, p):
+    """_frobenius of a monic f mod p, with u as verify_record passes it."""
+    return _frobenius(f, p, [c % p for c in _rev_inverse(f)])
+
+
+def ddf(f, p):
+    return _ddf(setup_of(f, p), p)
+
+
+def sympy_degrees(f, p):
+    """Sorted irreducible-factor degrees of a squarefree f mod p, by sympy."""
+    poly = sympy.Poly(list(reversed(f)), X, modulus=p)
     _, factors = poly.factor_list()
     assert all(e == 1 for _, e in factors)
     return tuple(sorted(g.degree() for g, _ in factors))
@@ -39,10 +56,10 @@ def test_ddf_matches_sympy_on_bundled_records():
     for k, ell in BUNDLED_LABELS:
         record = bundled_record(k, ell)
         for p in primes_upto(300):
-            fp = ModPoly(p, record.coeffs)
-            if not is_squarefree_mod(fp):
+            fp = reduced(record.coeffs, p)
+            if not _is_squarefree(fp, p):
                 continue
-            assert ddf(fp) == sympy_degrees(fp), (k, ell, p)
+            assert ddf(fp, p) == sympy_degrees(fp, p), (k, ell, p)
             checked += 1
     assert checked >= 6 * 55
 
@@ -50,22 +67,22 @@ def test_ddf_matches_sympy_on_bundled_records():
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from((2, 3, 5, 7, 31, 997, 4294967311)),
-    st.lists(st.integers(0, 2**40), max_size=20),
+    st.lists(st.integers(0, 2**40), min_size=2, max_size=20),
 )
 def test_ddf_matches_sympy_on_random_squarefree(p, low):
-    f = ModPoly(p, tuple(low) + (1,))
-    assume(is_squarefree_mod(f))
-    assert ddf(f) == sympy_degrees(f)
+    f = [c % p for c in low] + [1]
+    assume(_is_squarefree(f, p))
+    assert ddf(f, p) == sympy_degrees(f, p)
 
 
 def sympy_gcd(a, b, p):
-    """Monic gcd of two ModPolys mod p, by sympy, as ascending coefficients."""
-    ga = sympy.Poly(list(reversed(a.coeffs)) or [0], X, modulus=p)
-    gb = sympy.Poly(list(reversed(b.coeffs)) or [0], X, modulus=p)
+    """Monic gcd of two stripped lists mod p, by sympy, as ascending coefficients."""
+    ga = sympy.Poly(list(reversed(a)) or [0], X, modulus=p)
+    gb = sympy.Poly(list(reversed(b)) or [0], X, modulus=p)
     g = ga.gcd(gb)
     if g.is_zero:
-        return ()
-    return ModPoly(p, reversed(g.monic().all_coeffs())).coeffs
+        return []
+    return reduced([int(c) for c in reversed(g.monic().all_coeffs())], p)
 
 
 coefficient_lists = st.lists(st.integers(0, 2**64), max_size=25)
@@ -81,10 +98,10 @@ coefficient_lists = st.lists(st.integers(0, 2**64), max_size=25)
 def test_poly_gcd_matches_sympy(p, common, a, b):
     # a shared factor makes nontrivial gcds common; empty lists give zero
     # and length-one lists give constants
-    fa = ModPoly(p, poly_mul_mod(common, a, p))
-    fb = ModPoly(p, poly_mul_mod(common, b, p))
-    assert tuple(_gcd(fa.coeffs, fb.coeffs, p)) == sympy_gcd(fa, fb, p)
-    assert tuple(_gcd(fa.coeffs, (), p)) == sympy_gcd(fa, ModPoly(p, ()), p)
+    fa = reduced(poly_mul_mod(common, a, p), p)
+    fb = reduced(poly_mul_mod(common, b, p), p)
+    assert _gcd(fa, fb, p) == sympy_gcd(fa, fb, p)
+    assert _gcd(fa, (), p) == sympy_gcd(fa, [], p)
 
 
 def _is_irreducible(coeffs, p):
@@ -107,7 +124,7 @@ def _plant(degrees, p, rng):
     f = [1]
     for g in chosen:
         f = poly_mul_mod(f, g, p)
-    return ModPoly(p, f), tuple(sorted(len(g) - 1 for g in chosen))
+    return f, tuple(sorted(len(g) - 1 for g in chosen))
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +135,8 @@ def _plant(degrees, p, rng):
 )
 def test_ddf_finds_planted_factors(p, degrees, rng):
     f, planted = _plant(degrees, p, rng)
-    assert ddf(f) == planted
+    assume(len(f) > 2)
+    assert ddf(f, p) == planted
 
 
 @pytest.mark.parametrize(
@@ -143,20 +161,16 @@ def test_ddf_finds_planted_factors(p, degrees, rng):
 def test_ddf_planted_block_shapes(p, degrees):
     f, planted = _plant(degrees, p, random.Random(sum(degrees) * p))
     assert planted == tuple(sorted(degrees))
-    assert ddf(f) == planted
+    assert ddf(f, p) == planted
 
 
-def setup_of(f):
-    return _frobenius(f.coeffs, f.modulus)
+def has_pattern(f, p, *patterns):
+    return _has_pattern(setup_of(f, p), p, *patterns)
 
 
-def has_pattern(f, *patterns):
-    return _has_pattern(setup_of(f), f.modulus, *patterns)
-
-
-def _ddf_or_none(f):
+def _ddf_or_none(f, p):
     try:
-        return ddf(f)
+        return ddf(f, p)
     except NotSquarefree:
         return None
 
@@ -166,21 +180,20 @@ def _ddf_or_none(f):
     st.sampled_from((2, 3, 5, 7, 31, 997)),
     st.lists(st.integers(0, 2**40), max_size=12),
     st.lists(st.integers(0, 2**40), max_size=4),
-    st.integers(1, 2**40),
 )
-def test_has_pattern_agrees_with_ddf(p, low, square, lead):
-    # f = lead * (low + x^len) * (square + x^len)^2: non-monic, and not
-    # squarefree whenever the squared factor has positive degree; every
-    # pattern has degree deg f >= 2, as in verify_record
+def test_has_pattern_agrees_with_ddf(p, low, square):
+    # f = (low + x^len) * (square + x^len)^2: monic, and not squarefree
+    # whenever the squared factor has positive degree; every pattern has
+    # degree deg f >= 2, as in verify_record
     base = tuple(low) + (1,)
     sq = tuple(square) + (1,)
-    f = ModPoly(p, [(lead % p or 1) * c for c in poly_mul_mod(base, poly_mul_mod(sq, sq, p), p)])
-    assume(f.degree >= 2)
-    observed = _ddf_or_none(f)
-    patterns = degree_patterns(f.degree)
+    f = poly_mul_mod(base, poly_mul_mod(sq, sq, p), p)
+    assume(len(f) > 2)
+    observed = _ddf_or_none(f, p)
+    patterns = degree_patterns(len(f) - 1)
     for pattern in patterns:
-        assert (has_pattern(f, pattern) == pattern) == (observed == pattern), pattern
-    assert has_pattern(f, *patterns) == (observed if observed in patterns else None)
+        assert (has_pattern(f, p, pattern) == pattern) == (observed == pattern), pattern
+    assert has_pattern(f, p, *patterns) == (observed if observed in patterns else None)
 
 
 def _planted(p, degrees, seed=0):
@@ -194,44 +207,44 @@ def test_has_pattern_planted_cases():
     # x)(h_2 - x)) has the expected degree 2, and only G | x^p - x tells it
     # from two linear factors
     f = _planted(3, (2, 4))
-    assert ddf(f) == (2, 4)
-    assert has_pattern(f, (1, 1, 4)) is None
+    assert ddf(f, 3) == (2, 4)
+    assert has_pattern(f, 3, (1, 1, 4)) is None
     # four linears and a quadratic against two of each: only deg G tells them apart
     f = _planted(7, (1, 1, 1, 1, 2))
-    assert has_pattern(f, (1, 1, 2, 2)) is None
-    assert has_pattern(f, (1, 1, 1, 1, 2)) == (1, 1, 1, 1, 2)
+    assert has_pattern(f, 7, (1, 1, 2, 2)) is None
+    assert has_pattern(f, 7, (1, 1, 1, 1, 2)) == (1, 1, 1, 1, 2)
     # g^2 h is not squarefree; with h = 1 and g quadratic G = 1 has the
     # expected degree 0, so only h_L == x rejects it
-    g = _planted(5, (2,)).coeffs
-    for h in ((1,), _planted(5, (3,), seed=2).coeffs):
-        f = ModPoly(5, poly_mul_mod(poly_mul_mod(g, g, 5), h, 5))
+    g = _planted(5, (2,))
+    for h in ((1,), _planted(5, (3,), seed=2)):
+        f = poly_mul_mod(poly_mul_mod(g, g, 5), h, 5)
         with pytest.raises(NotSquarefree):
-            ddf(f)
-        for pattern in degree_patterns(f.degree):
-            assert has_pattern(f, pattern) is None, pattern
+            ddf(f, 5)
+        for pattern in degree_patterns(len(f) - 1):
+            assert has_pattern(f, 5, pattern) is None, pattern
     # L = 1: a product of distinct linears splits, one quadratic factor does not
-    f = ModPoly(11, poly_mul_mod(poly_mul_mod((1, 1), (2, 1), 11), (5, 1), 11))
-    assert has_pattern(f, (1, 1, 1)) == (1, 1, 1)
+    f = poly_mul_mod(poly_mul_mod((1, 1), (2, 1), 11), (5, 1), 11)
+    assert has_pattern(f, 11, (1, 1, 1)) == (1, 1, 1)
     f = _planted(11, (1, 2, 1))
-    assert has_pattern(f, (1, 1, 1, 1)) is None
+    assert has_pattern(f, 11, (1, 1, 1, 1)) is None
     # the two patterns of an ambiguous class, ell = 7: (1, 7) and eight fixed points
     f = _planted(13, (1, 7))
     candidates = ((1,) * 8, (1, 7))
-    assert has_pattern(f, *candidates) == (1, 7)
-    assert has_pattern(f, candidates[0]) is None
+    assert has_pattern(f, 13, *candidates) == (1, 7)
+    assert has_pattern(f, 13, candidates[0]) is None
     f = _planted(13, (1,) * 8)
-    assert has_pattern(f, *candidates) == (1,) * 8
+    assert has_pattern(f, 13, *candidates) == (1,) * 8
     f = _planted(13, (1, 1, 6))
-    assert has_pattern(f, *candidates) is None
+    assert has_pattern(f, 13, *candidates) is None
     # p <= deg f: x(x - 1)(x - 2) c with c an irreducible cubic over F_3 has
     # trace 3 = 0 and divides x^27 - x, so the trace and the walk alone would
     # pass (3, 3); only the m = 1 term of the gcd tells the linears apart
-    cubic = _planted(3, (3,)).coeffs
-    f = ModPoly(3, poly_mul_mod(poly_mul_mod(poly_mul_mod((0, 1), (2, 1), 3), (1, 1), 3), cubic, 3))
-    assert setup_of(f)[3] == 0
-    assert ddf(f) == (1, 1, 1, 3)
-    assert has_pattern(f, (3, 3)) is None
-    assert has_pattern(f, (1, 1, 1, 3)) == (1, 1, 1, 3)
+    cubic = _planted(3, (3,))
+    f = poly_mul_mod(poly_mul_mod(poly_mul_mod((0, 1), (2, 1), 3), (1, 1), 3), cubic, 3)
+    assert setup_of(f, 3)[3] == 0
+    assert ddf(f, 3) == (1, 1, 1, 3)
+    assert has_pattern(f, 3, (3, 3)) is None
+    assert has_pattern(f, 3, (1, 1, 1, 3)) == (1, 1, 1, 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,10 +255,10 @@ def test_has_pattern_planted_cases():
 def test_frobenius_trace_counts_linear_factors(p, low):
     # the trace of the Frobenius matrix is the number of linear factors mod
     # p, so exactly that number wherever p > deg f
-    f = ModPoly(p, tuple(low) + (1,))
-    assume(is_squarefree_mod(f))
-    linear = ddf(f).count(1)
-    trace = setup_of(f)[3]
+    f = [c % p for c in low] + [1]
+    assume(_is_squarefree(f, p))
+    linear = ddf(f, p).count(1)
+    trace = setup_of(f, p)[3]
     assert trace == linear % p
-    if p > f.degree:
+    if p > len(low):
         assert trace == linear

@@ -15,16 +15,15 @@ from thetatwist.errors import (
 )
 from thetatwist.polyverify import (
     BUNDLED_LABELS,
-    ModPoly,
     ProjPolyRecord,
     VerificationReport,
+    _ddf,
     _frobenius,
     _gcd,
     _has_pattern,
+    _is_squarefree,
     _rev_inverse,
     bundled_record,
-    ddf,
-    is_squarefree_mod,
     parse_poly,
     verify_record,
 )
@@ -34,6 +33,24 @@ from thetatwist.galrep import frobenius_class, predicted_degree_pattern
 from thetatwist.qseries import MAX_PRECISION, delta_k
 
 import oracles
+
+
+def _setup(f, p):
+    """_frobenius of a monic f mod p, with u as verify_record passes it."""
+    return _frobenius(f, p, [c % p for c in _rev_inverse(f)])
+
+
+def _monic(f, p):
+    """f reduced mod p, stripped and made monic."""
+    f = [c % p for c in f]
+    while not f[-1]:
+        f.pop()
+    return [c * pow(f[-1], -1, p) % p for c in f]
+
+
+def ddf(f, p):
+    """_ddf of a monic f of degree at least 2 mod p."""
+    return _ddf(_setup(f, p), p)
 
 
 def test_parse_simple():
@@ -171,22 +188,6 @@ def test_validate_label():
         assert bundled_record(k, ell).degree == ell + 1
 
 
-def test_modpoly_reduces_record():
-    assert ModPoly(3, ProjPolyRecord((4, -4, 1)).coeffs).coeffs == (1, 2, 1)
-    rec = bundled_record(16, 13)
-    mod2 = ModPoly(2, rec.coeffs)
-    assert mod2.degree == 14
-    assert set(mod2.coeffs) <= {0, 1}
-    assert ModPoly(11, bundled_record(22, 11).coeffs).coeffs[0] == (-111) % 11 == 10
-    with pytest.raises(ValueError):
-        ModPoly(4, rec.coeffs)
-
-
-def test_modpoly_rejects_composite_modulus():
-    with pytest.raises(ValueError, match="15 is not prime"):
-        ddf(ModPoly(15, (1, 0, 1)))
-
-
 def test_poly_gcd_mod():
     f = (4, 0, 3)  # 3x^2 + 4
     assert _gcd(f, (), 5) == [3, 0, 1]  # monic(f)
@@ -243,16 +244,14 @@ def test_gcd_random_planted_factors_match_oracle():
 
 
 def test_is_squarefree_mod():
-    assert not is_squarefree_mod(ModPoly(7, (1, 5, 1)))  # (x-1)^2
-    assert is_squarefree_mod(ModPoly(7, (1, 0, 1)))  # x^2 + 1, -1 non-square
+    assert not _is_squarefree([1, 5, 1], 7)  # (x-1)^2
+    assert _is_squarefree([1, 0, 1], 7)  # x^2 + 1, -1 non-square
     assert {x * x % 7 for x in range(1, 7)} == {1, 2, 4}
     for p in (5, 7):
         frob = [0] * (p + 1)
-        frob[1] = -1
+        frob[1] = p - 1
         frob[p] = 1
-        assert is_squarefree_mod(ModPoly(p, tuple(frob)))  # x^p - x
-    with pytest.raises(ValueError):
-        is_squarefree_mod(ModPoly(7, ()))
+        assert _is_squarefree(frob, p)  # x^p - x
 
 
 def _mul_int(a, b):
@@ -264,22 +263,18 @@ def _mul_int(a, b):
 
 
 def test_ddf_examples():
-    # a constant has no factors and a linear f is irreducible, monic or not
-    assert ddf(ModPoly(7, (3,))) == ()
-    assert ddf(ModPoly(7, (2, 1))) == (1,)
-    assert ddf(ModPoly(7, (2, 3))) == (1,)
-    assert ddf(ModPoly(7, (1, 0, 1))) == (2,)
-    assert ddf(ModPoly(7, (6, 0, 1))) == (1, 1)
+    assert ddf([1, 0, 1], 7) == (2,)
+    assert ddf([6, 0, 1], 7) == (1, 1)
     # fixture: (x-1)(x^2+1)(x^2+x+3); both quadratics verified irreducible
     assert oracles.poly_roots([1, 0, 1], 7) == []
     assert oracles.poly_roots([3, 1, 1], 7) == []
     f = _mul_int(_mul_int([-1, 1], [1, 0, 1]), [3, 1, 1])
-    assert ddf(ModPoly(7, tuple(f))) == (1, 2, 2)
+    assert ddf([c % 7 for c in f], 7) == (1, 2, 2)
 
 
 def test_ddf_rejects_non_squarefree():
     with pytest.raises(NotSquarefree):
-        ddf(ModPoly(7, (1, 5, 1)))
+        ddf([1, 5, 1], 7)
 
 
 def test_ddf_degree_one_counts_match_root_enumeration():
@@ -288,14 +283,13 @@ def test_ddf_degree_one_counts_match_root_enumeration():
         done = 0
         while done < 12:
             deg = rng.randrange(2, 9)
-            coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
-            f = ModPoly(p, tuple(coeffs))
-            if not is_squarefree_mod(f):
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
+            if not _is_squarefree(f, p):
                 continue
             done += 1
-            pattern = ddf(f)
-            assert sum(pattern) == f.degree
-            n_roots = len(oracles.poly_roots(list(f.coeffs), p))
+            pattern = ddf(f, p)
+            assert sum(pattern) == deg
+            n_roots = len(oracles.poly_roots(f, p))
             assert pattern.count(1) == n_roots
 
 
@@ -303,9 +297,9 @@ def test_ddf_full_splitting_polynomial():
     # x^p - x splits into all degree-1 factors
     for p in (5, 7, 11):
         frob = [0] * (p + 1)
-        frob[1] = -1
+        frob[1] = p - 1
         frob[p] = 1
-        assert ddf(ModPoly(p, tuple(frob))) == (1,) * p
+        assert ddf(frob, p) == (1,) * p
 
 
 def test_trial_division_counts_the_irreducibles():
@@ -318,16 +312,17 @@ def test_trial_division_counts_the_irreducibles():
 
 
 def _matches_trial_division(f, p):
-    """ddf and _has_pattern on f mod p against oracles.ddf_by_trial_division."""
+    """_ddf and _has_pattern on f mod p, made monic, against
+    oracles.ddf_by_trial_division."""
     expected = oracles.ddf_by_trial_division(f, p)
-    poly = ModPoly(p, f)
+    f = _monic(f, p)
+    setup = _setup(f, p)
     if expected is None:
         with pytest.raises(NotSquarefree):
-            ddf(poly)
+            _ddf(setup, p)
     else:
-        assert ddf(poly) == expected, (p, f)
-    setup = _frobenius(poly.coeffs, p)
-    for pattern in oracles.degree_patterns(poly.degree):
+        assert _ddf(setup, p) == expected, (p, f)
+    for pattern in oracles.degree_patterns(len(f) - 1):
         assert (_has_pattern(setup, p, pattern) == pattern) == (pattern == expected), (p, f, pattern)
     return expected
 
@@ -422,11 +417,15 @@ def test_verify_record_rejects_a_composite_ell():
 def test_verify_record_refuses_a_record_of_another_shape_before_the_scan(monkeypatch):
     # verify_record reads the one shape the labelled parse_poly reads, monic
     # of degree ell + 1, and refuses any other with the same texts before
-    # any prime is scanned
+    # any series is built or any prime is scanned
     def no_scan(n):
         raise AssertionError("a prime was scanned")
 
+    def no_series(k, ell, n0):
+        raise AssertionError("a series was built")
+
     monkeypatch.setattr(polyverify, "primes_upto", no_scan)
+    monkeypatch.setattr(polyverify, "delta_k", no_series)
     for coeffs, error in [
         # not monic, primitive or not: 2 f would vanish mod 2
         ((3, 0, 0, 0, 0, 0, 2), "labeled records must be monic"),
@@ -440,6 +439,11 @@ def test_verify_record_refuses_a_record_of_another_shape_before_the_scan(monkeyp
     ]:
         with pytest.raises(ValueError, match=f"^{error}$"):
             verify_record(ProjPolyRecord(coeffs), 16, 5, 50)
+    # a wrong shape at a large pmax costs no series, and ell is proved first
+    with pytest.raises(ValueError, match=r"^degree -1 != ell \+ 1 = 24$"):
+        verify_record(ProjPolyRecord(()), 26, 23, 20000)
+    with pytest.raises(ValueError, match="^modulus 15 is not prime$"):
+        verify_record(ProjPolyRecord(()), 16, 15, 50)
     with pytest.raises(ValueError, match=r"^degree 2 != ell \+ 1 = 6$"):
         parse_poly("x^2 + 1", k=16, ell=5)
     with pytest.warns(NonMonicWarning), pytest.raises(ValueError, match="^labeled records must be monic$"):
@@ -456,14 +460,14 @@ def test_verify_record_detects_mutation():
 
 
 def _reference_outcomes(record, k, ell, pmax, series):
-    """Per-prime outcomes from ddf at every prime, compared with the prediction."""
+    """Per-prime outcomes from _ddf at every prime, compared with the prediction."""
     outcomes = []
     for p in primes_upto(pmax):
         if p == ell:
             outcomes.append((p, "skipped-ell", None, None))
             continue
         try:
-            observed = ddf(ModPoly(p, record.coeffs))
+            observed = ddf([c % p for c in record.coeffs], p)
         except NotSquarefree:
             outcomes.append((p, "skipped-ramified", None, None))
             continue
@@ -556,9 +560,9 @@ def _reduced(result, p, n):
 # latter needs 9-byte slots at degree 30, and 2^61 - 1 wide slots at every
 # degree.  The x^p ladder starts at x^e, e the longest binary prefix of p
 # below n, unreduced: the degrees p - 1, p and p + 1 put p just above, at
-# and just below n, and p < n takes no squaring at all.  Each f is also set
-# up with u passed in, reduced from the integer u of a monic lift of f with
-# coefficients off by multiples of p, as verify_record passes it.
+# and just below n, and p < n takes no squaring at all.  Each f is set up
+# with u reduced from the integer u of a monic lift of f with coefficients
+# off by multiples of p, as verify_record passes it.
 @pytest.mark.parametrize(
     "p", (2, 3, 5, 7, 13, 23, 29, 31, 97, 997, 9973, 13367, 876706517, 2**61 - 1)
 )
@@ -587,24 +591,24 @@ def test_frobenius_setup_matches_long_division(p):
             ]
             # frobenius(x) is x^p mod f, the top of the ladder
             powers = [(h, _pow_mod(h, p, f, p)) for h in (x, a, top)]
-            for given in (None, u):
-                work, frobenius, mulmod, got = _frobenius(f, p, given)
-                assert work == f, (n, low, given)
-                assert got == trace % p, (n, low, given)
-                for g, h, expected in products:
-                    assert _reduced(mulmod(g, h), p, n) == expected, (n, low, given)
-                for h, expected in powers:
-                    assert _reduced(frobenius(h), p, n) == expected, (n, low, h, given)
+            work, frobenius, mulmod, got = _frobenius(f, p, u)
+            assert work == f, (n, low)
+            assert got == trace % p, (n, low)
+            for g, h, expected in products:
+                assert _reduced(mulmod(g, h), p, n) == expected, (n, low)
+            for h, expected in powers:
+                assert _reduced(frobenius(h), p, n) == expected, (n, low, h)
 
 
-def test_integer_rev_inverse_reduces_to_the_mod_p_recurrence():
-    for k, ell in BUNDLED_LABELS:
-        coeffs = bundled_record(k, ell).coeffs
+def test_integer_rev_inverse_inverts_rev_f():
+    # rev(f) u = 1 + O(x^n) over Z: the defining property of u, on the six
+    # records and on a monic record of degree 200 with 64-bit coefficients
+    rng = random.Random(14)
+    records = [bundled_record(k, ell).coeffs for k, ell in BUNDLED_LABELS]
+    records.append([rng.randrange(-(2**63), 2**63) for _ in range(200)] + [1])
+    for coeffs in records:
         n = len(coeffs) - 1
         u = _rev_inverse(coeffs)
-        # u * rev(f) = 1 + O(x^n) over Z
-        product = oracles.poly_mul_int(u, coeffs[::-1], n - 1)
-        assert product == [1] + [0] * (n - 1), (k, ell)
-        for p in primes_upto(1000):
-            reduced = [c % p for c in coeffs]
-            assert [c % p for c in u] == _rev_inverse(reduced, p), (k, ell, p)
+        assert len(u) == n
+        product = oracles.poly_mul_int(coeffs[::-1], u, n - 1)
+        assert product == [1] + [0] * (n - 1), n

@@ -2,9 +2,10 @@
 
 Every public entry point checks ell through ffield.check_prime, which runs
 Miller-Rabin once per prime and remembers it, and never remembers a
-composite.  Each p of a scan comes from a sieve and never reaches it:
-verify_record reduces the record mod p itself instead of building a
-ModPoly, which checks its modulus.  Every thetatwist module binding of
+composite.  It refuses what is not an int before it looks at what it
+remembers, so 13.0, equal to a proved 13, is refused too.  Each p of a scan comes from a sieve and never reaches it:
+verify_record reduces the record mod p itself and proves only ell, before
+its series is built.  Every thetatwist module binding of
 is_prime is wrapped with one counter, since `from .ffield import is_prime`
 makes a separate binding, and check_prime's memory starts empty.
 """
@@ -78,6 +79,14 @@ def test_cold_delta_k_proves_ell_once_for_all_six_weights(is_prime_calls):
         delta_k(k, 691, 50)
     delta_k.cache_clear()
     assert is_prime_calls == [691]
+
+
+@pytest.mark.parametrize("m", [13.0, "13", 13.5, None], ids=["float", "str", "fraction", "None"])
+def test_a_modulus_that_is_not_an_int_is_refused_before_the_memory(is_prime_calls, m):
+    ffield.check_prime(13)
+    with pytest.raises(ValueError, match="is not an int"):
+        ffield.check_prime(m)
+    assert is_prime_calls == [13]
 
 
 def test_a_composite_ell_is_tested_on_every_call(is_prime_calls):

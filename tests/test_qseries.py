@@ -8,7 +8,7 @@ from thetatwist.errors import (
     UnsupportedWeight,
 )
 from thetatwist import polyarith, qseries
-from thetatwist.ffield import primes_upto
+from thetatwist.ffield import check_prime, primes_upto
 from thetatwist.qseries import (
     MAX_PRECISION,
     SUPPORTED_WEIGHTS,
@@ -333,6 +333,32 @@ def test_qexpansion_json_roundtrip():
         d["N"] = level
         with pytest.raises(ValueError, match="level"):
             QExpansion.from_json_dict(d)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        # 13.0 gave a series with float coefficients, "13" a bare TypeError
+        ({"ell": 13.0}, "modulus 13.0 is not an int"),
+        ({"ell": "13"}, "modulus '13' is not an int"),
+        ({"coeffs": [1.5, 2]}, "must be ints"),
+        ({"k": 16.0}, "must be ints"),
+        ({"k": "16"}, "must be ints"),
+    ],
+    ids=["ell-float", "ell-str", "coeff-float", "k-float", "k-str"],
+)
+def test_qexpansion_from_json_refuses_what_is_not_an_int(change, error):
+    check_prime(13)  # 13.0 == 13 is remembered as proved
+    d = dict({"ell": 13, "N": 1, "k": 16, "coeffs": [0, 1, 2]}, **change)
+    with pytest.raises(ValueError, match=error):
+        QExpansion.from_json_dict(d)
+
+
+def test_a_series_refuses_an_ell_that_is_not_an_int():
+    # delta_k(12, 13.0, 5) ended in an AttributeError traceback
+    delta_k(12, 13, 5)
+    with pytest.raises(ValueError, match="modulus 13.0 is not an int"):
+        delta_k(12, 13.0, 5)
 
 
 @pytest.mark.parametrize("ell", [15, 1, 0, -13])

@@ -1,4 +1,4 @@
-"""Value semantics of the six record classes, and the package's import graph."""
+"""Value semantics of the five record classes, and the package's import graph."""
 
 import json
 import os
@@ -11,7 +11,6 @@ from thetatwist import (
     BUNDLED_LABELS,
     SPLIT,
     FrobeniusClass,
-    ModPoly,
     ProjPolyRecord,
     ScreeningReport,
     TwistCertificate,
@@ -39,12 +38,11 @@ def _reports():
 
 
 def _records():
-    """One instance of each of the six classes, with the name of a field."""
+    """One instance of each of the five classes, with the name of a field."""
     reports = _reports()
     return [
         (FrobeniusClass(SPLIT, 3), "kind"),
         (bundled_record(16, 13), "coeffs"),
-        (ModPoly(3, (1, 1)), "modulus"),
         (reports[ScreeningReport], "verdict"),
         (reports[VerificationReport], "counts"),
         (reports[TwistCertificate], "prime_checks"),
@@ -108,12 +106,3 @@ def test_reports_round_trip_through_json_text(cls):
         again = cls.from_json_dict(json.loads(json.dumps(report.to_json_dict(full=True))))
     assert again == report
 
-
-def test_mod_poly_checks_and_strips():
-    with pytest.raises(ValueError, match="not prime"):
-        ModPoly(4, (1, 1))
-    assert ModPoly(3, (4, -4, 1, 0)).coeffs == (1, 2, 1)
-    with pytest.raises(ValueError, match="not prime"):
-        ModPoly(3, (1, 1))._replace(modulus=4)
-    assert ModPoly(3, (1, 1))._replace(coeffs=(2, 3)) == ModPoly(3, (2,))
-    assert ModPoly(5, (5, 10)).coeffs == ()
