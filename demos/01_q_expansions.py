@@ -5,7 +5,7 @@ assembled from divisor sums, the weight-k cusp forms are monomials in E4, E6
 and the discriminant form, and theta is q d/dq acting on coefficients.
 """
 
-from thetatwist import QExpansion, delta_k, eisenstein, equal_upto, series_mul, sturm_bound, theta_power
+from thetatwist import QExpansion, delta_k, eisenstein, prove_congruence, series_mul, theta_power
 
 ELL = 13
 
@@ -29,10 +29,10 @@ print(f"\nthe weight {ELL - 1} form with q-expansion 1 leaves series alone:")
 print("1 * delta_12 == delta_12:", af.coeffs == f.coeffs, "with weight", af.weight)
 
 # two forms of congruent weights agreeing far enough must be equal:
-# delta_16 = theta^2 delta_12 mod 13, checkable up to the bound
+# delta_16 = theta^2 delta_12 mod 13, proved through the Sturm index
 g = delta_k(16, ELL, 10)
 t2f = theta_power(f, 2)
-m = sturm_bound(max(16, 12 + 2 * (ELL + 1)))
-print(f"\nSturm-type bound for the comparison: m = {m}")
-print(f"delta_16 == theta^2 delta_12 up to m: {equal_upto(g, t2f, m)}")
+m = prove_congruence(g, t2f)
+print(f"\ndelta_16 == theta^2 delta_12, proved through the Sturm index m = {m}")
+print(f"(weights {g.weight} and {t2f.weight}, congruent mod {ELL - 1})")
 print("first coefficients:", g.coeffs[:6], "vs", t2f.coeffs[:6])

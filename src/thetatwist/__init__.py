@@ -46,9 +46,8 @@ from .qseries import (
     QExpansion,
     delta_k,
     eisenstein,
-    equal_upto,
+    prove_congruence,
     series_mul,
-    sturm_bound,
     theta_power,
 )
 from .twist import (

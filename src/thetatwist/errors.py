@@ -26,7 +26,7 @@ class InsufficientPrecision(ThetaTwistError):
 
 
 class WeightIncongruent(ThetaTwistError):
-    """The twist weight congruence k1 = k2 + 2i (mod ell-1) fails."""
+    """Two forms compared mod ell have weights incongruent mod ell-1."""
 
 
 class PrimeMismatch(ThetaTwistError):
@@ -40,7 +40,7 @@ class PrimeMismatch(ThetaTwistError):
 
 
 class CoefficientMismatch(ThetaTwistError):
-    """The extended full-series check a_n(f1) = n^i * a_n(f2) failed."""
+    """Two forms compared mod ell differ at coefficient index n."""
 
     def __init__(self, index, lhs, rhs):
         super().__init__(f"coefficient mismatch at index n={index}: {lhs} != {rhs}")

@@ -10,7 +10,8 @@ of packed integers (Kronecker substitution, see polyarith).
 
 The generators provided here are the weight 4 and 6 Eisenstein series and
 the one-dimensional cusp forms delta_k for k in {12, 16, 18, 20, 22, 26};
-theta_power applies the theta operator q d/dq any number of times.  Delta
+theta_power applies the theta operator q d/dq any number of times, and
+prove_congruence proves two forms equal through their Sturm index.  Delta
 is q (eta^3)^8 from Jacobi's sparse eta^3, 3 squarings; each delta_k above
 12 is one product, by E4 or E6, of a lower-weight delta_k at the same
 (ell, n0): E4 for weights 16, 20, 22 and 26, E6 for 18, 22 and 26.  A sweep
@@ -32,9 +33,11 @@ from operator import mul
 
 from . import polyarith
 from .errors import (
+    CoefficientMismatch,
     InsufficientPrecision,
     ModulusMismatch,
     UnsupportedWeight,
+    WeightIncongruent,
 )
 from .ffield import check_prime, primes_upto
 
@@ -113,8 +116,11 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; rejects any level but 1, an ell not a
-        prime int, and a weight or coefficient not an int."""
+        """Inverse of to_json_dict; rejects a document without "ell" and a
+        "coeffs" list, any level but 1, an ell not a prime int, and a weight
+        or coefficient not an int."""
+        if not isinstance(d, dict) or "ell" not in d or not isinstance(d.get("coeffs"), list):
+            raise ValueError('a series document needs "ell" and a "coeffs" list')
         if d.get("N") not in (None, 1):
             raise ValueError(f"level {d['N']} is not supported, only level 1")
         check_prime(d["ell"])
@@ -265,27 +271,29 @@ def theta_power(f, i):
     return QExpansion(ell, map(mul, cycle(powers), f.coeffs), weight)
 
 
-def sturm_bound(k):
-    """Coefficient index up to which level-1 forms of weight k must agree."""
-    return max(1, k // 12)
+def prove_congruence(f, g, upto=0):
+    """Prove f = g as mod-ell forms and return the Sturm index of the pair.
 
-
-def equal_upto(f, g, m):
-    """Whether f and g agree as forms up to and including coefficient m >= 0.
-
-    When both carry weight tags the weights must be congruent mod ell - 1
-    (incongruent weights can never be equal as mod-ell forms, whatever the
-    coefficients say).  Index 0 is compared too, so Eisenstein-vs-cusp
-    comparisons fail immediately.
+    Level-1 forms of weights congruent mod ell - 1 are equal mod ell once
+    they agree through index floor(w/12), w the larger weight (Sturm; the
+    smaller is aligned by E_{ell-1} = 1 mod ell); the index is at least 1.
+    Both series need weight tags and precision m = max(upto, Sturm index);
+    a_0..a_m are compared and the first n that differs raises
+    CoefficientMismatch.
     """
     f._check(g)
-    if m < 0:
-        raise ValueError(f"last index {m} is negative")
+    if f.weight is None or g.weight is None:
+        raise ValueError("both series need weight tags")
+    if (f.weight - g.weight) % (f.ell - 1):
+        raise WeightIncongruent(f"weights {f.weight} and {g.weight} differ mod {f.ell - 1}")
+    if upto < 0:
+        raise ValueError(f"last index {upto} is negative")
+    sturm = max(1, max(f.weight, g.weight) // 12)
+    m = max(upto, sturm)
     if f.precision < m or g.precision < m:
-        raise InsufficientPrecision(
-            f"need precision {m}, have {f.precision} and {g.precision}"
-        )
-    if f.weight is not None and g.weight is not None:
-        if (f.weight - g.weight) % (f.ell - 1) != 0:
-            return False
-    return f.coeffs[: m + 1] == g.coeffs[: m + 1]
+        raise InsufficientPrecision(f"need precision {m}, have {f.precision} and {g.precision}")
+    a, b = f.coeffs[: m + 1], g.coeffs[: m + 1]
+    if a != b:
+        n = next(n for n in range(m + 1) if a[n] != b[n])
+        raise CoefficientMismatch(n, a[n], b[n])
+    return sturm

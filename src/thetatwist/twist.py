@@ -1,9 +1,10 @@
 """Search for theta-twist relations between eigenforms of different weights.
 
 Two normalized eigenforms f1, f2 of weights k1, k2 satisfy f1 = theta^i f2
-mod ell exactly when k1 = k2 + 2i (mod ell-1) and a_p(f1) = p^i a_p(f2) for
-every prime p != ell up to the level-1 bound ell(ell+1)/12.
-check_twist is the one prover of that congruence and certifies one
+mod ell exactly when k1 = k2 + 2i (mod ell-1) and they agree through the
+Sturm index of f1 and theta^i f2.  check_twist proves that congruence with
+qseries.prove_congruence, records a_p(f1) = p^i a_p(f2) at every prime
+p != ell up to the level-1 bound ell(ell+1)/12, and certifies one
 candidate pair.  twist_search scans (k', i) in a fixed deterministic order
 and returns the first pair check_twist certifies, which reduces a weight
 k > ell+1 form to one of weight k' <= ell+1 with an equivalent twisted
@@ -15,16 +16,10 @@ collections.namedtuple subclass.
 
 from collections import namedtuple
 
-from .errors import (
-    CoefficientMismatch,
-    InsufficientPrecision,
-    NotFound,
-    PrimeMismatch,
-    ThetaTwistError,
-    WeightIncongruent,
-)
+from .errors import (CoefficientMismatch, InsufficientPrecision, NotFound, PrimeMismatch,
+                     ThetaTwistError)
 from .ffield import primes_upto
-from .qseries import SUPPORTED_WEIGHTS, _lists, _tuples, delta_k, equal_upto, theta_power
+from .qseries import SUPPORTED_WEIGHTS, _lists, _tuples, delta_k, prove_congruence, theta_power
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
 #: The (22, 11) row is printed there with i = 1, which fails the weight
@@ -58,9 +53,9 @@ class TwistCertificate(
 
     prime_checks stores (p, a_p(f1), p^i * a_p(f2)) for every prime up to the
     bound, so the claim can be read without re-running the search, and
-    validate re-derives all of it.
-    extended_terms records how far the full series identity a_n = n^i a_n'
-    was confirmed beyond the bound.
+    validate re-derives all of it.  The series identity a_n = n^i a_n' was
+    confirmed through max(extended_terms, Sturm index), so every
+    certificate is a proof.
     """
 
     __slots__ = ()
@@ -68,15 +63,17 @@ class TwistCertificate(
     def validate(self):
         """Re-prove the certificate; raises ValueError unless it is re-derived.
 
-        delta_k rebuilds the forms of weights k1 and k2 mod ell to precision
-        max(twist_bound(ell), extended_terms), check_twist re-runs on them
-        with i and extended_terms, and its certificate must equal this one
-        field by field.  Whatever delta_k or check_twist refuses (a weight
-        outside the supported list, an incongruence, a mismatch) is a
-        ValueError too.
+        delta_k rebuilds the forms of weights k1 and k2 mod ell to the
+        precision check_twist reads, max(twist_bound(ell), extended_terms,
+        Sturm index of f1 and theta^i f2), check_twist re-proves the
+        congruence on them with i and extended_terms, and its certificate
+        must equal this one field by field.  Whatever delta_k or check_twist
+        refuses (a weight outside the supported list, an incongruence, a
+        mismatch) is a ValueError too.
         """
         try:
-            n0 = max(twist_bound(self.ell), self.extended_terms)
+            sturm = max(self.k1, self.k2 + self.i * (self.ell + 1)) // 12
+            n0 = max(twist_bound(self.ell), self.extended_terms, sturm)
             f1, f2 = (delta_k(k, self.ell, n0) for k in (self.k1, self.k2))
             proved = check_twist(f1, f2, self.i, self.extended_terms)
         except ThetaTwistError as exc:
@@ -93,43 +90,37 @@ class TwistCertificate(
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict: every list a tuple, "checks" read as prime_checks."""
-        d = _tuples(d)
-        d["prime_checks"] = d.pop("checks")
-        return cls(**d)
+        """Inverse of to_json_dict: every list a tuple, "checks" read as
+        prime_checks; a missing or unknown key, or a field before "checks"
+        that is not an int, is a ValueError."""
+        keys = cls._fields[:-1] + ("checks",)
+        if not isinstance(d, dict) or set(d) != set(keys):
+            raise ValueError(f"a certificate document has exactly the keys {', '.join(keys)}")
+        if not all(isinstance(d[key], int) for key in keys[:-1]):
+            raise ValueError(f"the certificate's {', '.join(keys[:-1])} must be ints")
+        return cls(*[_tuples(d[key]) for key in keys])
 
 
 def check_twist(f1, f2, i, extended=0):
-    """Certify a_p(f1) = p^i a_p(f2) for all primes up to the twist bound.
+    """Prove f1 = theta^i f2 and certify a_p(f1) = p^i a_p(f2) up to the twist bound.
 
-    Also confirms f1 = theta^i f2 up to coefficient extended >= 0 with
-    equal_upto, i.e. a_n(f1) = n^i a_n(f2) for every n <= extended.  Both
-    series must carry weight tags and reach precision max(bound, extended),
-    to which theta_power builds theta^i f2 once.
+    prove_congruence compares f1 with theta^i f2 through max(extended,
+    Sturm index), so the certificate is a proof for every extended >= 0;
+    then the recorded scan reads every prime p != ell up to the twist
+    bound and raises PrimeMismatch at the first that differs.  Both series
+    must reach max(twist bound, extended, Sturm index).
     """
-    f1._check(f2)
-    if f1.weight is None or f2.weight is None:
-        raise ValueError("both series need weight tags")
-    if extended < 0:
-        raise ValueError(f"extended {extended} is negative")
+    g = theta_power(f2, i)
+    prove_congruence(f1, g, extended)
     ell = f1.ell
-    if not weight_congruent(f1.weight, f2.weight, i, ell):
-        raise WeightIncongruent(f"{f1.weight} != {f2.weight} + 2*{i} (mod {ell - 1})")
     bound = twist_bound(ell)
-    need = max(bound, extended)
-    if f1.precision < need or f2.precision < need:
-        raise InsufficientPrecision(
-            f"need precision {need}, have {f1.precision} and {f2.precision}"
-        )
-    g = theta_power(f2.truncate(need), i)
+    if min(f1.precision, g.precision) < bound:
+        raise InsufficientPrecision(f"the prime scan needs precision {bound}")
     a, b = f1.coeffs, g.coeffs
     checks = tuple((p, a[p], b[p]) for p in primes_upto(bound) if p != ell)
     for p, lhs, rhs in checks:
         if lhs != rhs:
             raise PrimeMismatch(p, lhs, rhs)
-    if not equal_upto(f1, g, extended):
-        n = next(n for n in range(extended + 1) if a[n] != b[n])
-        raise CoefficientMismatch(n, a[n], b[n])
     return TwistCertificate(ell=ell, k1=f1.weight, k2=f2.weight, i=i % (ell - 1), bound=bound,
                             extended_terms=extended, prime_checks=checks)
 
@@ -142,9 +133,10 @@ def twist_search(k, ell, extended=1000):
     pair that check_twist certifies wins, making the result deterministic.
     A weight-congruent candidate is tested at p = 2 alone first, where most
     fail; one that passes gets one check_twist call at the certificate's
-    precision, and a PrimeMismatch moves on.  Every series comes from
-    delta_k at that precision, which builds each chain once and refuses an
-    unsupported weight, a composite ell or ell < 5.
+    precision, which reaches every candidate's Sturm index (theta^i delta_k'
+    has weight at most ell^2 - 1), and either mismatch error moves on.
+    Every series comes from delta_k at that precision, which builds each
+    chain once and refuses an unsupported weight, a composite ell or ell < 5.
     """
     prec = max(twist_bound(ell), extended)
     f1 = delta_k(k, ell, prec)
@@ -160,7 +152,7 @@ def twist_search(k, ell, extended=1000):
                 continue
             try:
                 return i, kp, check_twist(f1, f2, i, extended)
-            except PrimeMismatch:
+            except (PrimeMismatch, CoefficientMismatch):
                 continue
     raise NotFound(
         f"no twist pair found for (k={k}, ell={ell}); "

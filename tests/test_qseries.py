@@ -3,9 +3,11 @@ import random
 import pytest
 
 from thetatwist.errors import (
+    CoefficientMismatch,
     InsufficientPrecision,
     ModulusMismatch,
     UnsupportedWeight,
+    WeightIncongruent,
 )
 from thetatwist import polyarith, qseries
 from thetatwist.ffield import check_prime, primes_upto
@@ -15,9 +17,8 @@ from thetatwist.qseries import (
     QExpansion,
     delta_k,
     eisenstein,
-    equal_upto,
+    prove_congruence,
     series_mul,
-    sturm_bound,
     theta_power,
 )
 
@@ -272,21 +273,22 @@ def test_theta_fermat_identity():
 
 
 def test_sturm_bound():
-    assert sturm_bound(26) == 2
-    assert sturm_bound(12) == 1
-    assert sturm_bound(4) == 1  # floor would be 0; minimum is 1
+    # prove_congruence returns floor(w/12) for the larger weight w, at least 1
+    assert prove_congruence(delta_k(26, 13, 5), delta_k(26, 13, 5)) == 2
+    assert prove_congruence(delta_k(12, 13, 5), delta_k(12, 13, 5)) == 1
+    e4 = eisenstein(4, 13, 5)
+    assert prove_congruence(e4, e4) == 1  # floor would be 0; minimum is 1
 
 
 def test_equal_upto():
     f = delta_k(16, 13, 10)
-    assert equal_upto(f, f, 10)
+    assert prove_congruence(f, f, 10) == 1
     g = delta_k(12, 13, 10)
     t2g = theta_power(g, 2)  # weight 40 = 16 mod 12
-    m = sturm_bound(max(16, 12 + 2 * (13 + 1)))
-    assert m == 3
-    assert equal_upto(f, t2g, m)
+    assert prove_congruence(f, t2g) == prove_congruence(f, t2g, 3) == 3
     tg = theta_power(g, 1)  # weight 26, incongruent to 16 mod 12
-    assert not equal_upto(f, tg, 2)
+    with pytest.raises(WeightIncongruent):
+        prove_congruence(f, tg, 2)
     # also differs in coefficients: a_2 is 8 vs 4
     assert f.coeff(2) == 8 and tg.coeff(2) == 4
 
@@ -294,30 +296,43 @@ def test_equal_upto():
 def test_equal_upto_checks_index_zero():
     e4 = eisenstein(4, 13, 5)
     f = QExpansion(13, [0] + list(e4.coeffs[1:]), e4.weight)
-    assert not equal_upto(e4, f, 5)
+    with pytest.raises(CoefficientMismatch) as exc:
+        prove_congruence(e4, f, 5)
+    assert (exc.value.index, exc.value.lhs, exc.value.rhs) == (0, 1, 0)
 
 
 def test_equal_upto_errors():
     f = delta_k(12, 13, 5)
     with pytest.raises(InsufficientPrecision):
-        equal_upto(f, f, 6)
+        prove_congruence(f, f, 6)
     with pytest.raises(ModulusMismatch):
-        equal_upto(f, delta_k(12, 11, 5), 5)
+        prove_congruence(f, delta_k(12, 11, 5), 5)
 
 
 def test_equal_upto_refuses_negative_index():
-    # no coefficient is compared below index 0, so a pass would be vacuous
-    with pytest.raises(ValueError):
-        equal_upto(QExpansion(13, [1, 2, 3]), QExpansion(13, [4, 5, 6]), -1)
+    # no coefficient is compared below index 0, so a pass would be vacuous;
+    # the tags are congruent, so only the index is refused
+    with pytest.raises(ValueError, match="negative"):
+        prove_congruence(QExpansion(13, [1, 2, 3], 12), QExpansion(13, [4, 5, 6], 12), -1)
+
+
+def test_prove_congruence_refuses_an_untagged_series():
+    # without both weights there is no Sturm index and no congruence to prove
+    f = delta_k(12, 13, 5)
+    with pytest.raises(ValueError, match="weight tags"):
+        prove_congruence(f, QExpansion(13, f.coeffs))
+    with pytest.raises(ValueError, match="weight tags"):
+        prove_congruence(QExpansion(13, f.coeffs), f)
 
 
 def test_equal_upto_weight_incongruent_tags_fail():
     # same coefficients but incongruent weight tags can never be equal forms
     f = QExpansion(13, [0, 1, 2], 12)
     g = QExpansion(13, [0, 1, 2], 14)
-    assert not equal_upto(f, g, 2)
+    with pytest.raises(WeightIncongruent):
+        prove_congruence(f, g, 2)
     h = QExpansion(13, [0, 1, 2], 24)
-    assert equal_upto(f, h, 2)
+    assert prove_congruence(f, h, 2) == 2
 
 
 def test_qexpansion_json_roundtrip():
@@ -352,6 +367,21 @@ def test_qexpansion_from_json_refuses_what_is_not_an_int(change, error):
     d = dict({"ell": 13, "N": 1, "k": 16, "coeffs": [0, 1, 2]}, **change)
     with pytest.raises(ValueError, match=error):
         QExpansion.from_json_dict(d)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ell": 13, "coeffs": 5},  # was a bare TypeError
+        {"ell": 13, "k": 12},  # the two missing keys were a KeyError
+        {"k": 12, "coeffs": [0, 1]},
+        [13, [0, 1]],
+    ],
+    ids=["coeffs-int", "no-coeffs", "no-ell", "list"],
+)
+def test_qexpansion_from_json_refuses_a_document_of_another_structure(doc):
+    with pytest.raises(ValueError, match='needs "ell" and a "coeffs" list'):
+        QExpansion.from_json_dict(doc)
 
 
 def test_a_series_refuses_an_ell_that_is_not_an_int():

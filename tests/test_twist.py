@@ -11,7 +11,7 @@ from thetatwist.errors import (
 )
 from thetatwist.ffield import primes_upto
 from thetatwist.galrep import frobenius_class
-from thetatwist.qseries import QExpansion, delta_k, equal_upto, theta_power
+from thetatwist.qseries import QExpansion, delta_k, prove_congruence, theta_power
 from thetatwist.twist import (
     PUBLISHED_TWISTS,
     TwistCertificate,
@@ -73,14 +73,55 @@ def test_check_twist_weight_incongruent():
         check_twist(delta_k(16, 13, 20), delta_k(12, 13, 20), 1)
 
 
+def _corrupt(f, n):
+    """f with a_n raised by 1."""
+    coeffs = list(f.coeffs)
+    coeffs[n] = (coeffs[n] + 1) % f.ell
+    return QExpansion(f.ell, coeffs, f.weight)
+
+
 def test_check_twist_prime_mismatch():
+    # p = 11 lies above the Sturm index 3 and below the bound 15, so only the
+    # recorded prime scan reads it
     f1 = delta_k(16, 13, 20)
-    g = delta_k(12, 13, 20)
-    corrupted = QExpansion(13, [g.coeff(0), g.coeff(1), (g.coeff(2) + 1) % 13]
-                           + [g.coeff(n) for n in range(3, 21)], g.weight)
     with pytest.raises(PrimeMismatch) as exc:
-        check_twist(f1, corrupted, 2)
-    assert exc.value.p == 2
+        check_twist(f1, _corrupt(delta_k(12, 13, 20), 11), 2)
+    assert exc.value.p == 11
+
+
+#: the Sturm index of delta_k and theta^i delta_k' for the six twist pairs
+STURM = {(16, 13): 3, (20, 17): 4, (22, 11): 1, (22, 19): 4, (26, 13): 2, (26, 23): 5}
+
+
+def test_sturm_indices_of_the_six_twists():
+    for (k, ell), (i, kp) in EXPECTED.items():
+        f, g = delta_k(k, ell, 10), theta_power(delta_k(kp, ell, 10), i)
+        assert prove_congruence(f, g) == STURM[k, ell], (k, ell)
+
+
+@pytest.mark.parametrize("k, ell, n", [(16, 13, 2), (26, 23, 4)])
+def test_check_twist_proves_through_the_sturm_index(k, ell, n):
+    # extended = 0 still compares through the Sturm index, before the prime
+    # scan: n = 4 lies off the primes, n = 2 on one
+    i, kp = EXPECTED[k, ell]
+    f1, f2 = delta_k(k, ell, 60), delta_k(kp, ell, 60)
+    with pytest.raises(CoefficientMismatch) as exc:
+        check_twist(_corrupt(f1, n), f2, i, extended=0)
+    assert exc.value.index == n
+    with pytest.raises(CoefficientMismatch) as exc:
+        check_twist(f1, _corrupt(f2, n), i, extended=0)
+    assert exc.value.index == n
+
+
+def test_check_twist_reads_through_a_sturm_index_above_the_bound():
+    # delta_12 = theta^5 delta_26 mod 7: the Sturm index (26 + 5 * 8) // 12 = 5
+    # passes the twist bound 4, so precision 4 no longer proves it
+    f1, f2 = delta_k(12, 7, 5), delta_k(26, 7, 5)
+    with pytest.raises(InsufficientPrecision):
+        check_twist(f1.truncate(4), f2.truncate(4), 5)
+    cert = check_twist(f1, f2, 5)
+    assert (cert.bound, cert.extended_terms) == (4, 0)
+    cert.validate()  # rebuilds both series through the Sturm index
 
 
 def test_check_twist_insufficient_precision():
@@ -95,12 +136,11 @@ def test_check_twist_coefficient_mismatch(n):
     # 4 is a composite inside the bound 15, and 13 = ell the prime the scan
     # skips: only the full series identity sees either corruption
     f1, f2 = delta_k(16, 13, 40), delta_k(12, 13, 40)
-    coeffs = list(f1.coeffs)
-    coeffs[n] = (coeffs[n] + 1) % 13
+    corrupted = _corrupt(f1, n)
     with pytest.raises(CoefficientMismatch) as exc:
-        check_twist(QExpansion(13, coeffs, 16), f2, 2, extended=40)
+        check_twist(corrupted, f2, 2, extended=40)
     assert exc.value.index == n
-    assert exc.value.lhs == coeffs[n]
+    assert exc.value.lhs == corrupted.coeff(n)
     assert exc.value.rhs == pow(n, 2, 13) * f2.coeff(n) % 13 == f1.coeff(n)
 
 
@@ -134,7 +174,7 @@ def test_twist_search_roundtrip_series_identity():
         i, kp, _ = twist_search(k, ell, extended=300)
         f = delta_k(k, ell, 300)
         g = theta_power(delta_k(kp, ell, 300), i)
-        assert equal_upto(f, g, 300)
+        prove_congruence(f, g, 300)
 
 
 def test_twist_search_self_twist():
@@ -200,6 +240,36 @@ def test_certificate_json_roundtrip():
     _, _, cert = twist_search(16, 13, extended=50)
     doc = cert.to_json_dict()
     assert TwistCertificate.from_json_dict(doc) == cert
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("checks"),  # was KeyError('checks')
+        lambda doc: doc.pop("extended_terms"),  # was a TypeError
+        lambda doc: doc.update(proved=True),  # was a TypeError
+        lambda doc: doc.update(prime_checks=doc.pop("checks")),
+    ],
+    ids=["no-checks", "no-extended_terms", "unknown-key", "prime_checks"],
+)
+def test_certificate_from_json_refuses_a_missing_or_unknown_key(edit):
+    _, _, cert = twist_search(16, 13, extended=50)
+    doc = cert.to_json_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match="exactly the keys"):
+        TwistCertificate.from_json_dict(doc)
+    with pytest.raises(ValueError, match="exactly the keys"):
+        TwistCertificate.from_json_dict(list(doc.items()))
+
+
+@pytest.mark.parametrize("key", ["ell", "k1", "k2", "i", "bound", "extended_terms"])
+def test_certificate_from_json_refuses_a_field_that_is_not_an_int(key):
+    # validate() reads the Sturm index off ell, k1, k2 and i
+    _, _, cert = twist_search(16, 13, extended=50)
+    doc = cert.to_json_dict()
+    doc[key] = str(doc[key])
+    with pytest.raises(ValueError, match="must be ints"):
+        TwistCertificate.from_json_dict(doc)
 
 
 def test_certificate_validate_catches_corruption():
