@@ -7,6 +7,12 @@ json emits machine-readable documents that round-trip through the
 corresponding from_json_dict constructors.  Warnings go to stderr as one
 "warning: ..." line each.
 
+Every JSON document goes through one writer, _dumps, which writes exactly
+the bytes of the json module's dumps(doc, indent=2, sort_keys=True).  With
+an indent, that function runs its pure-Python encoder, one generator step
+per value, and a q-expansion is a long list of ints; _dumps joins such a
+list in one pass and escapes strings with the C function that encoder calls.
+
 Each call of main builds one parser, for the invoked command only, when the
 command name comes first; the full tree of build_parser() is built only for
 top-level help and errors, where argparse prints the same bytes either way.
@@ -14,9 +20,9 @@ Each command's arguments are declared once, in the _COMMANDS table.
 """
 
 import argparse
-import json
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from .errors import NotFound, ThetaTwistError
 from .galrep import screen_exceptional
@@ -123,8 +129,39 @@ def _parse(argv):
     return args.command, args
 
 
+def _dumps(doc, pad="\n"):
+    """The json module's dumps(doc, indent=2, sort_keys=True), each list of
+    ints joined in one pass; a float, a non-str key or another type is a
+    TypeError, since the tool writes none."""
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_dumps(doc[key], inner)}" for key in sorted(doc)
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        if set(map(type, doc)) == {int}:
+            items = map(int.__repr__, doc)
+        else:
+            items = [_dumps(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def _emit_json(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def cmd_qexp(args):
@@ -132,7 +169,7 @@ def cmd_qexp(args):
     if args.format == "json":
         _emit_json(series.to_json_dict())
     else:
-        print(", ".join(str(series.coeff(n)) for n in range(1, args.terms + 1)))
+        print(", ".join(map(str, series.coeffs[1:])))
     return EXIT_OK
 
 

@@ -118,7 +118,13 @@ class ScreeningReport(
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(**d)
+        """Inverse of to_json_dict; a missing or unknown key is a ValueError."""
+        try:
+            return cls(**d)
+        except TypeError:
+            raise ValueError(
+                f"a screening document has exactly the keys {', '.join(cls._fields)}"
+            ) from None
 
 
 def screen_exceptional(k, ell, bound):

@@ -415,8 +415,15 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; a document without outcomes reads as ()."""
-        return cls(**_tuples({"outcomes": [], **d}))
+        """Inverse of to_json_dict; a document without outcomes reads as (),
+        and a missing or unknown key is a ValueError."""
+        try:
+            return cls(**_tuples({"outcomes": [], **d}))
+        except TypeError:
+            raise ValueError(
+                "a verification document has exactly the keys k, ell, pmax, counts,"
+                " failures, and optionally outcomes"
+            ) from None
 
 
 def verify_record(record, k, ell, pmax, fail_fast=False):

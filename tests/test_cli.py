@@ -227,19 +227,31 @@ def test_tables_json(capsys):
 @pytest.mark.parametrize(
     "argv, sha256",
     [
-        ([], "4b146e9147a43e967c2efef917cee6fce9f1db92bcfee9e548b95a8a92c0afd3"),
+        (["tables"], "4b146e9147a43e967c2efef917cee6fce9f1db92bcfee9e548b95a8a92c0afd3"),
         (
-            ["--pmax", "100", "--pbound", "100", "--extended", "150"],
+            ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150"],
             "a7cecc2d43f256f2f72d1daeba778efe0cb96b8c703abd06445c4be502629e56",
         ),
+        (
+            ["qexp", "--weight", "26", "--ell", "691", "--terms", "700"],
+            "75a1af325c3ab663ab26ea72e1e9415bef22b30f33185c423ae29953f78b7eee",
+        ),
+        (
+            ["screen", "--weight", "16", "--ell", "13"],
+            "6de50b33f940a513142a24a8016d178c60fb809463ca61e4e123b31890b1b8e8",
+        ),
+        (
+            ["twist-search", "--weight", "26", "--ell", "23"],
+            "57a88d9cfaad1d311be63d1b02fcbdbeee40f45fd686e787b37254218ee5a15f",
+        ),
     ],
-    ids=["defaults", "perfbench sizes"],
+    ids=["defaults", "perfbench sizes", "qexp 26 691", "screen 16 13", "twist-search 26 23"],
 )
 def test_tables_json_bytes_are_pinned(argv, sha256, capsys):
     # cold, then with every series cached at the largest precision asked
     delta_k.cache_clear()
     for _ in range(2):
-        code, out, err = run(capsys, "tables", *argv, "--format", "json")
+        code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
     delta_k.cache_clear()

@@ -166,6 +166,23 @@ def test_screening_report_json_roundtrip():
     assert ScreeningReport.from_json_dict(rep.to_json_dict()) == rep
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {},  # each was a TypeError
+        lambda doc: {"foo": 1},
+        lambda doc: [1],
+        lambda doc: {**doc, "foo": 1},
+        lambda doc: {key: doc[key] for key in list(doc)[1:]},
+    ],
+    ids=["empty", "foo", "list", "extra-key", "no-k"],
+)
+def test_screening_report_from_json_refuses_a_document_of_another_structure(edit):
+    doc = screen_exceptional(16, 13, 100).to_json_dict()
+    with pytest.raises(ValueError, match="a screening document has exactly the keys k, ell, bound"):
+        ScreeningReport.from_json_dict(edit(doc))
+
+
 def _naive_screen(k, ell, bound):
     """All three flags and reducible_j, classifying every prime, no early exit."""
     f = delta_k(k, ell, bound)

@@ -537,6 +537,23 @@ def test_verification_report_json_roundtrip():
     assert slim["counts"] == rep.counts
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {},  # each was a TypeError
+        lambda doc: {"foo": 1},
+        lambda doc: [1],
+        lambda doc: {**doc, "foo": 1},
+        lambda doc: {key: doc[key] for key in doc if key != "counts"},
+    ],
+    ids=["empty", "foo", "list", "extra-key", "no-counts"],
+)
+def test_verification_report_from_json_refuses_a_document_of_another_structure(edit):
+    doc = verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict(full=True)
+    with pytest.raises(ValueError, match="a verification document has exactly the keys k, ell"):
+        VerificationReport.from_json_dict(edit(doc))
+
+
 def _pow_mod(h, e, f, p):
     """h^e mod the monic f by square and multiply on the oracles."""
     result, base = [1], h
