@@ -30,7 +30,7 @@ records:
     criterion 4, verify_record with fail_fast on its 120 single +-1
     mutations of the bundled records at pmax MUTATION_PMAX, and _ddf on the
     _frobenius set-up at every prime p <= DDF_PMAX of each bundled record,
-    u given, a NotSquarefree reduction counted as a call too;
+    u given, a reduction that is not squarefree counted as a call too;
   - series_us: for each n in SERIES_NS, a cold delta_k(26, SERIES_ELL, n)
     (the series cache emptied before each call, so E4, E6 and the six
     products of its chain are built), a cold delta_k(12, SERIES_ELL, n)
@@ -222,7 +222,7 @@ def rev_inverse_us():
 
 def wrong_records_us():
     """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
-    from thetatwist import (NotSquarefree, ProjPolyRecord, bundled_record, primes_upto,
+    from thetatwist import (ProjPolyRecord, ThetaTwistError, bundled_record, primes_upto,
                             verify_record)
     from thetatwist.polyverify import _ddf, _frobenius, _rev_inverse
 
@@ -248,9 +248,9 @@ def wrong_records_us():
 
     def ddf():
         for fp, p, up in polys:
-            try:
+            try:  # a tree whose _ddf raises for a reduction that is not squarefree
                 _ddf(_frobenius(fp, p, up), p)
-            except NotSquarefree:
+            except ThetaTwistError:
                 pass
 
     return {

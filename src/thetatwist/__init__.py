@@ -14,9 +14,7 @@ from .errors import (
     ModulusMismatch,
     NonMonicWarning,
     NotFound,
-    NotSquarefree,
     ParseError,
-    PrimeMismatch,
     ThetaTwistError,
     UnsupportedWeight,
     WeightIncongruent,

@@ -29,16 +29,6 @@ class WeightIncongruent(ThetaTwistError):
     """Two forms compared mod ell have weights incongruent mod ell-1."""
 
 
-class PrimeMismatch(ThetaTwistError):
-    """A bounded prime check a_p(f1) = p^i * a_p(f2) failed."""
-
-    def __init__(self, p, lhs, rhs):
-        super().__init__(f"coefficient mismatch at prime p={p}: {lhs} != {rhs}")
-        self.p = p
-        self.lhs = lhs
-        self.rhs = rhs
-
-
 class CoefficientMismatch(ThetaTwistError):
     """Two forms compared mod ell differ at coefficient index n."""
 
@@ -51,10 +41,6 @@ class CoefficientMismatch(ThetaTwistError):
 
 class NotFound(ThetaTwistError):
     """No (i, k') pair passed the twist criteria."""
-
-
-class NotSquarefree(ThetaTwistError):
-    """Distinct-degree factorization requires a squarefree input."""
 
 
 class ParseError(ThetaTwistError):

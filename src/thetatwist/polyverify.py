@@ -11,7 +11,9 @@ p^{k-1} mod ell).  The prediction is checked directly (_has_pattern: the
 trace of the Frobenius matrix, one walk of the Frobenius map and at most
 two gcds); only where it fails does _ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
-is not squarefree, which is skipped as ramified, as p = ell always is.
+is not squarefree.  Both report a miss as None: _has_pattern when no
+predicted pattern holds, _ddf for a reduction that is not squarefree,
+which is skipped as ramified, as p = ell always is.
 Both share one set-up per prime: _frobenius builds the Frobenius map as a
 linear operator on packed integer rows (polyarith), with slot-wise Barrett
 reduction mod p.  verify_record takes monic records of degree ell + 1 only,
@@ -40,12 +42,7 @@ from collections import Counter, namedtuple
 from operator import mul as _imul
 
 from . import polyarith
-from .errors import (
-    DuplicateTerm,
-    NonMonicWarning,
-    NotSquarefree,
-    ParseError,
-)
+from .errors import DuplicateTerm, NonMonicWarning, ParseError
 from .ffield import check_prime, factorize, primes_upto
 from .galrep import frobenius_class, predicted_degree_pattern
 from .qseries import MAX_PRECISION, _lists, _tuples, delta_k
@@ -284,9 +281,10 @@ def _frobenius(f, p, u):
 
 
 def _ddf(setup, p):
-    """Degree multiset of the irreducible factors of a squarefree monic f.
+    """Degree multiset of the irreducible factors of a monic f, or None.
 
-    setup is _frobenius(f, p, u); a non-squarefree f raises NotSquarefree.
+    setup is _frobenius(f, p, u).  A non-squarefree f returns None, as a
+    miss of _has_pattern does.
     Distinct-degree factorization: a factor of degree e divides x^{p^d} - x
     exactly when e | d.  x^{p^d} mod f is advanced by the Frobenius map
     h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
@@ -299,7 +297,7 @@ def _ddf(setup, p):
     """
     work, frobenius = setup[:2]
     if not _is_squarefree(work, p):
-        raise NotSquarefree("input polynomial is not squarefree")
+        return None
     left = len(work) - 1
     out = []
     h = [0, 1] + [0] * (left - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
@@ -434,19 +432,19 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     pass for ambiguous classes).  The prediction is checked first with
     _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
     holds, it is the observed pattern.  Only otherwise does _ddf run, on
-    the same _frobenius set-up, to report the observed pattern of a FAIL or
-    to skip a prime whose reduction is not squarefree as ramified.  Each
-    prime appends one (p, status, observed, predicted), FAIL when observed
-    is not a predicted pattern; the counts per status and the FAIL primes
-    are read off the outcomes after the scan.  With fail_fast the scan
-    stops at the first FAIL, which is enough for mutation testing.  Each p
-    comes from primes_upto's sieve, so the record is reduced mod p here,
-    with no primality test.  After the label checks ell is proved prime
-    (check_prime), and a record not monic of degree ell + 1 raises the
-    labelled parse_poly's ValueError (_check_shape), both before any
-    series is built; so every reduction keeps that degree and
-    u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p for
-    each set-up.  The a_p come from delta_k(k, ell, pmax).  Raises
+    the same _frobenius set-up, to report the observed pattern of a FAIL;
+    its None, a reduction that is not squarefree, skips the prime as
+    ramified.  Each prime appends one (p, status, observed, predicted),
+    FAIL when observed is not a predicted pattern; the counts per status
+    and the FAIL primes are read off the outcomes after the scan.  With
+    fail_fast the scan stops at the first FAIL, which is enough for
+    mutation testing.  Each p comes from primes_upto's sieve, so the record
+    is reduced mod p here, with no primality test.  After the label checks
+    ell is proved prime (check_prime), and a record not monic of degree
+    ell + 1 raises the labelled parse_poly's ValueError (_check_shape),
+    both before any series is built; so every reduction keeps that degree
+    and u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p
+    for each set-up.  The a_p come from delta_k(k, ell, pmax).  Raises
     ValueError too when no prime was compared, since an empty scan would
     otherwise read consistent.
     """
@@ -467,13 +465,10 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         predicted = predicted_degree_pattern(fc, ell)
         candidates = predicted if fc.is_ambiguous else (predicted,)
         setup = _frobenius([c % p for c in record.coeffs], p, [c % p for c in u])
-        observed = _has_pattern(setup, p, *candidates)
+        observed = _has_pattern(setup, p, *candidates) or _ddf(setup, p)
         if observed is None:
-            try:
-                observed = _ddf(setup, p)
-            except NotSquarefree:
-                outcomes.append((p, SKIPPED_RAMIFIED, None, None))
-                continue
+            outcomes.append((p, SKIPPED_RAMIFIED, None, None))
+            continue
         if observed not in candidates:
             status = FAIL
         else:

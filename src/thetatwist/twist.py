@@ -3,8 +3,9 @@
 Two normalized eigenforms f1, f2 of weights k1, k2 satisfy f1 = theta^i f2
 mod ell exactly when k1 = k2 + 2i (mod ell-1) and they agree through the
 Sturm index of f1 and theta^i f2.  check_twist proves that congruence with
-qseries.prove_congruence, records a_p(f1) = p^i a_p(f2) at every prime
-p != ell up to the level-1 bound ell(ell+1)/12, and certifies one
+one qseries.prove_congruence comparison, which reaches the level-1 bound
+ell(ell+1)/12 too, reads the recorded a_p(f1) = p^i a_p(f2) at every prime
+p != ell up to that bound off the compared series, and certifies one
 candidate pair.  twist_search scans (k', i) in a fixed deterministic order
 and returns the first pair check_twist certifies, which reduces a weight
 k > ell+1 form to one of weight k' <= ell+1 with an equivalent twisted
@@ -16,8 +17,7 @@ collections.namedtuple subclass.
 
 from collections import namedtuple
 
-from .errors import (CoefficientMismatch, InsufficientPrecision, NotFound, PrimeMismatch,
-                     ThetaTwistError)
+from .errors import CoefficientMismatch, NotFound, ThetaTwistError
 from .ffield import primes_upto
 from .qseries import SUPPORTED_WEIGHTS, _lists, _tuples, delta_k, prove_congruence, theta_power
 
@@ -51,11 +51,12 @@ class TwistCertificate(
 ):
     """Auditable witness that f1 = theta^i f2, i.e. rho_{f1} ~ rho_{f2} (x) chi^i.
 
-    prime_checks stores (p, a_p(f1), p^i * a_p(f2)) for every prime up to the
-    bound, so the claim can be read without re-running the search, and
-    validate re-derives all of it.  The series identity a_n = n^i a_n' was
-    confirmed through max(extended_terms, Sturm index), so every
-    certificate is a proof.
+    prime_checks stores (p, a_p(f1), p^i * a_p(f2)) for every prime p != ell
+    up to the bound, read off the series that check_twist compared, so the
+    claim can be read without re-running the search, and validate
+    re-derives all of it.  The series identity a_n = n^i a_n' was confirmed
+    through max(extended_terms, Sturm index, bound), so every certificate
+    is a proof, of theta^i for the i it stores.
     """
 
     __slots__ = ()
@@ -104,24 +105,22 @@ class TwistCertificate(
 def check_twist(f1, f2, i, extended=0):
     """Prove f1 = theta^i f2 and certify a_p(f1) = p^i a_p(f2) up to the twist bound.
 
-    prove_congruence compares f1 with theta^i f2 through max(extended,
-    Sturm index), so the certificate is a proof for every extended >= 0;
-    then the recorded scan reads every prime p != ell up to the twist
-    bound and raises PrimeMismatch at the first that differs.  Both series
-    must reach max(twist bound, extended, Sturm index).
+    One prove_congruence comparison of f1 with theta^i f2 runs through
+    max(extended, Sturm index, twist bound), so both series must reach it
+    and the certificate is a proof for every extended >= 0; a negative
+    extended is a ValueError.  The recorded (p, a_p(f1), p^i a_p(f2)) at
+    every prime p != ell up to the twist bound are then read off the
+    compared series, and the certificate stores i as given.
     """
+    if extended < 0:
+        raise ValueError(f"extended {extended} is negative")
     g = theta_power(f2, i)
-    prove_congruence(f1, g, extended)
     ell = f1.ell
     bound = twist_bound(ell)
-    if min(f1.precision, g.precision) < bound:
-        raise InsufficientPrecision(f"the prime scan needs precision {bound}")
+    prove_congruence(f1, g, max(extended, bound))
     a, b = f1.coeffs, g.coeffs
     checks = tuple((p, a[p], b[p]) for p in primes_upto(bound) if p != ell)
-    for p, lhs, rhs in checks:
-        if lhs != rhs:
-            raise PrimeMismatch(p, lhs, rhs)
-    return TwistCertificate(ell=ell, k1=f1.weight, k2=f2.weight, i=i % (ell - 1), bound=bound,
+    return TwistCertificate(ell=ell, k1=f1.weight, k2=f2.weight, i=i, bound=bound,
                             extended_terms=extended, prime_checks=checks)
 
 
@@ -134,7 +133,7 @@ def twist_search(k, ell, extended=1000):
     A weight-congruent candidate is tested at p = 2 alone first, where most
     fail; one that passes gets one check_twist call at the certificate's
     precision, which reaches every candidate's Sturm index (theta^i delta_k'
-    has weight at most ell^2 - 1), and either mismatch error moves on.
+    has weight at most ell^2 - 1), and a CoefficientMismatch moves on.
     Every series comes from delta_k at that precision, which builds each
     chain once and refuses an unsupported weight, a composite ell or ell < 5.
     """
@@ -152,7 +151,7 @@ def twist_search(k, ell, extended=1000):
                 continue
             try:
                 return i, kp, check_twist(f1, f2, i, extended)
-            except (PrimeMismatch, CoefficientMismatch):
+            except CoefficientMismatch:
                 continue
     raise NotFound(
         f"no twist pair found for (k={k}, ell={ell}); "

@@ -20,7 +20,6 @@ import json
 import pytest
 
 from thetatwist import cli, polyverify
-from thetatwist.errors import NotSquarefree
 from thetatwist.ffield import is_prime
 from thetatwist.polyverify import BUNDLED_LABELS, ProjPolyRecord, bundled_record, verify_record
 
@@ -29,8 +28,8 @@ FALLBACK = ("skipped-ramified", "FAIL")
 
 @pytest.fixture
 def ddf_ends():
-    """Per _ddf call under ddf_calls: (its result or NotSquarefree, the
-    Frobenius steps its degree loop took)."""
+    """Per _ddf call under ddf_calls: (its result, None for a reduction that
+    is not squarefree, and the Frobenius steps its degree loop took)."""
     return []
 
 
@@ -48,11 +47,7 @@ def ddf_calls(monkeypatch, ddf_ends):
             steps.append(p)
             return frobenius(h)
 
-        try:
-            result = ddf((setup[0], step, *setup[2:]), p)
-        except NotSquarefree:
-            ddf_ends.append((NotSquarefree, len(steps)))
-            raise
+        result = ddf((setup[0], step, *setup[2:]), p)
         ddf_ends.append((result, len(steps)))
         return result
 
@@ -85,7 +80,7 @@ def test_bundled_records_factor_only_at_skipped_primes(ddf_calls, ddf_ends):
     # one ddf per prime would be 1002 calls
     assert total == 9
     # and each ends at its squarefree test: no degree loop runs on a correct record
-    assert ddf_ends == [(NotSquarefree, 0)] * 9
+    assert ddf_ends == [(None, 0)] * 9
 
 
 def test_mutated_record_factors_at_each_fail(ddf_calls, ddf_ends):
@@ -98,7 +93,7 @@ def test_mutated_record_factors_at_each_fail(ddf_calls, ddf_ends):
     # one reported there; every other call ends at its squarefree test
     walked = {p: result for p, (result, steps) in zip(ddf_calls, ddf_ends) if steps}
     assert walked == {p: observed for p, status, observed, _ in rep.outcomes if status == "FAIL"}
-    assert all(end == (NotSquarefree, 0) for p, end in zip(ddf_calls, ddf_ends) if p not in walked)
+    assert all(end == (None, 0) for p, end in zip(ddf_calls, ddf_ends) if p not in walked)
 
 
 def _tested(rep):

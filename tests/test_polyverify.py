@@ -10,7 +10,6 @@ from thetatwist import polyverify
 from thetatwist.errors import (
     DuplicateTerm,
     NonMonicWarning,
-    NotSquarefree,
     ParseError,
 )
 from thetatwist.polyverify import (
@@ -273,8 +272,7 @@ def test_ddf_examples():
 
 
 def test_ddf_rejects_non_squarefree():
-    with pytest.raises(NotSquarefree):
-        ddf([1, 5, 1], 7)
+    assert ddf([1, 5, 1], 7) is None
 
 
 def test_ddf_degree_one_counts_match_root_enumeration():
@@ -317,11 +315,7 @@ def _matches_trial_division(f, p):
     expected = oracles.ddf_by_trial_division(f, p)
     f = _monic(f, p)
     setup = _setup(f, p)
-    if expected is None:
-        with pytest.raises(NotSquarefree):
-            _ddf(setup, p)
-    else:
-        assert _ddf(setup, p) == expected, (p, f)
+    assert _ddf(setup, p) == expected, (p, f)  # None for a non-squarefree f
     for pattern in oracles.degree_patterns(len(f) - 1):
         assert (_has_pattern(setup, p, pattern) == pattern) == (pattern == expected), (p, f, pattern)
     return expected
@@ -466,9 +460,8 @@ def _reference_outcomes(record, k, ell, pmax, series):
         if p == ell:
             outcomes.append((p, "skipped-ell", None, None))
             continue
-        try:
-            observed = ddf([c % p for c in record.coeffs], p)
-        except NotSquarefree:
+        observed = ddf([c % p for c in record.coeffs], p)
+        if observed is None:
             outcomes.append((p, "skipped-ramified", None, None))
             continue
         fc = frobenius_class(series.coeff(p), pow(p, k - 1, ell), ell)

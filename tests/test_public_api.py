@@ -13,7 +13,7 @@ from thetatwist.qseries import QExpansion
 PUBLIC_NAMES = [
     "AMBIGUOUS", "BUNDLED_LABELS", "CoefficientMismatch", "DuplicateTerm", "FrobeniusClass",
     "InsufficientPrecision", "ModulusMismatch", "NONSPLIT", "NonMonicWarning",
-    "NotFound", "NotSquarefree", "PUBLISHED_TWISTS", "ParseError", "PrimeMismatch",
+    "NotFound", "PUBLISHED_TWISTS", "ParseError",
     "ProjPolyRecord", "QExpansion", "SPLIT", "SUPPORTED_WEIGHTS", "ScreeningReport",
     "ThetaTwistError", "TwistCertificate", "UnsupportedWeight", "VerificationReport",
     "WeightIncongruent", "bundled_record", "check_twist", "delta_k", "eisenstein",
@@ -36,7 +36,8 @@ def test_public_names_are_pinned():
 #: deleted names, each with the module that defined it
 GONE = {"theta": "qseries", "hasse": "qseries",
         "equal_upto": "qseries", "sturm_bound": "qseries",
-        "ModPoly": "polyverify", "ddf": "polyverify", "is_squarefree_mod": "polyverify"}
+        "ModPoly": "polyverify", "ddf": "polyverify", "is_squarefree_mod": "polyverify",
+        "PrimeMismatch": "errors", "NotSquarefree": "errors"}
 
 
 @pytest.mark.parametrize("name", GONE)

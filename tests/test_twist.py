@@ -6,7 +6,6 @@ from thetatwist.errors import (
     CoefficientMismatch,
     InsufficientPrecision,
     NotFound,
-    PrimeMismatch,
     WeightIncongruent,
 )
 from thetatwist.ffield import primes_upto
@@ -81,12 +80,32 @@ def _corrupt(f, n):
 
 
 def test_check_twist_prime_mismatch():
-    # p = 11 lies above the Sturm index 3 and below the bound 15, so only the
-    # recorded prime scan reads it
+    # p = 11 lies above the Sturm index 3 and below the bound 15, so only a
+    # comparison through the bound reads it
     f1 = delta_k(16, 13, 20)
-    with pytest.raises(PrimeMismatch) as exc:
+    with pytest.raises(CoefficientMismatch) as exc:
         check_twist(f1, _corrupt(delta_k(12, 13, 20), 11), 2)
-    assert exc.value.p == 11
+    assert exc.value.index == 11
+
+
+def test_check_twist_compares_every_index_up_to_the_bound():
+    # n = 4 lies above the Sturm index 3 and below the bound 15, off the
+    # primes: a scan of the primes alone would certify this pair
+    f1, f2 = delta_k(16, 13, 20), delta_k(12, 13, 20)
+    with pytest.raises(CoefficientMismatch) as exc:
+        check_twist(_corrupt(f1, 4), f2, 2, extended=0)
+    assert exc.value.index == 4
+
+
+def test_check_twist_records_the_i_it_proved():
+    # theta^10 kills every a_n with 11 | n mod 11 and theta^0 does not, so
+    # i = 10 is not i = 0 mod ell - 1
+    f2 = delta_k(12, 11, 40)
+    f1 = theta_power(f2, 10)
+    assert check_twist(f1, f2, 10).i == 10
+    with pytest.raises(CoefficientMismatch) as exc:
+        check_twist(f1, f2, 0)
+    assert exc.value.index == 11
 
 
 #: the Sturm index of delta_k and theta^i delta_k' for the six twist pairs
@@ -101,8 +120,8 @@ def test_sturm_indices_of_the_six_twists():
 
 @pytest.mark.parametrize("k, ell, n", [(16, 13, 2), (26, 23, 4)])
 def test_check_twist_proves_through_the_sturm_index(k, ell, n):
-    # extended = 0 still compares through the Sturm index, before the prime
-    # scan: n = 4 lies off the primes, n = 2 on one
+    # extended = 0 still compares through the Sturm index: n = 4 lies off
+    # the primes, n = 2 on one
     i, kp = EXPECTED[k, ell]
     f1, f2 = delta_k(k, ell, 60), delta_k(kp, ell, 60)
     with pytest.raises(CoefficientMismatch) as exc:
