@@ -9,10 +9,8 @@ their factorization patterns mod p with predicted Frobenius cycle types.
 
 from .errors import (
     CoefficientMismatch,
-    DuplicateTerm,
     InsufficientPrecision,
     ModulusMismatch,
-    NonMonicWarning,
     NotFound,
     ParseError,
     ThetaTwistError,

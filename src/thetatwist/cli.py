@@ -4,8 +4,10 @@ Exit codes are a stable contract: 0 success, 2 usage or unsupported input
 (including a scan with no prime to check), 3 search found nothing, 4 I/O
 problems, 5 verification failure.  All output is deterministic; --format
 json emits machine-readable documents that round-trip through the
-corresponding from_json_dict constructors.  Warnings go to stderr as one
-"warning: ..." line each.
+corresponding from_json_dict constructors.  A command that fails prints one
+"error: ..." line on stderr.  The one warning, the published-table note on
+the (22, 11) twist, is output: a "warning: ..." line on stdout in text, the
+"warning" key in JSON.
 
 Every JSON document goes through one writer, _dumps, which writes exactly
 the bytes of the json module's dumps(doc, indent=2, sort_keys=True).  With
@@ -21,7 +23,6 @@ Each command's arguments are declared once, in the _COMMANDS table.
 
 import argparse
 import sys
-import warnings
 from json.encoder import encode_basestring_ascii
 
 from .errors import NotFound, ThetaTwistError
@@ -160,14 +161,10 @@ def _dumps(doc, pad="\n"):
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
-def _emit_json(doc):
-    print(_dumps(doc))
-
-
 def cmd_qexp(args):
     series = delta_k(args.weight, args.ell, args.terms)
     if args.format == "json":
-        _emit_json(series.to_json_dict())
+        print(_dumps(series.to_json_dict()))
     else:
         print(", ".join(map(str, series.coeffs[1:])))
     return EXIT_OK
@@ -189,7 +186,7 @@ def cmd_twist_search(args):
     i, kp, cert = twist_search(k, ell, args.extended)
     note = published_discrepancy(k, ell, i, kp)
     if args.format == "json":
-        _emit_json(_twist_result_doc(k, ell, i, kp, cert, note))
+        print(_dumps(_twist_result_doc(k, ell, i, kp, cert, note)))
     else:
         print(f"delta_{k} = theta^{i} delta_{kp} (mod {ell})")
         print(
@@ -222,7 +219,7 @@ def cmd_verify_poly(args):
         record = bundled_record(k, ell, args.data_dir)
     report = verify_record(record, k, ell, args.pmax)
     if args.format == "json":
-        _emit_json(report.to_json_dict(full=args.full))
+        print(_dumps(report.to_json_dict(full=args.full)))
     else:
         _render_verify_text(report)
         if args.full:
@@ -243,7 +240,7 @@ def _render_screen_text(rep):
 def cmd_screen(args):
     rep = screen_exceptional(args.weight, args.ell, args.pbound)
     if args.format == "json":
-        _emit_json(rep.to_json_dict())
+        print(_dumps(rep.to_json_dict()))
     else:
         _render_screen_text(rep)
         print("  (heuristic congruence screen; bounded scan, not a proof)")
@@ -276,17 +273,16 @@ def cmd_tables(args):
     ok = all(r.verdict == "likely unexceptional" for r in screens) and all(r.ok for r in verifies)
 
     if args.format == "json":
-        _emit_json(
-            {
-                "screening": [rep.to_json_dict() for rep in screens],
-                "twists": [
-                    _twist_result_doc(k, ell, i, kp, cert, note)
-                    for k, ell, i, kp, cert, note in twists
-                ],
-                "verification": [rep.to_json_dict(full=args.full) for rep in verifies],
-                "all_passed": ok,
-            }
-        )
+        doc = {
+            "screening": [rep.to_json_dict() for rep in screens],
+            "twists": [
+                _twist_result_doc(k, ell, i, kp, cert, note)
+                for k, ell, i, kp, cert, note in twists
+            ],
+            "verification": [rep.to_json_dict(full=args.full) for rep in verifies],
+            "all_passed": ok,
+        }
+        print(_dumps(doc))
     else:
         print(f"== exceptional-prime screening (primes to {args.pbound}) ==")
         for rep in screens:
@@ -326,25 +322,19 @@ _COMMANDS = {
 }
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None):
     name, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            return _COMMANDS[name][1](args)
-        except NotFound as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_FOUND
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (ThetaTwistError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        return _COMMANDS[name][1](args)
+    except NotFound as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ThetaTwistError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

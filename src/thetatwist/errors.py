@@ -50,10 +50,3 @@ class ParseError(ThetaTwistError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
-
-class DuplicateTerm(ParseError):
-    """The same exponent appeared twice in a polynomial expression."""
-
-
-class NonMonicWarning(UserWarning):
-    """Parsed polynomial is not monic; retained for generality."""

@@ -37,15 +37,14 @@ kernels on coefficient lists.
 
 import os
 import re
-import warnings
 from collections import Counter, namedtuple
 from operator import mul as _imul
 
 from . import polyarith
-from .errors import DuplicateTerm, NonMonicWarning, ParseError
+from .errors import ParseError
 from .ffield import check_prime, factorize, primes_upto
 from .galrep import frobenius_class, predicted_degree_pattern
-from .qseries import MAX_PRECISION, _lists, _tuples, delta_k
+from .qseries import MAX_PRECISION, _tuples, delta_k
 
 MATCH = "match"
 AMBIGUOUS_PASS = "ambiguous-pass"
@@ -85,13 +84,14 @@ def parse_poly(text, k=None, ell=None):
     Exponents may be braced (x^{14}) or bare (x^14); whitespace is ignored;
     '*' between a coefficient and x is required; '-' or the minus sign '−'
     negates.  Each term is one match of _TERM; a ParseError gives the end of
-    the longest prefix that can begin an expression.  Duplicate exponents
-    raise DuplicateTerm; a non-monic result only warns.  ParseError refuses
-    an exponent above qseries.MAX_PRECISION, or with ell given above ell + 1,
-    before any list is built (by its length first), and a coefficient longer
-    than int() converts, at its start.  With ell given the parse is the label
-    check: after the warning, _check_shape refuses a degree other than ell + 1
-    or a leading coefficient other than 1 with ValueError.
+    the longest prefix that can begin an expression.  ParseError also
+    refuses an exponent that appears twice, an exponent above
+    qseries.MAX_PRECISION, or with ell given above ell + 1, before any list
+    is built (by its length first), and a coefficient longer than int()
+    converts, at its start.  Without ell any shape is returned, a non-monic
+    one included.  With ell given the parse is the label check: _check_shape
+    refuses a degree other than ell + 1 or a leading coefficient other than
+    1 with ValueError.
     """
     bound, name = (MAX_PRECISION, "the maximum") if ell is None else (ell + 1, "ell + 1 =")
     terms, i = {}, 0
@@ -118,7 +118,7 @@ def parse_poly(text, k=None, ell=None):
         if e > bound:
             raise ParseError(f"exponent {e} exceeds {name} {bound}", i)
         if e in terms:
-            raise DuplicateTerm(f"exponent {e} appears twice", i)
+            raise ParseError(f"exponent {e} appears twice", i)
         try:
             c = int(coef or 1)
         except ValueError:  # more digits than int() converts
@@ -127,8 +127,6 @@ def parse_poly(text, k=None, ell=None):
 
     deg = max(terms)
     coeffs = tuple(terms.get(e, 0) for e in range(deg + 1))
-    if coeffs[-1] != 1:
-        warnings.warn(f"leading coefficient is {coeffs[-1]}, not 1", NonMonicWarning)
     if ell is not None:
         _check_shape(coeffs, ell)
     return ProjPolyRecord(coeffs=coeffs, k=k, ell=ell)
@@ -405,11 +403,11 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
         return self.counts["fail"] == 0
 
     def to_json_dict(self, full=False):
-        """The fields with every tuple a list; outcomes only when full."""
+        """The fields as they stand; outcomes only when full."""
         d = self._asdict()
         if not full:
             del d["outcomes"]
-        return _lists(d)
+        return d
 
     @classmethod
     def from_json_dict(cls, d):

@@ -79,7 +79,9 @@ class QExpansion:
         return self.coeffs[n]
 
     def truncate(self, n0):
-        """The series to precision n0; itself when it ends there already."""
+        """The series to precision n0 >= 0; itself when it ends there already."""
+        if n0 < 0:
+            raise ValueError(f"precision {n0} is negative")
         if n0 > self.precision:
             raise InsufficientPrecision(
                 f"cannot extend precision {self.precision} to {n0}"
@@ -118,27 +120,21 @@ class QExpansion:
     def from_json_dict(cls, d):
         """Inverse of to_json_dict; rejects a document without "ell" and a
         "coeffs" list, any level but 1, an ell not a prime int, and a weight
-        or coefficient not an int."""
+        or coefficient not an int (a bool is not)."""
         if not isinstance(d, dict) or "ell" not in d or not isinstance(d.get("coeffs"), list):
             raise ValueError('a series document needs "ell" and a "coeffs" list')
         if d.get("N") not in (None, 1):
             raise ValueError(f"level {d['N']} is not supported, only level 1")
         check_prime(d["ell"])
         k, coeffs = d.get("k"), d["coeffs"]
-        if not (k is None or isinstance(k, int)) or not all(isinstance(c, int) for c in coeffs):
+        if not (k is None or type(k) is int) or not all(type(c) is int for c in coeffs):
             raise ValueError("the weight and the coefficients must be ints")
         return cls(d["ell"], coeffs, k)
 
 
-def _lists(x):
-    """x with every tuple in it, at any depth, made a list, as JSON reads it back."""
-    if isinstance(x, dict):
-        return {key: _lists(value) for key, value in x.items()}
-    return [_lists(y) for y in x] if isinstance(x, tuple) else x
-
-
 def _tuples(x):
-    """Inverse of _lists: x with every list in it, at any depth, made a tuple."""
+    """x with every list in it, at any depth, made a tuple: a record's fields
+    as they were before the writer wrote each tuple as a JSON list."""
     if isinstance(x, dict):
         return {key: _tuples(value) for key, value in x.items()}
     return tuple(map(_tuples, x)) if isinstance(x, list) else x

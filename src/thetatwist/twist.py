@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import CoefficientMismatch, NotFound, ThetaTwistError
 from .ffield import primes_upto
-from .qseries import SUPPORTED_WEIGHTS, _lists, _tuples, delta_k, prove_congruence, theta_power
+from .qseries import SUPPORTED_WEIGHTS, _tuples, delta_k, prove_congruence, theta_power
 
 #: (i, k') pairs printed in the reference table these computations reproduce.
 #: The (22, 11) row is printed there with i = 1, which fails the weight
@@ -84,8 +84,8 @@ class TwistCertificate(
             raise ValueError(f"the re-derived certificate differs in {', '.join(wrong)}")
 
     def to_json_dict(self):
-        """The fields with every tuple a list, prime_checks under "checks"."""
-        d = _lists(self._asdict())
+        """The fields as they stand, prime_checks under "checks"."""
+        d = self._asdict()
         d["checks"] = d.pop("prime_checks")
         return d
 
@@ -93,11 +93,11 @@ class TwistCertificate(
     def from_json_dict(cls, d):
         """Inverse of to_json_dict: every list a tuple, "checks" read as
         prime_checks; a missing or unknown key, or a field before "checks"
-        that is not an int, is a ValueError."""
+        that is not an int (a bool is not), is a ValueError."""
         keys = cls._fields[:-1] + ("checks",)
         if not isinstance(d, dict) or set(d) != set(keys):
             raise ValueError(f"a certificate document has exactly the keys {', '.join(keys)}")
-        if not all(isinstance(d[key], int) for key in keys[:-1]):
+        if not all(type(d[key]) is int for key in keys[:-1]):
             raise ValueError(f"the certificate's {', '.join(keys[:-1])} must be ints")
         return cls(*[_tuples(d[key]) for key in keys])
 

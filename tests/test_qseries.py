@@ -129,6 +129,9 @@ def test_coeff_never_zero_extends():
     assert f.truncate(2) is f and f.truncate(1).coeffs == (0, 1)
     with pytest.raises(InsufficientPrecision):
         f.truncate(3)
+    for n0 in (-1, -2):  # -2 sliced from the end, to precision 1
+        with pytest.raises(ValueError, match=f"precision {n0} is negative"):
+            f.truncate(n0)
 
 
 def test_delta12_matches_eta_product_oracle():
@@ -359,8 +362,10 @@ def test_qexpansion_json_roundtrip():
         ({"coeffs": [1.5, 2]}, "must be ints"),
         ({"k": 16.0}, "must be ints"),
         ({"k": "16"}, "must be ints"),
+        ({"k": True}, "must be ints"),  # a bool is an int subclass
+        ({"coeffs": [True, 0]}, "must be ints"),
     ],
-    ids=["ell-float", "ell-str", "coeff-float", "k-float", "k-str"],
+    ids=["ell-float", "ell-str", "coeff-float", "k-float", "k-str", "k-bool", "coeff-bool"],
 )
 def test_qexpansion_from_json_refuses_what_is_not_an_int(change, error):
     check_prime(13)  # 13.0 == 13 is remembered as proved

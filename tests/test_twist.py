@@ -281,12 +281,20 @@ def test_certificate_from_json_refuses_a_missing_or_unknown_key(edit):
         TwistCertificate.from_json_dict(list(doc.items()))
 
 
-@pytest.mark.parametrize("key", ["ell", "k1", "k2", "i", "bound", "extended_terms"])
-def test_certificate_from_json_refuses_a_field_that_is_not_an_int(key):
-    # validate() reads the Sturm index off ell, k1, k2 and i
+_CERT_INT_KEYS = ["ell", "k1", "k2", "i", "bound", "extended_terms"]
+
+
+@pytest.mark.parametrize(
+    "key, replace",
+    [(key, str) for key in _CERT_INT_KEYS] + [(key, lambda v: True) for key in _CERT_INT_KEYS],
+    ids=_CERT_INT_KEYS + [f"{key}-bool" for key in _CERT_INT_KEYS],
+)
+def test_certificate_from_json_refuses_a_field_that_is_not_an_int(key, replace):
+    # validate() reads the Sturm index off ell, k1, k2 and i; a bool is an
+    # int subclass, and "extended_terms": true passed validate()
     _, _, cert = twist_search(16, 13, extended=50)
     doc = cert.to_json_dict()
-    doc[key] = str(doc[key])
+    doc[key] = replace(doc[key])
     with pytest.raises(ValueError, match="must be ints"):
         TwistCertificate.from_json_dict(doc)
 
