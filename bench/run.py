@@ -41,6 +41,9 @@ records:
     extended TWIST_EXTENDED, all six in one call, and a warm twist_search
     of TWIST_LARGE at the same extended, whose search rejects ten
     candidates over a twist bound of 39,848 coefficients;
+  - screen_us: a cold screen_exceptional (the series cache emptied before
+    each call) of each pair of SCREEN_PAIRS at each bound of SCREEN_BOUNDS,
+    and of SCREEN_LARGE, through the public API only;
   - runs_s, each a fresh process: the default `thetatwist tables`, as text
     and as JSON, `tables` at perfbench's sizes (PERFBENCH_TABLES), the
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
@@ -108,6 +111,12 @@ SERIES_ELL = 691
 SERIES_NS = (1000, 4000, 20000)
 TWIST_EXTENDED = 1000
 TWIST_LARGE = (26, 691)
+#: the pairs and bounds of screen_us: (16, 13) and (26, 691) are
+#: unexceptional, (12, 691) reducible, (16, 59) of projective image S_4 and
+#: (12, 23) dihedral; and one unexceptional screen at a large bound
+SCREEN_PAIRS = ((16, 13), (26, 691), (12, 691), (16, 59), (12, 23))
+SCREEN_BOUNDS = (200, 2000)
+SCREEN_LARGE = (26, 691, 10**4)
 #: `tables` at the sizes of perfbench's tables workload
 PERFBENCH_TABLES = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
                     "--format", "json"]
@@ -301,6 +310,21 @@ def twist_us():
     }
 
 
+def screen_us():
+    """Cold screen_exceptional times on the thetatwist on sys.path."""
+    from thetatwist import delta_k, screen_exceptional
+
+    def cold(k, ell, bound):
+        delta_k.cache_clear()
+        return screen_exceptional(k, ell, bound)
+
+    cases = [(k, ell, bound) for bound in SCREEN_BOUNDS for k, ell in SCREEN_PAIRS]
+    return {
+        f"k={k},ell={ell},pbound={bound}": {"cold_us": _per_call_us(lambda: cold(k, ell, bound))}
+        for k, ell, bound in cases + [SCREEN_LARGE]
+    }
+
+
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
@@ -426,6 +450,7 @@ def main(argv=None):
             "wrong_records_us": wrong_records_us(),
             "series_us": series_us(),
             "twist_us": twist_us(),
+            "screen_us": screen_us(),
         }))
         return 0
     if not args.src:
@@ -451,6 +476,10 @@ def main(argv=None):
         "series_cases": {"ell": SERIES_ELL, "n": list(SERIES_NS)},
         "twist_extended": TWIST_EXTENDED,
         "twist_large": list(TWIST_LARGE),
+        "screen_cases": {
+            "pairs": [list(pair) for pair in SCREEN_PAIRS], "pbound": list(SCREEN_BOUNDS),
+            "large": list(SCREEN_LARGE),
+        },
         "trees": measure(trees, args.rounds),
     }
     text = json.dumps(doc, indent=1) + "\n"

@@ -19,7 +19,9 @@ prime per process, so the scans call them once per tested p.
 screen_exceptional runs three bounded congruence tests (reducible, dihedral,
 small projective image) against the coefficients of delta_k.  These are
 heuristic candidate flags reconstructed from the classical congruences, not
-proofs; the report records the prime bound that was scanned.
+proofs; the report records the prime bound that was scanned.  The scan
+stops at a witness against each test (Serre; Swinnerton-Dyer), which an
+unexceptional pair has at small p, so it reads a 32-term delta_k first.
 
 FrobeniusClass and ScreeningReport are collections.namedtuple subclasses,
 immutable tuples with named fields.
@@ -28,7 +30,7 @@ immutable tuples with named fields.
 from collections import namedtuple
 
 from .ffield import check_prime, factorize, legendre, primes_upto
-from .qseries import delta_k
+from .qseries import _check_delta, delta_k
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
@@ -118,13 +120,54 @@ class ScreeningReport(
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; a missing or unknown key is a ValueError."""
-        try:
-            return cls(**d)
-        except TypeError:
+        """Inverse of to_json_dict; a missing or unknown key is a ValueError,
+        and so is a k, ell or bound not an int (a bool is not), a flag not a
+        bool, a reducible_j neither None nor an int, or a verdict not a str."""
+        if not isinstance(d, dict) or set(d) != set(cls._fields):
             raise ValueError(
                 f"a screening document has exactly the keys {', '.join(cls._fields)}"
-            ) from None
+            )
+        rep = cls(**d)
+        kinds = [type(x) for x in rep]
+        if kinds[:4] + kinds[5:] != [int, int, int, bool, bool, bool, str] or not (
+            rep.reducible_j is None or kinds[4] is int
+        ):
+            raise ValueError(
+                "a screening report's k, ell and bound must be ints, its flags bools,"
+                " its reducible_j None or an int and its verdict a str"
+            )
+        return rep
+
+
+#: every unexceptional pair with ell < 3000 has its three witnesses at p <= 31
+_FIRST_STAGE = 32
+
+
+def _prime_coefficients(k, ell, bound):
+    """(p, a_p mod ell) for each prime p <= bound but ell, ascending, from
+    delta_k to precision min(bound, _FIRST_STAGE) and then to bound."""
+    done = 0
+    for n0 in (min(bound, _FIRST_STAGE), bound):
+        a = delta_k(k, ell, n0).coeffs
+        for p in primes_upto(n0):
+            if p > done and p != ell:
+                yield p, a[p]
+        done = n0
+
+
+def _reducible_j(k, ell, coeffs):
+    """The least j with a_p = p^j + p^(k-1-j) mod ell at each (p, a_p) of
+    coeffs, or None; the primes after p0 are tested where p0 passes."""
+    (p0, a0), rest = coeffs[0], coeffs[1:]
+    x, y, p0_inv = 1, pow(p0, k - 1, ell), pow(p0, -1, ell)
+    for j in range(ell - 1):
+        if (x + y) % ell == a0 and all(
+            a == (pow(p, j, ell) + pow(p, (k - 1 - j) % (ell - 1), ell)) % ell
+            for p, a in rest
+        ):
+            return j
+        x, y = x * p0 % ell, y * p0_inv % ell
+    return None
 
 
 def screen_exceptional(k, ell, bound):
@@ -135,39 +178,40 @@ def screen_exceptional(k, ell, bound):
     small image: every non-ambiguous projective order lies in {1,...,5}
     (the orders occurring in the exceptional polyhedral subgroups).
     The verdict is "likely unexceptional" only when all three are clear.
-    Raises ValueError when no prime p != ell lies in the scan, since every
-    test would then pass vacuously.
+
+    One pass over the primes in increasing order, on delta_k to precision
+    min(bound, 32) and past that to bound (_prime_coefficients), stops at
+    the all-clear report once it holds a witness against each test: a rootless p (x^2 - a_p x + p^(k-1) has no root mod ell, so no j
+    passes), a non-residue p with a_p != 0, and a p of projective order
+    above 5.  Otherwise the flags come from the same pass, and the j search
+    runs only when no p was rootless, so every flag is that of a full scan.
+    The arguments are refused as delta_k refuses them, before any sieve or
+    series, and a bound below 2, where every test would pass vacuously.
     """
-    f = delta_k(k, ell, bound)
-    primes = [p for p in primes_upto(bound) if p != ell]
-    if not primes:
+    _check_delta(k, ell, bound)
+    if bound < 2:
         raise ValueError(f"no prime p <= {bound} other than ell = {ell} to screen")
-    a = {p: f.coeff(p) for p in primes}
-
-    # p0^j and p0^(k-1-j) advance by one multiplication per j; the other
-    # primes are tested only at a j where p0 passes, which makes p0^j a root
-    # of x^2 - a_p0 x + p0^(k-1): none passes where that has no root in F_ell
-    p0, rest = primes[0], primes[1:]
-    x, y, p0_inv = 1, pow(p0, k - 1, ell), pow(p0, -1, ell)
-    reducible_j = None
-    for j in range(ell - 1 if legendre(a[p0] ** 2 - 4 * y, ell) != -1 else 0):
-        if (x + y) % ell == a[p0] and all(
-            a[p] == (pow(p, j, ell) + pow(p, (k - 1 - j) % (ell - 1), ell)) % ell
-            for p in rest
-        ):
-            reducible_j = j
+    # nonres and large are None before a p bears on their test, 0 while
+    # every such p fits it, and then the first p against it
+    rootless = nonres = large = None
+    coeffs = []  # (p, a_p) for the j search, while no p is rootless
+    for p, a in _prime_coefficients(k, ell, bound):
+        d = pow(p, k - 1, ell)
+        if not rootless:
+            coeffs.append((p, a))
+            if legendre(a * a - 4 * d, ell) == -1:
+                rootless = p
+        if not nonres and legendre(p, ell) == -1:
+            nonres = p if a else 0
+        if not large:
+            n = frobenius_class(a, d, ell).order
+            if n is not None:
+                large = p if n > 5 else 0
+        if rootless and nonres and large:
             break
-        x, y = x * p0 % ell, y * p0_inv % ell
 
-    nonres = [p for p in primes if legendre(p, ell) == -1]
-    dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
-
-    # lazy: classification stops at the first order > 5; no order at all reads as 6
-    orders = (frobenius_class(a[p], pow(p, k - 1, ell), ell).order for p in primes)
-    orders = (n for n in orders if n is not None)
-    small_image = next(orders, 6) <= 5 and all(n <= 5 for n in orders)
-
-    reducible = reducible_j is not None
+    reducible_j = None if rootless else _reducible_j(k, ell, coeffs)
+    reducible, dihedral, small_image = reducible_j is not None, nonres == 0, large == 0
     clear = not (reducible or dihedral or small_image)
     return ScreeningReport(
         k=k,

@@ -412,14 +412,22 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of to_json_dict; a document without outcomes reads as (),
-        and a missing or unknown key is a ValueError."""
+        and a missing or unknown key is a ValueError, and so is a k, ell or
+        pmax not an int (a bool is not), counts not an object, or failures
+        or outcomes not a list."""
         try:
-            return cls(**_tuples({"outcomes": [], **d}))
+            rep = cls(**_tuples({"outcomes": [], **d}))
         except TypeError:
             raise ValueError(
                 "a verification document has exactly the keys k, ell, pmax, counts,"
                 " failures, and optionally outcomes"
             ) from None
+        if [type(x) for x in rep] != [int, int, int, tuple, dict, tuple]:
+            raise ValueError(
+                "a verification report's k, ell and pmax must be ints, its counts an"
+                " object and its failures and outcomes lists"
+            )
+        return rep
 
 
 def verify_record(record, k, ell, pmax, fail_fast=False):

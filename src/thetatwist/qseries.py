@@ -239,12 +239,19 @@ def delta_k(k, ell, n0):
     only the Eisenstein series that chain multiplies by, and each further
     weight at the same (ell, n0) or below costs one.
     """
+    _check_delta(k, ell, n0)
+    return _series(k, ell, n0)
+
+
+def _check_delta(k, ell, n0):
+    """Refuse what delta_k refuses, in its order: a weight outside
+    SUPPORTED_WEIGHTS, then (_check) a composite ell, an ell below 5 and a
+    precision n0 outside [1, MAX_PRECISION]."""
     if k != 12 and k not in _DELTA_STEPS:
         raise UnsupportedWeight(
             f"weight {k} not in the one-dimensional list {SUPPORTED_WEIGHTS}"
         )
     _check(ell, n0, 1)
-    return _series(k, ell, n0)
 
 
 # both names empty the one shared cache

@@ -192,6 +192,17 @@ def companion_orbits(t, d, ell):
     return tuple(sorted(lengths))
 
 
+def projective_order(t, d, ell):
+    """Least n >= 1 with C^n scalar mod ell, C = [[0, -d], [1, t]] the
+    companion matrix of x^2 - t x + d (d a unit), by repeated multiplication."""
+    a, b, c, e = 0, -d % ell, 1, t % ell  # C^n = [[a, b], [c, e]], n = 1
+    n = 1
+    while b or c or a != e:
+        a, b, c, e = b, (t * b - d * a) % ell, e, (t * e - d * c) % ell
+        n += 1
+    return n
+
+
 def poly_roots(coeffs, p):
     """All roots in F_p of an ascending integer coefficient list."""
     roots = []

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import pytest
 
+from thetatwist import galrep, qseries
+from thetatwist.errors import UnsupportedWeight
 from thetatwist.ffield import factorize, primes_upto
 from thetatwist.galrep import (
     AMBIGUOUS,
@@ -183,8 +187,91 @@ def test_screening_report_from_json_refuses_a_document_of_another_structure(edit
         ScreeningReport.from_json_dict(edit(doc))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"k": True},
+        {"bound": "x"},
+        {"ell": "11"},
+        {"ell": 13.0},
+        {"reducible_candidate": "false"},
+        {"small_image_candidate": 0},
+        {"reducible_j": True},
+        {"reducible_j": "0"},
+        {"verdict": 1},
+    ],
+    ids=["k-true", "bound-str", "ell-str", "ell-float", "flag-str", "flag-int",
+         "j-true", "j-str", "verdict-int"],
+)
+def test_screening_report_from_json_refuses_a_wrong_typed_value(edit):
+    doc = screen_exceptional(16, 13, 100).to_json_dict()
+    with pytest.raises(ValueError, match="a screening report's k, ell and bound must be ints"):
+        ScreeningReport.from_json_dict({**doc, **edit})
+
+
+def test_screening_report_from_json_keeps_a_reducible_j():
+    rep = screen_exceptional(12, 691, 50)
+    assert rep.reducible_j == 0
+    assert ScreeningReport.from_json_dict(rep.to_json_dict()) == rep
+
+
+def test_unexceptional_screen_stops_at_the_first_stage():
+    # every witness of (26, 691) lies below 32, so nothing past the first
+    # stage is built, whatever the bound
+    qseries.delta_k.cache_clear()
+    rep = screen_exceptional(26, 691, 10**4)
+    assert rep.verdict == "likely unexceptional" and rep.bound == 10**4
+    assert qseries._SERIES[26, 691].precision == galrep._FIRST_STAGE == 32
+    assert max(f.precision for f in qseries._SERIES.values()) == 32
+
+
+def test_exceptional_screen_builds_to_the_bound():
+    qseries.delta_k.cache_clear()
+    rep = screen_exceptional(16, 59, 2000)
+    assert rep.small_image_candidate and rep.verdict == "possibly exceptional"
+    assert qseries._SERIES[16, 59].precision == 2000
+
+
+def test_screen_below_the_first_stage_builds_to_the_bound():
+    qseries.delta_k.cache_clear()
+    assert screen_exceptional(12, 23, 20).dihedral_candidate
+    assert qseries._SERIES[12, 23].precision == 20
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((16, 13, 10**8), ValueError, "precision 100000000 exceeds the maximum 10000000"),
+        ((14, 13, 100), UnsupportedWeight, "weight 14 not in the one-dimensional list"),
+        ((16, 15, 100), ValueError, "modulus 15 is not prime"),
+        ((16, 3, 100), ValueError, "ell >= 5 required"),
+        ((16, 13, 1), ValueError, "no prime p <= 1 other than ell = 13 to screen"),
+        ((16, 13, 0), ValueError, "precision must be at least 1"),
+    ],
+    ids=["precision-too-large", "weight-14", "composite-ell", "ell-3", "no-prime", "precision-0"],
+)
+def test_screen_refuses_its_arguments_before_any_sieve_or_series(monkeypatch, args, error, message):
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(galrep, "primes_upto", no_sieve)
+    qseries.delta_k.cache_clear()
+    with pytest.raises(error, match=message) as exc:
+        screen_exceptional(*args)
+    assert type(exc.value) is error
+    assert qseries._SERIES == {}
+
+
+@lru_cache(maxsize=None)
+def _naive_order(t, d, ell):
+    """The projective order of the class of x^2 - t x + d, None when its
+    discriminant vanishes (the class the screen leaves out as ambiguous)."""
+    return oracles.projective_order(t, d, ell) if (t * t - 4 * d) % ell else None
+
+
 def _naive_screen(k, ell, bound):
-    """All three flags and reducible_j, classifying every prime, no early exit."""
+    """All three flags and reducible_j, classifying every prime, no early
+    exit, each projective order found by powering the companion matrix."""
     f = delta_k(k, ell, bound)
     primes = [p for p in primes_upto(bound) if p != ell]
     a = {p: f.coeff(p) for p in primes}
@@ -200,8 +287,8 @@ def _naive_screen(k, ell, bound):
     )
     nonres = [p for p in primes if pow(p, (ell - 1) // 2, ell) == ell - 1]
     dihedral = bool(nonres) and all(a[p] == 0 for p in nonres)
-    classes = [frobenius_class(a[p], pow(p, k - 1, ell), ell) for p in primes]
-    orders = [fc.order for fc in classes if fc.kind != AMBIGUOUS]
+    orders = [_naive_order(a[p], pow(p, k - 1, ell), ell) for p in primes]
+    orders = [n for n in orders if n is not None]
     small_image = bool(orders) and max(orders) <= 5
     return reducible_j, dihedral, small_image
 
@@ -229,3 +316,44 @@ def test_screen_matches_naive_recomputation():
     assert reducible_past_0 == {2: 107, 3: 23, 20: 22, 200: 22}
     # the sweep must exercise flagged pairs too, not only clean ones
     assert flagged[200] >= 20
+
+
+#: the exceptional primes 5 <= ell < 3000 of each delta_k (Swinnerton-Dyer),
+#: all below 1000
+CLASSICAL_EXCEPTIONAL = {
+    12: (5, 7, 23, 691),
+    16: (5, 7, 11, 31, 59),
+    18: (5, 7, 11, 13),
+    20: (5, 7, 11, 13, 283, 617),
+    22: (5, 7, 13, 17, 131, 593),
+    26: (5, 7, 11, 17, 19),
+}
+
+
+@pytest.mark.parametrize(
+    "k, ell", [(k, ell) for k, ells in CLASSICAL_EXCEPTIONAL.items() for ell in ells]
+)
+def test_screen_matches_naive_recomputation_on_the_exceptional_pairs(k, ell):
+    # each pair misses a witness at every p <= 1000, so the screen runs
+    # through the second stage to the bound
+    rep = screen_exceptional(k, ell, 1000)
+    reducible_j, dihedral, small_image = _naive_screen(k, ell, 1000)
+    assert rep.reducible_j == reducible_j
+    assert rep.reducible_candidate == (reducible_j is not None)
+    assert rep.dihedral_candidate == dihedral
+    assert rep.small_image_candidate == small_image
+    assert rep.verdict == "possibly exceptional"
+
+
+def test_screen_flags_exactly_the_classical_exceptional_pairs():
+    # every other pair with ell < 3000 has its three witnesses at p <= 31,
+    # so its screen builds no series past the first stage
+    flagged = set()
+    for k in CLASSICAL_EXCEPTIONAL:
+        for ell in primes_upto(2999)[2:]:
+            qseries.delta_k.cache_clear()
+            if screen_exceptional(k, ell, 200).verdict == "possibly exceptional":
+                flagged.add((k, ell))
+            else:
+                assert qseries._SERIES[k, ell].precision == 32, (k, ell)
+    assert flagged == {(k, ell) for k, ells in CLASSICAL_EXCEPTIONAL.items() for ell in ells}

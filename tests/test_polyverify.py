@@ -541,6 +541,24 @@ def test_verification_report_from_json_refuses_a_document_of_another_structure(e
         VerificationReport.from_json_dict(edit(doc))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"pmax": True},
+        {"ell": "11"},
+        {"k": 22.0},
+        {"counts": [1]},
+        {"failures": "7"},
+        {"outcomes": {}},
+    ],
+    ids=["pmax-true", "ell-str", "k-float", "counts-list", "failures-str", "outcomes-dict"],
+)
+def test_verification_report_from_json_refuses_a_wrong_typed_value(edit):
+    doc = verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict(full=True)
+    with pytest.raises(ValueError, match="a verification report's k, ell and pmax must be ints"):
+        VerificationReport.from_json_dict({**doc, **edit})
+
+
 def _pow_mod(h, e, f, p):
     """h^e mod the monic f by square and multiply on the oracles."""
     result, base = [1], h
