@@ -66,7 +66,9 @@ leaves out the interpreter's start-up and the host's speed swings.  Each
 round measures every tree once, in an order that alternates from round to
 round, so that drift in the host's speed falls on all trees alike.  A figure is the median over the rounds, kept beside its samples.
 Each whole run also records a digest of its stdout, so trees that print
-different bytes show.  A tree with a src/thetatwist/__pycache__ is refused,
+different bytes show, and a JSON run the digest of its document in one
+canonical layout beside it, so a change of layout shows apart from a change
+of content.  A tree with a src/thetatwist/__pycache__ is refused,
 and no run writes one, so every tree compiles its modules from source alike.
 """
 
@@ -340,9 +342,16 @@ def _kernels_of(tree):
     return json.loads(proc.stdout)
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def _fresh_run(tree, flags, args):
-    """(wall seconds, seconds at reference speed, stdout digest) of one fresh
-    `python <flags> bench/probed.py <args>` process."""
+    """(wall seconds, seconds at reference speed, stdout digests) of one fresh
+    `python <flags> bench/probed.py <args>` process: the digest of the raw
+    stdout and, for a JSON run, of its document in the canonical layout
+    json.dumps(doc, indent=2, sort_keys=True) + "\n", so that trees which
+    lay out the same document differently show the same content digest."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, *flags, str(PROBED), *args],
@@ -351,7 +360,11 @@ def _fresh_run(tree, flags, args):
     wall = time.perf_counter() - start
     probed = json.loads(proc.stderr.splitlines()[-1])
     at_reference = (probed["elapsed"] - probed["probe_s"]) * probed["speed"]
-    return wall, at_reference, hashlib.sha256(proc.stdout).hexdigest()[:16]
+    digests = {"stdout_sha256": _sha256(proc.stdout)}
+    if "json" in args:
+        canonical = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n"
+        digests["canonical_sha256"] = _sha256(canonical.encode())
+    return wall, at_reference, digests
 
 
 def _runs():
@@ -409,7 +422,7 @@ def measure(trees, rounds):
                 _summary(walls),
                 reference_median=statistics.median(reference_samples[label][name]),
                 reference_samples=reference_samples[label][name],
-                stdout_sha256=digests[label][name],
+                **digests[label][name],
             )
             for name, walls in run_samples[label].items()
         }

@@ -7,13 +7,8 @@ json emits machine-readable documents that round-trip through the
 corresponding from_json_dict constructors.  A command that fails prints one
 "error: ..." line on stderr.  The one warning, the published-table note on
 the (22, 11) twist, is output: a "warning: ..." line on stdout in text, the
-"warning" key in JSON.
-
-Every JSON document goes through one writer, _dumps, which writes exactly
-the bytes of the json module's dumps(doc, indent=2, sort_keys=True).  With
-an indent, that function runs its pure-Python encoder, one generator step
-per value, and a q-expansion is a long list of ints; _dumps joins such a
-list in one pass and escapes strings with the C function that encoder calls.
+"warning" key in JSON.  Each JSON document is json.dumps(doc,
+sort_keys=True): one line, keys sorted, non-ASCII escaped.
 
 Each call of main builds one parser, for the invoked command only, when the
 command name comes first; the full tree of build_parser() is built only for
@@ -22,8 +17,8 @@ Each command's arguments are declared once, in the _COMMANDS table.
 """
 
 import argparse
+import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .errors import NotFound, ThetaTwistError
 from .galrep import screen_exceptional
@@ -130,41 +125,10 @@ def _parse(argv):
     return args.command, args
 
 
-def _dumps(doc, pad="\n"):
-    """The json module's dumps(doc, indent=2, sort_keys=True), each list of
-    ints joined in one pass; a float, a non-str key or another type is a
-    TypeError, since the tool writes none."""
-    inner = pad + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = [
-            f"{encode_basestring_ascii(key)}: {_dumps(doc[key], inner)}" for key in sorted(doc)
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        if set(map(type, doc)) == {int}:
-            items = map(int.__repr__, doc)
-        else:
-            items = [_dumps(x, inner) for x in doc]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
-    if doc is None:
-        return "null"
-    if isinstance(doc, bool):
-        return "true" if doc else "false"
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
-
-
 def cmd_qexp(args):
     series = delta_k(args.weight, args.ell, args.terms)
     if args.format == "json":
-        print(_dumps(series.to_json_dict()))
+        print(json.dumps(series.to_json_dict(), sort_keys=True))
     else:
         print(", ".join(map(str, series.coeffs[1:])))
     return EXIT_OK
@@ -186,7 +150,7 @@ def cmd_twist_search(args):
     i, kp, cert = twist_search(k, ell, args.extended)
     note = published_discrepancy(k, ell, i, kp)
     if args.format == "json":
-        print(_dumps(_twist_result_doc(k, ell, i, kp, cert, note)))
+        print(json.dumps(_twist_result_doc(k, ell, i, kp, cert, note), sort_keys=True))
     else:
         print(f"delta_{k} = theta^{i} delta_{kp} (mod {ell})")
         print(
@@ -219,7 +183,7 @@ def cmd_verify_poly(args):
         record = bundled_record(k, ell, args.data_dir)
     report = verify_record(record, k, ell, args.pmax)
     if args.format == "json":
-        print(_dumps(report.to_json_dict(full=args.full)))
+        print(json.dumps(report.to_json_dict(full=args.full), sort_keys=True))
     else:
         _render_verify_text(report)
         if args.full:
@@ -240,7 +204,7 @@ def _render_screen_text(rep):
 def cmd_screen(args):
     rep = screen_exceptional(args.weight, args.ell, args.pbound)
     if args.format == "json":
-        print(_dumps(rep.to_json_dict()))
+        print(json.dumps(rep.to_json_dict(), sort_keys=True))
     else:
         _render_screen_text(rep)
         print("  (heuristic congruence screen; bounded scan, not a proof)")
@@ -282,7 +246,7 @@ def cmd_tables(args):
             "verification": [rep.to_json_dict(full=args.full) for rep in verifies],
             "all_passed": ok,
         }
-        print(_dumps(doc))
+        print(json.dumps(doc, sort_keys=True))
     else:
         print(f"== exceptional-prime screening (primes to {args.pbound}) ==")
         for rep in screens:

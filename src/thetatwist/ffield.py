@@ -5,15 +5,21 @@ ints.  Factorization is trial division, which keeps moduli up to about 10^6
 (and group orders ell +- 1) cheap.
 
 check_prime is the one primality prover behind the public entry points.  It
-remembers every modulus it has proved, so each prime runs Miller-Rabin once
-per process; a composite is never remembered and raises on every call.
+proves primes below psi_13 = 3317044064679887385961981, where Miller-Rabin to
+the bases 2..41 is deterministic, and refuses every modulus from there up.
+It remembers every modulus it has proved, so each prime runs Miller-Rabin
+once per process; a composite is never remembered and raises on every call.
 """
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+#: Webster 2015); below it is_prime is a proof
+_PROVED_BELOW = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Miller-Rabin primality test, deterministic for n < 3.3e24."""
+    """Miller-Rabin primality test to the prime bases 2..41: a proof for
+    n < _PROVED_BELOW, a strong probable-prime test above it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -41,12 +47,14 @@ _PROVED = set()
 
 
 def check_prime(m):
-    """Raise ValueError unless m is a prime int; a prime is tested once per
-    process.  The type is checked first, so 13.0, equal to a proved 13, is
-    refused too."""
+    """Raise ValueError unless m is an int proved prime, below _PROVED_BELOW;
+    a prime is tested once per process.  The type is checked first, so
+    13.0, equal to a proved 13, is refused too."""
     if not isinstance(m, int):
         raise ValueError(f"modulus {m!r} is not an int")
     if m not in _PROVED:
+        if m >= _PROVED_BELOW:
+            raise ValueError(f"modulus {m} is not below {_PROVED_BELOW}, the proved range")
         if not is_prime(m):
             raise ValueError(f"modulus {m} is not prime")
         _PROVED.add(m)

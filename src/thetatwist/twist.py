@@ -131,9 +131,10 @@ def twist_search(k, ell, extended=1000):
     increasing order, and i over [0, ell-2] in increasing order; the first
     pair that check_twist certifies wins, making the result deterministic.
     A weight-congruent candidate is tested at p = 2 alone first, where most
-    fail; one that passes gets one check_twist call at the certificate's
-    precision, which reaches every candidate's Sturm index (theta^i delta_k'
-    has weight at most ell^2 - 1), and a CoefficientMismatch moves on.
+    fail, as 2^i a_2(delta_k') against a_2(delta_k); one that passes gets
+    one check_twist call at the certificate's precision, which reaches every
+    candidate's Sturm index (theta^i delta_k' has weight at most
+    ell^2 - 1), and a CoefficientMismatch moves on.
     Every series comes from delta_k at that precision, which builds each
     chain once and refuses an unsupported weight, a composite ell or ell < 5.
     """
@@ -146,8 +147,8 @@ def twist_search(k, ell, extended=1000):
         for i in range(ell - 1):
             if not weight_congruent(k, kp, i, ell):
                 continue
-            # most candidates fail at p = 2: test it before theta^i f2 in full
-            if theta_power(f2.truncate(2), i).coeffs[2] != f1.coeffs[2]:
+            # most candidates fail at p = 2, where a_2(theta^i f2) = 2^i a_2(f2)
+            if pow(2, i, ell) * f2.coeffs[2] % ell != f1.coeffs[2]:
                 continue
             try:
                 return i, kp, check_twist(f1, f2, i, extended)

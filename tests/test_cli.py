@@ -221,36 +221,52 @@ def test_tables_json(capsys):
     assert len(warnings) == 1
 
 
+def _sha256s(out):
+    """sha256 of the bytes written, and of the document re-serialised as
+    json.dumps(doc, indent=2, sort_keys=True) + "\n", the layout the tool
+    wrote before its documents were one line; the second pins the content."""
+    canonical = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, canonical))
+
+
 @pytest.mark.parametrize(
-    "argv, sha256",
+    "argv, sha256, canonical_sha256",
     [
-        (["tables"], "4b146e9147a43e967c2efef917cee6fce9f1db92bcfee9e548b95a8a92c0afd3"),
+        (
+            ["tables"],
+            "7b688684afcf6ae6e1367a1304e0eaaa1d6de59721ba2bfbf54e35ee0fe428fe",
+            "4b146e9147a43e967c2efef917cee6fce9f1db92bcfee9e548b95a8a92c0afd3",
+        ),
         (
             ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150"],
+            "9ed2854150dc08faced504b26fcbda82abe40b8cc17c2e7b2bbe2feae529d988",
             "a7cecc2d43f256f2f72d1daeba778efe0cb96b8c703abd06445c4be502629e56",
         ),
         (
             ["qexp", "--weight", "26", "--ell", "691", "--terms", "700"],
+            "efbd37030974e2944465afabb0a23f422eb4ca9e8fe7a0f550da48beb438c2df",
             "75a1af325c3ab663ab26ea72e1e9415bef22b30f33185c423ae29953f78b7eee",
         ),
         (
             ["screen", "--weight", "16", "--ell", "13"],
+            "b27bf3e327f1654ad68e516e249452e81d8f4d95bec2e58b8863c2d6e2dbcb3f",
             "6de50b33f940a513142a24a8016d178c60fb809463ca61e4e123b31890b1b8e8",
         ),
         (
             ["twist-search", "--weight", "26", "--ell", "23"],
+            "a93c42216ca2e2905e24cedff54efed328c9def356e23f919e6e509bf27d49e6",
             "57a88d9cfaad1d311be63d1b02fcbdbeee40f45fd686e787b37254218ee5a15f",
         ),
     ],
     ids=["defaults", "perfbench sizes", "qexp 26 691", "screen 16 13", "twist-search 26 23"],
 )
-def test_tables_json_bytes_are_pinned(argv, sha256, capsys):
+def test_tables_json_bytes_are_pinned(argv, sha256, canonical_sha256, capsys):
     # cold, then with every series cached at the largest precision asked
     delta_k.cache_clear()
     for _ in range(2):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        assert _sha256s(out) == (sha256, canonical_sha256)
     delta_k.cache_clear()
 
 
@@ -264,22 +280,34 @@ def _mutated_22_11(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mutated, code, sha256",
+    "mutated, code, sha256, canonical_sha256",
     [
         # all four non-FAIL statuses, 16 ambiguous passes carrying pattern pairs
-        (False, 0, "c3aa7dfba4f22b5f1023ae30a90c4a4e17d5036294be0735288881365749d615"),
+        (
+            False,
+            0,
+            "3ee603dc2bc191a9cb783878bda7dbacf0846eb34a88726625e04da829dc7d0b",
+            "c3aa7dfba4f22b5f1023ae30a90c4a4e17d5036294be0735288881365749d615",
+        ),
         # 40 FAIL rows with their observed patterns
-        (True, 5, "0f5a1f4f0ece4d02aa5e56de5be9aa7d751497b21e5a74030fcc5a1641344564"),
+        (
+            True,
+            5,
+            "7ea29857f0fea140984fb54b89304fe04cbd9d832a6630575054bad1415e049a",
+            "0f5a1f4f0ece4d02aa5e56de5be9aa7d751497b21e5a74030fcc5a1641344564",
+        ),
     ],
     ids=["bundled", "c3 + 1"],
 )
-def test_verify_poly_full_json_bytes_are_pinned(mutated, code, sha256, capsys, tmp_path):
+def test_verify_poly_full_json_bytes_are_pinned(
+    mutated, code, sha256, canonical_sha256, capsys, tmp_path
+):
     argv = ["verify-poly", "--weight", "22", "--ell", "11", "--full", "--format", "json"]
     if mutated:
         argv += ["--pmax", "200", "--poly-file", str(_mutated_22_11(tmp_path))]
     got, out, err = run(capsys, *argv)
     assert (got, err) == (code, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert _sha256s(out) == (sha256, canonical_sha256)
     outcomes = json.loads(out)["outcomes"]
     statuses = [status for _, status, _, _ in outcomes]
     if mutated:
@@ -336,6 +364,23 @@ def test_composite_ell_exits_2(capsys):
     code, _, err = run(capsys, "qexp", "--weight", "12", "--ell", "15")
     assert code == 2
     assert "not prime" in err
+
+
+@pytest.mark.parametrize(
+    "ell, message",
+    [
+        # psi_12 = 399165290221 * 798330580441 passes the bases 2..37
+        (318665857834031151167461, "is not prime"),
+        # psi_13 passes the bases 2..41 too: nothing is proved from it up
+        (3317044064679887385961981, "is not below 3317044064679887385961981"),
+    ],
+    ids=["psi_12", "psi_13"],
+)
+def test_strong_pseudoprime_ell_exits_2(ell, message, capsys):
+    code, out, err = run(capsys, "qexp", "--weight", "12", "--ell", str(ell), "--terms", "5")
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_twist_search_reports_the_weight_before_the_modulus(capsys):

@@ -1,3 +1,6 @@
+import pytest
+
+from thetatwist import ffield
 from thetatwist.ffield import factorize, is_prime, legendre, primes_upto
 
 import oracles
@@ -16,6 +19,25 @@ def test_is_prime_carmichael():
         assert not is_prime(n)
     assert is_prime(691)
     assert is_prime(999983)
+
+
+#: psi_12 and psi_13, the least strong pseudoprimes to the prime bases up to
+#: 37 and up to 41 (Sorenson and Webster 2015), with their factors
+PSI_12 = (318665857834031151167461, 399165290221, 798330580441)
+PSI_13 = (3317044064679887385961981, 1287836182261, 2575672364521)
+
+
+def test_check_prime_refuses_the_strong_pseudoprimes_psi_12_and_psi_13(monkeypatch):
+    monkeypatch.setattr(ffield, "_PROVED", set())
+    for (n, p, q), message in ((PSI_12, "is not prime"), (PSI_13, "is not below")):
+        assert n == p * q
+        with pytest.raises(ValueError, match=f"modulus {n} {message}"):
+            ffield.check_prime(n)
+    # the largest prime below psi_13 is proved; the Mersenne prime 2^89 - 1
+    # lies beyond, where a pass of the 13 bases proves nothing
+    ffield.check_prime(PSI_13[0] - 168)
+    with pytest.raises(ValueError, match="the proved range"):
+        ffield.check_prime(2**89 - 1)
 
 
 def test_primes_upto():

@@ -10,7 +10,13 @@ from thetatwist.errors import (
 )
 from thetatwist.ffield import primes_upto
 from thetatwist.galrep import frobenius_class
-from thetatwist.qseries import QExpansion, delta_k, prove_congruence, theta_power
+from thetatwist.qseries import (
+    SUPPORTED_WEIGHTS,
+    QExpansion,
+    delta_k,
+    prove_congruence,
+    theta_power,
+)
 from thetatwist.twist import (
     PUBLISHED_TWISTS,
     TwistCertificate,
@@ -229,6 +235,29 @@ def test_twist_keeps_every_frobenius_class():
             assert frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell) == frobenius_class(
                 g.coeff(p), pow(p, kp - 1, ell), ell
             ), (k, ell, i, kp, p)
+
+
+@pytest.mark.parametrize("k, ell", SIX_PAIRS + [(26, 59), (18, 37), (26, 101)])
+def test_twist_search_proves_exactly_the_candidates_that_agree_at_2(k, ell, monkeypatch):
+    # every weight-congruent (k', i) before the winner whose theta^i delta_k'
+    # agrees with delta_k at q^2 reaches check_twist, and no other
+    calls = []
+
+    def counted(f1, f2, i, extended=0):
+        calls.append((f2.weight, i))
+        return check_twist(f1, f2, i, extended)
+
+    monkeypatch.setattr(twist, "check_twist", counted)
+    i, kp, _ = twist_search(k, ell, extended=50)
+    a2 = delta_k(k, ell, 2).coeffs[2]
+    agree = [
+        (w, j)
+        for w in SUPPORTED_WEIGHTS
+        if w <= ell + 1
+        for j in range(ell - 1)
+        if weight_congruent(k, w, j, ell) and theta_power(delta_k(w, ell, 2), j).coeffs[2] == a2
+    ]
+    assert calls == agree[: agree.index((kp, i)) + 1]
 
 
 def test_tables_makes_one_check_twist_call_per_pair(monkeypatch, capsys):
