@@ -43,7 +43,11 @@ records:
     candidates over a twist bound of 39,848 coefficients;
   - screen_us: a cold screen_exceptional (the series cache emptied before
     each call) of each pair of SCREEN_PAIRS at each bound of SCREEN_BOUNDS,
-    and of SCREEN_LARGE, through the public API only;
+    and of SCREEN_LARGE; a warm one (the series cache kept) of each pair of
+    SCREEN_WARM at bound SCREEN_SWEEP_BOUND, where the per-prime tests are
+    all of the cost; and one sweep, every weight at every prime
+    5 <= ell < SCREEN_SWEEP_BELOW at bound SCREEN_SWEEP_BOUND with the
+    series cache emptied once per ell; all through the public API only;
   - runs_s, each a fresh process: the default `thetatwist tables`, as text
     and as JSON, `tables` at perfbench's sizes (PERFBENCH_TABLES), the
     `screen` call of CLI_CALLS, `thetatwist verify-poly --pmax 10000` for
@@ -119,6 +123,10 @@ TWIST_LARGE = (26, 691)
 SCREEN_PAIRS = ((16, 13), (26, 691), (12, 691), (16, 59), (12, 23))
 SCREEN_BOUNDS = (200, 2000)
 SCREEN_LARGE = (26, 691, 10**4)
+#: the warm pairs of screen_us, at ell near 10^6, and the sweep's bounds
+SCREEN_WARM = ((26, 1000003), (16, 999983))
+SCREEN_SWEEP_BELOW = 10**4
+SCREEN_SWEEP_BOUND = 200
 #: `tables` at the sizes of perfbench's tables workload
 PERFBENCH_TABLES = ["tables", "--pmax", "100", "--pbound", "100", "--extended", "150",
                     "--format", "json"]
@@ -313,18 +321,31 @@ def twist_us():
 
 
 def screen_us():
-    """Cold screen_exceptional times on the thetatwist on sys.path."""
-    from thetatwist import delta_k, screen_exceptional
+    """Cold, warm and sweep screen_exceptional times on the thetatwist on sys.path."""
+    from thetatwist import SUPPORTED_WEIGHTS, delta_k, primes_upto, screen_exceptional
 
     def cold(k, ell, bound):
         delta_k.cache_clear()
         return screen_exceptional(k, ell, bound)
 
+    def sweep():
+        for ell in primes_upto(SCREEN_SWEEP_BELOW - 1)[2:]:
+            for k in SUPPORTED_WEIGHTS:
+                screen_exceptional(k, ell, SCREEN_SWEEP_BOUND)
+            delta_k.cache_clear()
+
     cases = [(k, ell, bound) for bound in SCREEN_BOUNDS for k, ell in SCREEN_PAIRS]
-    return {
+    out = {
         f"k={k},ell={ell},pbound={bound}": {"cold_us": _per_call_us(lambda: cold(k, ell, bound))}
         for k, ell, bound in cases + [SCREEN_LARGE]
     }
+    for k, ell in SCREEN_WARM:
+        screen_exceptional(k, ell, SCREEN_SWEEP_BOUND)  # fill the series cache
+        out[f"k={k},ell={ell},pbound={SCREEN_SWEEP_BOUND}"] = {"warm_us": _per_call_us(
+            lambda: screen_exceptional(k, ell, SCREEN_SWEEP_BOUND))}
+    out[f"sweep ell<{SCREEN_SWEEP_BELOW},pbound={SCREEN_SWEEP_BOUND}"] = {
+        "sweep_us": _per_call_us(sweep)}
+    return out
 
 
 def _env(tree):
@@ -491,7 +512,8 @@ def main(argv=None):
         "twist_large": list(TWIST_LARGE),
         "screen_cases": {
             "pairs": [list(pair) for pair in SCREEN_PAIRS], "pbound": list(SCREEN_BOUNDS),
-            "large": list(SCREEN_LARGE),
+            "large": list(SCREEN_LARGE), "warm": [list(pair) for pair in SCREEN_WARM],
+            "sweep_below": SCREEN_SWEEP_BELOW, "sweep_pbound": SCREEN_SWEEP_BOUND,
         },
         "trees": measure(trees, args.rounds),
     }

@@ -6,20 +6,24 @@ ints.  Factorization is trial division, which keeps moduli up to about 10^6
 
 check_prime is the one primality prover behind the public entry points.  It
 proves primes below psi_13 = 3317044064679887385961981, where Miller-Rabin to
-the bases 2..41 is deterministic, and refuses every modulus from there up.
+the bases 2..41 is deterministic, and refuses every modulus from there up, as
+is_prime does.
 It remembers every modulus it has proved, so each prime runs Miller-Rabin
 once per process; a composite is never remembered and raises on every call.
 """
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
-#: Webster 2015); below it is_prime is a proof
+#: Webster 2015); below it is_prime is a proof, and from it up is_prime raises
 _PROVED_BELOW = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Miller-Rabin primality test to the prime bases 2..41: a proof for
-    n < _PROVED_BELOW, a strong probable-prime test above it."""
+    """Miller-Rabin primality test to the prime bases 2..41, a proof for
+    n < _PROVED_BELOW; from there up, where composites pass every base,
+    ValueError."""
+    if n >= _PROVED_BELOW:
+        raise ValueError(f"{n} is not below {_PROVED_BELOW}, the range is_prime proves")
     if n < 2:
         return False
     for p in _MR_BASES:

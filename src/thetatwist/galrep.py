@@ -22,6 +22,9 @@ heuristic candidate flags reconstructed from the classical congruences, not
 proofs; the report records the prime bound that was scanned.  The scan
 stops at a witness against each test (Serre; Swinnerton-Dyer), which an
 unexceptional pair has at small p, so it reads a 32-term delta_k first.
+It asks of each p only whether the projective order exceeds 5, which
+_order_at_most_5 reads off s = t^2/d - 2 in closed form, so the screen
+factorizes nothing and never calls frobenius_class.
 
 FrobeniusClass and ScreeningReport are collections.namedtuple subclasses,
 immutable tuples with named fields.
@@ -170,6 +173,16 @@ def _reducible_j(k, ell, coeffs):
     return None
 
 
+def _order_at_most_5(t, d, ell):
+    """Whether the class of x^2 - t x + d, of nonzero discriminant mod the
+    prime ell >= 5, has projective order at most 5.  With s = t^2/d - 2 =
+    r + 1/r for the eigenvalue ratio r != 1, r has order 2, 3 or 4 exactly
+    when s is -2, -1 or 0, and order 5 exactly when r^-2 * Phi_5(r) =
+    s^2 + s - 1 vanishes."""
+    s = (t * t * pow(d, -1, ell) - 2) % ell
+    return s in (0, ell - 1, ell - 2) or (s * s + s - 1) % ell == 0
+
+
 def screen_exceptional(k, ell, bound):
     """Scan primes p <= bound for congruences that betray a small image.
 
@@ -181,10 +194,14 @@ def screen_exceptional(k, ell, bound):
 
     One pass over the primes in increasing order, on delta_k to precision
     min(bound, 32) and past that to bound (_prime_coefficients), stops at
-    the all-clear report once it holds a witness against each test: a rootless p (x^2 - a_p x + p^(k-1) has no root mod ell, so no j
+    the all-clear report once it holds a witness against each test: a
+    rootless p (x^2 - a_p x + p^(k-1) has no root mod ell, so no j
     passes), a non-residue p with a_p != 0, and a p of projective order
-    above 5.  Otherwise the flags come from the same pass, and the j search
-    runs only when no p was rootless, so every flag is that of a full scan.
+    above 5.  The order witness is decided in closed form from
+    s = a_p^2 / p^(k-1) - 2 (_order_at_most_5), skipping a p whose
+    discriminant vanishes, the class frobenius_class calls ambiguous.
+    Otherwise the flags come from the same pass, and the j search runs only
+    when no p was rootless, so every flag is that of a full scan.
     The arguments are refused as delta_k refuses them, before any sieve or
     series, and a bound below 2, where every test would pass vacuously.
     """
@@ -197,16 +214,15 @@ def screen_exceptional(k, ell, bound):
     coeffs = []  # (p, a_p) for the j search, while no p is rootless
     for p, a in _prime_coefficients(k, ell, bound):
         d = pow(p, k - 1, ell)
+        disc = a * a - 4 * d
         if not rootless:
             coeffs.append((p, a))
-            if legendre(a * a - 4 * d, ell) == -1:
+            if legendre(disc, ell) == -1:
                 rootless = p
         if not nonres and legendre(p, ell) == -1:
             nonres = p if a else 0
-        if not large:
-            n = frobenius_class(a, d, ell).order
-            if n is not None:
-                large = p if n > 5 else 0
+        if not large and disc % ell:
+            large = 0 if _order_at_most_5(a, d, ell) else p
         if rootless and nonres and large:
             break
 

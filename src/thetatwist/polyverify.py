@@ -413,8 +413,9 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
     def from_json_dict(cls, d):
         """Inverse of to_json_dict; a document without outcomes reads as (),
         and a missing or unknown key is a ValueError, and so is a k, ell or
-        pmax not an int (a bool is not), counts not an object, or failures
-        or outcomes not a list."""
+        pmax not an int (a bool is not), counts not an object of ints under
+        exactly the five count keys, failures not a list of ints, or
+        outcomes not a list."""
         try:
             rep = cls(**_tuples({"outcomes": [], **d}))
         except TypeError:
@@ -422,10 +423,15 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
                 "a verification document has exactly the keys k, ell, pmax, counts,"
                 " failures, and optionally outcomes"
             ) from None
-        if [type(x) for x in rep] != [int, int, int, tuple, dict, tuple]:
+        if (
+            [type(x) for x in rep] != [int, int, int, tuple, dict, tuple]
+            or set(rep.counts) != set(_COUNT_KEYS.values())
+            or any(type(n) is not int for n in (*rep.counts.values(), *rep.failures))
+        ):
             raise ValueError(
                 "a verification report's k, ell and pmax must be ints, its counts an"
-                " object and its failures and outcomes lists"
+                f" object of ints under exactly the keys {', '.join(_COUNT_KEYS.values())},"
+                " its failures a list of ints and its outcomes a list"
             )
         return rep
 

@@ -40,6 +40,17 @@ def test_check_prime_refuses_the_strong_pseudoprimes_psi_12_and_psi_13(monkeypat
         ffield.check_prime(2**89 - 1)
 
 
+def test_is_prime_refuses_the_range_it_cannot_prove():
+    # psi_13 passes all 13 bases, so is_prime answers nothing from it up
+    n, p, q = PSI_13
+    assert n == p * q
+    for m in (n, n + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"{m} is not below {n}, the range is_prime proves"):
+            is_prime(m)
+    assert is_prime(n - 168)
+    assert not any(is_prime(m) for m in range(n - 167, n))
+
+
 def test_primes_upto():
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]

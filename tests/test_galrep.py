@@ -127,6 +127,44 @@ def test_frobenius_class_large_ell():
     assert all(pow(3, fc.order // q, ell) != 1 for q in factorize(fc.order))
 
 
+#: the primes at which _order_at_most_5 is judged against frobenius_class;
+#: at 5, s^2 + s - 1 = (s - 2)^2 and its root s = 2 is the ambiguous locus
+PREDICATE_ELLS = (5, 7, 11, 13, 23, 29, 31, 41, 61, 101, 211, 331)
+
+
+def test_order_at_most_5_agrees_with_frobenius_class():
+    tested = 0
+    for ell in PREDICATE_ELLS:
+        for t in range(ell):
+            for d in range(1, ell):
+                if (t * t - 4 * d) % ell:
+                    small = frobenius_class(t, d, ell).order <= 5
+                    assert galrep._order_at_most_5(t, d, ell) == small, (t, d, ell)
+                    tested += 1
+    assert tested == 170664
+
+
+def test_screen_calls_neither_frobenius_class_nor_factorize(monkeypatch):
+    cases = [(16, 13, 200), (12, 691, 2000), (16, 59, 2000), (12, 23, 200),
+             (26, 1000003, 200), (16, 999983, 200)]
+    reports = []
+    for case in cases:
+        qseries.delta_k.cache_clear()
+        reports.append(screen_exceptional(*case))
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(galrep, "frobenius_class", refuse)
+    monkeypatch.setattr(galrep, "factorize", refuse)
+    for case, rep in zip(cases, reports):
+        qseries.delta_k.cache_clear()
+        assert screen_exceptional(*case) == rep, case
+    assert [rep.verdict == "possibly exceptional" for rep in reports] == [
+        False, True, True, True, False, False
+    ]
+
+
 def test_screen_unexceptional_pairs():
     for k, ell in [(16, 13), (22, 11)]:
         rep = screen_exceptional(k, ell, 200)
@@ -357,3 +395,23 @@ def test_screen_flags_exactly_the_classical_exceptional_pairs():
             else:
                 assert qseries._SERIES[k, ell].precision == 32, (k, ell)
     assert flagged == {(k, ell) for k, ells in CLASSICAL_EXCEPTIONAL.items() for ell in ells}
+
+
+#: the possibly exceptional pairs 5 <= ell < 10^5 at bound 200: the
+#: classical ones and the reducible 3617 and 43867, numerators of B_16 and B_18
+FLAGGED_BELOW_10_5 = {
+    (k, ell)
+    for k, ells in CLASSICAL_EXCEPTIONAL.items()
+    for ell in ells + {16: (3617,), 18: (43867,)}.get(k, ())
+}
+
+
+def test_screen_flags_exactly_32_pairs_below_10_5():
+    assert len(FLAGGED_BELOW_10_5) == 32
+    flagged = set()
+    for ell in primes_upto(10**5)[2:]:
+        for k in CLASSICAL_EXCEPTIONAL:
+            if screen_exceptional(k, ell, 200).verdict == "possibly exceptional":
+                flagged.add((k, ell))
+        qseries.delta_k.cache_clear()
+    assert flagged == FLAGGED_BELOW_10_5

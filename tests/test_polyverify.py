@@ -559,6 +559,42 @@ def test_verification_report_from_json_refuses_a_wrong_typed_value(edit):
         VerificationReport.from_json_dict({**doc, **edit})
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda counts: {},
+        lambda counts: {key: n for key, n in counts.items() if key != "fail"},
+        lambda counts: {**counts, "pass": 0},
+        lambda counts: {**counts, "fail": "0"},
+        lambda counts: {**counts, "fail": False},
+        lambda counts: {**counts, "match": 12.0},
+        lambda counts: {**counts, "skipped_ell": None},
+    ],
+    ids=["empty", "no-fail", "extra-key", "fail-str", "fail-bool", "match-float", "skipped-ell-null"],
+)
+def test_verification_report_from_json_refuses_counts_it_cannot_use(edit):
+    # an empty counts made .ok raise KeyError, and a "0" read as a failure
+    doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()))
+    with pytest.raises(ValueError, match="its counts an object of ints under exactly the keys"
+                                         " match, ambiguous_pass, skipped_ramified, skipped_ell, fail"):
+        VerificationReport.from_json_dict({**doc, "counts": edit(doc["counts"])})
+
+
+@pytest.mark.parametrize("failures", [["a"], [7.0], [True], [None], [[7]]],
+                         ids=["str", "float", "bool", "null", "list"])
+def test_verification_report_from_json_refuses_failures_not_ints(failures):
+    doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()))
+    with pytest.raises(ValueError, match="its failures a list of ints"):
+        VerificationReport.from_json_dict({**doc, "failures": failures})
+
+
+def test_verification_report_from_json_keeps_int_failures():
+    doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()))
+    doc["counts"]["fail"], doc["failures"] = 2, [3, 7]
+    rep = VerificationReport.from_json_dict(doc)
+    assert rep.failures == (3, 7) and not rep.ok
+
+
 def _pow_mod(h, e, f, p):
     """h^e mod the monic f by square and multiply on the oracles."""
     result, base = [1], h
