@@ -18,16 +18,7 @@ from .errors import (
     WeightIncongruent,
 )
 from .ffield import is_prime, legendre, primes_upto
-from .galrep import (
-    AMBIGUOUS,
-    NONSPLIT,
-    SPLIT,
-    FrobeniusClass,
-    ScreeningReport,
-    frobenius_class,
-    predicted_degree_pattern,
-    screen_exceptional,
-)
+from .galrep import ScreeningReport, screen_exceptional
 from .polyverify import (
     BUNDLED_LABELS,
     ProjPolyRecord,

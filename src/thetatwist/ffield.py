@@ -91,7 +91,12 @@ def factorize(n):
 
 
 def legendre(a, ell):
-    """Legendre symbol (a / ell): 0 if ell | a, 1 for nonzero squares, -1 otherwise."""
+    """Legendre symbol (a / ell): 0 if ell | a, 1 for nonzero squares, -1 otherwise.
+
+    ell must be an odd prime: check_prime proves it first, so a composite
+    ell raises ValueError rather than answer Euler's criterion mod ell.
+    """
+    check_prime(ell)
     if ell == 2:
         raise ValueError("Legendre symbol needs an odd modulus")
     s = pow(a, (ell - 1) // 2, ell)

@@ -1,113 +1,25 @@
-"""Frobenius conjugacy data derived from characteristic polynomials.
+"""Screen a pair (k, ell) for an exceptional mod-ell image.
 
 For an unramified prime p the attached Frobenius has characteristic
-polynomial x^2 - a_p x + p^{k-1} over F_ell, held as the ints (trace, det).
-Its image in PGL_2(F_ell) is classified by the discriminant t^2 - 4d: split
-(distinct eigenvalues in F_ell) when it is a nonzero square, nonsplit
-(conjugate eigenvalues in F_{ell^2}) when it is a non-square, and ambiguous
-when it vanishes (scalar vs. non-semisimple cannot be told apart from trace
-and determinant alone).  The projective order of the class is the order of
-the eigenvalue ratio r, read off the projective invariant t^2/d = r + 1/r + 2
-with a Lucas sequence, so the classification never leaves integer arithmetic
-mod ell.  The order determines the cycle type of the class on the ell+1
-points of the projective line.
+polynomial x^2 - a_p x + p^{k-1} over F_ell.  screen_exceptional runs three
+bounded congruence tests (reducible, dihedral, small projective image)
+against the coefficients of delta_k.  These are heuristic candidate flags
+reconstructed from the classical congruences, not proofs; the report
+records the prime bound that was scanned.  The scan stops at a witness
+against each test (Serre; Swinnerton-Dyer), which an unexceptional pair has
+at small p, so it reads a 32-term delta_k first.  It asks of each p only
+whether the projective order exceeds 5, which _order_at_most_5 reads off
+s = t^2/d - 2 = r + 1/r, r the eigenvalue ratio, in closed form, so the
+screen factorizes nothing.  ell is proved prime once, as delta_k proves it.
 
-ell must be prime.  frobenius_class and predicted_degree_pattern check it on
-every call through ffield.check_prime, which runs Miller-Rabin once per
-prime per process, so the scans call them once per tested p.
-
-screen_exceptional runs three bounded congruence tests (reducible, dihedral,
-small projective image) against the coefficients of delta_k.  These are
-heuristic candidate flags reconstructed from the classical congruences, not
-proofs; the report records the prime bound that was scanned.  The scan
-stops at a witness against each test (Serre; Swinnerton-Dyer), which an
-unexceptional pair has at small p, so it reads a 32-term delta_k first.
-It asks of each p only whether the projective order exceeds 5, which
-_order_at_most_5 reads off s = t^2/d - 2 in closed form, so the screen
-factorizes nothing and never calls frobenius_class.
-
-FrobeniusClass and ScreeningReport are collections.namedtuple subclasses,
-immutable tuples with named fields.
+ScreeningReport is a collections.namedtuple subclass, an immutable tuple
+with named fields.
 """
 
 from collections import namedtuple
 
-from .ffield import check_prime, factorize, legendre, primes_upto
+from .ffield import legendre, primes_upto
 from .qseries import _check_delta, delta_k
-
-SPLIT = "split"
-NONSPLIT = "nonsplit"
-AMBIGUOUS = "ambiguous"
-
-
-class FrobeniusClass(namedtuple("FrobeniusClass", "kind order", defaults=(None,))):
-    """PGL_2(F_ell) conjugacy type: split/nonsplit with projective order, or ambiguous."""
-
-    __slots__ = ()
-
-    @property
-    def is_ambiguous(self):
-        return self.kind == AMBIGUOUS
-
-
-def _lucas_v(s, n, ell):
-    """V_n mod ell for V_0 = 2, V_1 = s, V_{m+1} = s*V_m - V_{m-1}.
-
-    Ladder over the bits of n on the pair (V_m, V_{m+1}), using
-    V_{2m} = V_m^2 - 2 and V_{2m+1} = V_m*V_{m+1} - s.
-    """
-    v, w = 2, s
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            v, w = (v * w - s) % ell, (w * w - 2) % ell
-        else:
-            v, w = (v * v - 2) % ell, (v * w - s) % ell
-    return v
-
-
-def frobenius_class(trace, det, ell):
-    """Classify the class of x^2 - trace*x + det over F_ell, for a prime ell.
-
-    A composite ell or a det divisible by ell raises ValueError.  Zero
-    discriminant t^2 - 4d gives the ambiguous class.  Otherwise the
-    eigenvalue ratio r (either one) has order dividing N = ell - 1 when the
-    discriminant is a square (split) and N = ell + 1 when it is not
-    (nonsplit).  With s = t^2/d - 2 = r + 1/r, the Lucas value
-    V_m(s) = r^m + r^-m equals 2 exactly when (r^m - 1)^2 = 0, so the
-    projective order is the least m | N with V_m(s) = 2, found by stripping
-    the prime factors of N.
-    """
-    check_prime(ell)
-    t, d = trace % ell, det % ell
-    if not d:
-        raise ValueError("determinant must be a unit")
-    sign = legendre(t * t - 4 * d, ell)
-    if sign == 0:
-        return FrobeniusClass(AMBIGUOUS)
-    kind, n = (SPLIT, ell - 1) if sign == 1 else (NONSPLIT, ell + 1)
-    s = (t * t * pow(d, -1, ell) - 2) % ell
-    for q in factorize(n):
-        while n % q == 0 and _lucas_v(s, n // q, ell) == 2:
-            n //= q
-    return FrobeniusClass(kind, n)
-
-
-def predicted_degree_pattern(fc, ell):
-    """Cycle-length multiset of the class acting on the ell+1 projective points.
-
-    A composite ell raises ValueError.  Split(n) fixes the two eigenlines
-    and moves the remaining ell-1 points in n-cycles; NonSplit(n) has no
-    fixed points and only n-cycles.  Ambiguous returns the pair of
-    admissible patterns (all fixed for a scalar, one fixed point plus one
-    ell-cycle for the non-semisimple class).
-    """
-    check_prime(ell)
-    if fc.kind == AMBIGUOUS:
-        return (1,) * (ell + 1), (1, ell)
-    n = fc.order
-    if fc.kind == SPLIT:
-        return tuple(sorted([1, 1] + [n] * ((ell - 1) // n)))
-    return (n,) * ((ell + 1) // n)
 
 
 class ScreeningReport(
@@ -199,7 +111,7 @@ def screen_exceptional(k, ell, bound):
     passes), a non-residue p with a_p != 0, and a p of projective order
     above 5.  The order witness is decided in closed form from
     s = a_p^2 / p^(k-1) - 2 (_order_at_most_5), skipping a p whose
-    discriminant vanishes, the class frobenius_class calls ambiguous.
+    discriminant vanishes: its class may be scalar or not semisimple.
     Otherwise the flags come from the same pass, and the j search runs only
     when no p was rootless, so every flag is that of a full scan.
     The arguments are refused as delta_k refuses them, before any sieve or

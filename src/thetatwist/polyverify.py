@@ -6,10 +6,13 @@ representation; parse_poly reads one from text, one regular-expression
 match per term, and given the (k, ell) label it is the label check too.
 verify_record checks it against the eigenform of weight k: for each prime
 p the distinct-degree factorization pattern of the polynomial mod p must
-equal the cycle type of the Frobenius class predicted from (a_p mod ell,
-p^{k-1} mod ell).  The prediction is checked directly (_has_pattern: the
-trace of the Frobenius matrix, one walk of the Frobenius map and at most
-two gcds); only where it fails does _ddf, a plain degree-by-degree
+equal the cycle type of Frobenius on the ell + 1 points of the projective
+line, which _admissible_patterns reads off (a_p mod ell, p^{k-1} mod ell):
+whether the discriminant is a square tells split from nonsplit, and the
+projective order is the least n with V_n(s) = 2 in the Lucas sequence of
+s = a_p^2 / p^{k-1} - 2.  The prediction is checked directly (_has_pattern:
+the trace of the Frobenius matrix, one walk of the Frobenius map and at
+most two gcds); only where it fails does _ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
 is not squarefree.  Both report a miss as None: _has_pattern when no
 predicted pattern holds, _ddf for a reduction that is not squarefree,
@@ -28,11 +31,10 @@ polynomials are coefficient lists in ascending order with the zero
 polynomial written as the empty list.
 
 ProjPolyRecord and VerificationReport are collections.namedtuple
-subclasses.  No modulus is proved prime twice: verify_record, delta_k and
-the galrep classifiers prove ell through ffield.check_prime, which
-remembers each prime it proved, and the sieved p of verify_record never
-reach it, since it reduces the record mod p itself and calls the private
-kernels on coefficient lists.
+subclasses.  No modulus is proved prime twice: verify_record and delta_k
+prove ell through ffield.check_prime, which remembers each prime it
+proved, and the sieved p of verify_record never reach it, since it reduces
+the record mod p itself and calls the private kernels on coefficient lists.
 """
 
 import os
@@ -43,7 +45,6 @@ from operator import mul as _imul
 from . import polyarith
 from .errors import ParseError
 from .ffield import check_prime, factorize, primes_upto
-from .galrep import frobenius_class, predicted_degree_pattern
 from .qseries import MAX_PRECISION, _tuples, delta_k
 
 MATCH = "match"
@@ -318,7 +319,7 @@ def _has_pattern(setup, p, *patterns):
     """The first of patterns that equals _ddf(setup, p), or None if none does.
 
     Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
-    degree L (every pattern predicted_degree_pattern returns has this form).
+    degree L (every pattern _admissible_patterns returns has this form).
     A non-squarefree f has no pattern, so None is returned for it.  setup is
     _frobenius(f, p, u) of a monic f of degree at least 2, one Frobenius
     set-up that serves all the patterns and the _ddf that verify_record
@@ -436,29 +437,56 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
         return rep
 
 
+def _admissible_patterns(t, d, ell):
+    """The degree patterns Frobenius may have on the ell + 1 projective points.
+
+    The class is that of x^2 - t x + d over F_ell, for a prime ell (proved
+    by the caller) and a unit d.  A zero discriminant t^2 - 4d returns the
+    pair that trace and determinant cannot tell apart: all points fixed (a
+    scalar) and one fixed point with one ell-cycle (not semisimple).
+    Otherwise the one pattern of the class: with s = t^2/d - 2 = r + 1/r for
+    the eigenvalue ratio r != 1, V_n = r^n + r^-n satisfies V_0 = 2,
+    V_1 = s and V_(n+1) = s V_n - V_(n-1), and V_n - 2 = (r^n - 1)^2 / r^n,
+    so the projective order n is the least n >= 1 with V_n = 2, n - 1
+    multiplications.  A split class (square discriminant) fixes its two
+    eigenlines and moves the other ell - 1 points in n-cycles; a nonsplit
+    class moves all ell + 1 in n-cycles.
+    """
+    square = pow(t * t - 4 * d, (ell - 1) // 2, ell)  # Euler's criterion
+    if not square:
+        return (1,) * (ell + 1), (1, ell)
+    s = (t * t * pow(d, -1, ell) - 2) % ell
+    v, w, n = 2, s, 1  # V_(n-1), V_n
+    while w != 2:
+        v, w, n = w, (s * w - v) % ell, n + 1
+    if square == 1:
+        return ((1, 1) + (n,) * ((ell - 1) // n),)
+    return ((n,) * ((ell + 1) // n),)
+
+
 def verify_record(record, k, ell, pmax, fail_fast=False):
     """Check one polynomial record against Frobenius patterns for p <= pmax.
 
-    For each unramified prime the observed distinct-degree multiset must
-    equal the predicted cycle type (either admissible pattern counts as a
-    pass for ambiguous classes).  The prediction is checked first with
-    _has_pattern, all-fixed before (1, ell) for an ambiguous class; when it
-    holds, it is the observed pattern.  Only otherwise does _ddf run, on
-    the same _frobenius set-up, to report the observed pattern of a FAIL;
-    its None, a reduction that is not squarefree, skips the prime as
-    ramified.  Each prime appends one (p, status, observed, predicted),
-    FAIL when observed is not a predicted pattern; the counts per status
-    and the FAIL primes are read off the outcomes after the scan.  With
-    fail_fast the scan stops at the first FAIL, which is enough for
-    mutation testing.  Each p comes from primes_upto's sieve, so the record
-    is reduced mod p here, with no primality test.  After the label checks
-    ell is proved prime (check_prime), and a record not monic of degree
-    ell + 1 raises the labelled parse_poly's ValueError (_check_shape),
-    both before any series is built; so every reduction keeps that degree
-    and u = 1/rev(f) mod x^n is computed once, over Z, and reduced mod p
-    for each set-up.  The a_p come from delta_k(k, ell, pmax).  Raises
-    ValueError too when no prime was compared, since an empty scan would
-    otherwise read consistent.
+    For each unramified prime the observed distinct-degree multiset must be
+    one of _admissible_patterns(a_p, p^(k-1), ell): the predicted cycle
+    type, or either of the pair for a zero discriminant, which passes as
+    ambiguous.  The prediction is checked first with _has_pattern, all-fixed
+    before (1, ell) for the pair; when it holds, it is the observed pattern.
+    Only otherwise does _ddf run, on the same _frobenius set-up, to report
+    the observed pattern of a FAIL; its None, a reduction that is not
+    squarefree, skips the prime as ramified.  Each prime appends one
+    (p, status, observed, predicted), FAIL when observed is not a predicted
+    pattern; the counts per status and the FAIL primes are read off the
+    outcomes after the scan.  With fail_fast the scan stops at the first
+    FAIL, which is enough for mutation testing.  Each p comes from
+    primes_upto's sieve, so the record is reduced mod p here, with no
+    primality test.  After the label checks ell is proved prime
+    (check_prime), and a record not monic of degree ell + 1 raises the
+    labelled parse_poly's ValueError (_check_shape), both before any series
+    is built; so every reduction keeps that degree and u = 1/rev(f) mod x^n
+    is computed once, over Z, and reduced mod p for each set-up.  The a_p
+    come from delta_k(k, ell, pmax).  Raises ValueError too when no prime
+    was compared, since an empty scan would otherwise read consistent.
     """
     if record.ell is not None and record.ell != ell:
         raise ValueError("record label disagrees with requested ell")
@@ -473,9 +501,8 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         if p == ell:
             outcomes.append((p, SKIPPED_ELL, None, None))
             continue
-        fc = frobenius_class(f.coeff(p), pow(p, k - 1, ell), ell)
-        predicted = predicted_degree_pattern(fc, ell)
-        candidates = predicted if fc.is_ambiguous else (predicted,)
+        candidates = _admissible_patterns(f.coeff(p), pow(p, k - 1, ell), ell)
+        predicted = candidates if len(candidates) > 1 else candidates[0]
         setup = _frobenius([c % p for c in record.coeffs], p, [c % p for c in u])
         observed = _has_pattern(setup, p, *candidates) or _ddf(setup, p)
         if observed is None:
@@ -484,7 +511,7 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         if observed not in candidates:
             status = FAIL
         else:
-            status = AMBIGUOUS_PASS if fc.is_ambiguous else MATCH
+            status = AMBIGUOUS_PASS if len(candidates) > 1 else MATCH
         outcomes.append((p, status, observed, predicted))
         if fail_fast and status == FAIL:
             break

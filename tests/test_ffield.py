@@ -84,6 +84,13 @@ def test_legendre_examples():
         assert legendre(a, 13) == (1 if a in squares else -1)
 
 
+@pytest.mark.parametrize("a, ell", [(3, 15), (2, 9), (2, 21), (2, -7), (5, 1)])
+def test_legendre_refuses_a_modulus_that_is_not_prime(a, ell):
+    # unchecked, these read 12, 7, 16, -3 and -1
+    with pytest.raises(ValueError, match="is not prime"):
+        legendre(a, ell)
+
+
 def test_legendre_multiplicative():
     for ell in SMALL_PRIMES:
         for a in range(1, ell):

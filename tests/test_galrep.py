@@ -4,131 +4,16 @@ import pytest
 
 from thetatwist import galrep, qseries
 from thetatwist.errors import UnsupportedWeight
-from thetatwist.ffield import factorize, primes_upto
-from thetatwist.galrep import (
-    AMBIGUOUS,
-    NONSPLIT,
-    SPLIT,
-    FrobeniusClass,
-    ScreeningReport,
-    frobenius_class,
-    predicted_degree_pattern,
-    screen_exceptional,
-)
+from thetatwist.ffield import primes_upto
+from thetatwist.galrep import ScreeningReport, screen_exceptional
 from thetatwist.qseries import delta_k
 
 import oracles
 
 
-def test_frobenius_class_examples():
-    assert frobenius_class(2, 1, 13).kind == AMBIGUOUS
-    fc = frobenius_class(0, 1, 13)
-    assert (fc.kind, fc.order) == (SPLIT, 2)
-    fc = frobenius_class(8, 8, 13)
-    assert fc.kind == NONSPLIT
-    assert 14 % fc.order == 0
-    # (t^2 - 4d) = 32 = 6 mod 13, a non-residue
-    assert pow(6, 6, 13) == 12
-    # the last example is Frobenius at 2 for delta_16: a_2 = 8 and 2^15 = 8 mod 13
-    assert delta_k(16, 13, 3).coeff(2) == 8 == pow(2, 15, 13)
-    # at p = ell the determinant p^(k-1) vanishes
-    with pytest.raises(ValueError, match="determinant must be a unit"):
-        frobenius_class(0, pow(13, 15, 13), 13)
-
-
-@pytest.mark.parametrize("ell", [1, 4, 15, 91, 7919 * 7927])
-def test_public_classifier_rejects_composite_ell(ell):
-    # unchecked, ell = 15 reads FrobeniusClass('nonsplit', 16) with pattern (16,)
-    with pytest.raises(ValueError, match="not prime"):
-        frobenius_class(1, 1, ell)
-    for fc in (FrobeniusClass(NONSPLIT, ell + 1), FrobeniusClass(AMBIGUOUS)):
-        with pytest.raises(ValueError, match="not prime"):
-            predicted_degree_pattern(fc, ell)
-
-
-def test_frobenius_class_exhaustive_classification():
-    for ell in [5, 7, 11, 13]:
-        for t in range(ell):
-            for d in range(1, ell):
-                fc = frobenius_class(t, d, ell)
-                disc = (t * t - 4 * d) % ell
-                if disc == 0:
-                    assert fc.kind == AMBIGUOUS and fc.order is None
-                elif pow(disc, (ell - 1) // 2, ell) == 1:
-                    assert fc.kind == SPLIT
-                    assert fc.order >= 2 and (ell - 1) % fc.order == 0
-                else:
-                    assert fc.kind == NONSPLIT
-                    assert fc.order >= 2 and (ell + 1) % fc.order == 0
-
-
-def test_predicted_degree_pattern_examples():
-    from thetatwist.galrep import FrobeniusClass
-
-    assert predicted_degree_pattern(FrobeniusClass(SPLIT, 1), 13) == (1,) * 14
-    assert predicted_degree_pattern(FrobeniusClass(SPLIT, 2), 13) == (
-        1, 1, 2, 2, 2, 2, 2, 2,
-    )
-    assert predicted_degree_pattern(FrobeniusClass(NONSPLIT, 14), 13) == (14,)
-    pair = predicted_degree_pattern(FrobeniusClass(AMBIGUOUS), 13)
-    assert pair == ((1,) * 14, (1, 13))
-
-
-def test_predicted_degree_pattern_sums():
-    from thetatwist.galrep import FrobeniusClass
-
-    for ell in [5, 7, 11, 13, 17]:
-        for n in range(1, ell):
-            if (ell - 1) % n == 0:
-                assert sum(predicted_degree_pattern(FrobeniusClass(SPLIT, n), ell)) == ell + 1
-        for n in range(2, ell + 2):
-            if (ell + 1) % n == 0:
-                assert sum(predicted_degree_pattern(FrobeniusClass(NONSPLIT, n), ell)) == ell + 1
-        for pat in predicted_degree_pattern(FrobeniusClass(AMBIGUOUS), ell):
-            assert sum(pat) == ell + 1
-
-
-def test_pattern_matches_companion_matrix_orbits():
-    # the acceptance suite sweeps ell <= 13; this extends it to larger ell,
-    # where the orders have more divisors to strip
-    for ell in [5, 7, 17, 19, 23, 29, 31]:
-        for t in range(ell):
-            for d in range(1, ell):
-                fc = frobenius_class(t, d, ell)
-                observed = oracles.companion_orbits(t, d, ell)
-                predicted = predicted_degree_pattern(fc, ell)
-                if fc.kind == AMBIGUOUS:
-                    assert observed in predicted, (ell, t, d)
-                else:
-                    assert observed == predicted, (ell, t, d)
-                    assert fc.order == max(observed), (ell, t, d)
-
-
-def test_frobenius_class_large_ell():
-    # ell - 1 = 2 * 3 * 166667 and ell + 1 = 2^2 * 53^2 * 89
-    ell = 1000003
-    for d in (1, 2, 3, 5, 999999, 123457):
-        fc = frobenius_class(0, d, ell)
-        assert fc.order == 2, d
-    kinds = set()
-    for t in range(1, 40):
-        for d in (1, 2, 7, 500001, ell - 1):
-            fc = frobenius_class(t * 7919, d, ell)
-            if fc.kind == AMBIGUOUS:
-                continue
-            kinds.add(fc.kind)
-            n = ell - 1 if fc.kind == SPLIT else ell + 1
-            assert fc.order >= 2 and n % fc.order == 0, (t, d, fc)
-    assert kinds == {SPLIT, NONSPLIT}
-    # a split class with known eigenvalues 3 and 1: the order is that of 3
-    fc = frobenius_class(4, 3, ell)
-    assert fc.kind == SPLIT
-    assert pow(3, fc.order, ell) == 1
-    assert all(pow(3, fc.order // q, ell) != 1 for q in factorize(fc.order))
-
-
-#: the primes at which _order_at_most_5 is judged against frobenius_class;
-#: at 5, s^2 + s - 1 = (s - 2)^2 and its root s = 2 is the ambiguous locus
+#: the primes at which _order_at_most_5 is judged against the projective
+#: order of the Frobenius class, that of its companion matrix; at 5,
+#: s^2 + s - 1 = (s - 2)^2 and its root s = 2 is the ambiguous locus
 PREDICATE_ELLS = (5, 7, 11, 13, 23, 29, 31, 41, 61, 101, 211, 331)
 
 
@@ -138,28 +23,22 @@ def test_order_at_most_5_agrees_with_frobenius_class():
         for t in range(ell):
             for d in range(1, ell):
                 if (t * t - 4 * d) % ell:
-                    small = frobenius_class(t, d, ell).order <= 5
+                    small = oracles.projective_order(t, d, ell) <= 5
                     assert galrep._order_at_most_5(t, d, ell) == small, (t, d, ell)
                     tested += 1
     assert tested == 170664
 
 
-def test_screen_calls_neither_frobenius_class_nor_factorize(monkeypatch):
+def test_screen_calls_neither_frobenius_class_nor_factorize():
+    # galrep binds neither name, so the screen cannot reach them
+    assert not hasattr(galrep, "frobenius_class")
+    assert not hasattr(galrep, "factorize")
     cases = [(16, 13, 200), (12, 691, 2000), (16, 59, 2000), (12, 23, 200),
              (26, 1000003, 200), (16, 999983, 200)]
     reports = []
     for case in cases:
         qseries.delta_k.cache_clear()
         reports.append(screen_exceptional(*case))
-
-    def refuse(*args):
-        raise AssertionError(f"called with {args}")
-
-    monkeypatch.setattr(galrep, "frobenius_class", refuse)
-    monkeypatch.setattr(galrep, "factorize", refuse)
-    for case, rep in zip(cases, reports):
-        qseries.delta_k.cache_clear()
-        assert screen_exceptional(*case) == rep, case
     assert [rep.verdict == "possibly exceptional" for rep in reports] == [
         False, True, True, True, False, False
     ]

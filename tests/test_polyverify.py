@@ -12,6 +12,7 @@ from thetatwist.polyverify import (
     BUNDLED_LABELS,
     ProjPolyRecord,
     VerificationReport,
+    _admissible_patterns,
     _ddf,
     _frobenius,
     _gcd,
@@ -24,7 +25,6 @@ from thetatwist.polyverify import (
 )
 
 from thetatwist.ffield import primes_upto
-from thetatwist.galrep import frobenius_class, predicted_degree_pattern
 from thetatwist.qseries import MAX_PRECISION, delta_k
 
 import oracles
@@ -447,6 +447,34 @@ def test_verify_record_detects_mutation():
     assert rep.counts["fail"] >= 1
 
 
+def _check_against_orbits(t, d, ell):
+    """_admissible_patterns(t, d, ell) is the companion matrix's orbit
+    pattern on the projective line, or holds it for a zero discriminant."""
+    candidates = _admissible_patterns(t, d, ell)
+    observed = oracles.companion_orbits(t, d, ell)
+    if (t * t - 4 * d) % ell:
+        assert candidates == (observed,), (ell, t, d)
+    else:
+        assert len(candidates) == 2 and observed in candidates, (ell, t, d)
+
+
+def test_admissible_patterns_match_companion_matrix_orbits():
+    # every class at each prime 5 <= ell <= 31; acceptance criterion 7
+    # sweeps ell <= 13
+    for ell in primes_upto(31)[2:]:
+        for t in range(ell):
+            for d in range(1, ell):
+                _check_against_orbits(t, d, ell)
+    # a sample at larger ell, where the orders have more divisors: random
+    # classes and the zero-discriminant classes (2r, r^2)
+    rng = random.Random(33)
+    for ell in (101, 1009):
+        for _ in range(150):
+            _check_against_orbits(rng.randrange(ell), rng.randrange(1, ell), ell)
+        for r in rng.sample(range(1, ell), 10):
+            _check_against_orbits(2 * r % ell, r * r % ell, ell)
+
+
 def _reference_outcomes(record, k, ell, pmax, series):
     """Per-prime outcomes from _ddf at every prime, compared with the prediction."""
     outcomes = []
@@ -458,11 +486,12 @@ def _reference_outcomes(record, k, ell, pmax, series):
         if observed is None:
             outcomes.append((p, "skipped-ramified", None, None))
             continue
-        fc = frobenius_class(series.coeff(p), pow(p, k - 1, ell), ell)
-        predicted = predicted_degree_pattern(fc, ell)
-        if fc.is_ambiguous:
+        candidates = _admissible_patterns(series.coeff(p), pow(p, k - 1, ell), ell)
+        if len(candidates) > 1:
+            predicted = candidates
             status = "ambiguous-pass" if observed in predicted else "FAIL"
         else:
+            (predicted,) = candidates
             status = "match" if observed == predicted else "FAIL"
         outcomes.append((p, status, observed, predicted))
     return tuple(outcomes)

@@ -15,8 +15,8 @@ import sys
 import pytest
 
 from thetatwist import ffield
-from thetatwist.ffield import is_prime
-from thetatwist.galrep import frobenius_class, predicted_degree_pattern, screen_exceptional
+from thetatwist.ffield import is_prime, legendre
+from thetatwist.galrep import screen_exceptional
 from thetatwist.polyverify import bundled_record, verify_record
 from thetatwist.qseries import SUPPORTED_WEIGHTS, delta_k
 
@@ -66,13 +66,6 @@ def test_verify_record_tests_each_prime_once(is_prime_calls):
     assert is_prime_calls == []
 
 
-def test_public_classifiers_prove_ell_once(is_prime_calls):
-    for t in range(100):
-        fc = frobenius_class(t, 1, 691)
-        predicted_degree_pattern(fc, 691)
-    assert is_prime_calls == [691]
-
-
 def test_cold_delta_k_proves_ell_once_for_all_six_weights(is_prime_calls):
     delta_k.cache_clear()
     for k in SUPPORTED_WEIGHTS:
@@ -92,5 +85,5 @@ def test_a_modulus_that_is_not_an_int_is_refused_before_the_memory(is_prime_call
 def test_a_composite_ell_is_tested_on_every_call(is_prime_calls):
     for _ in range(2):
         with pytest.raises(ValueError, match="15 is not prime"):
-            frobenius_class(1, 1, 15)
+            legendre(1, 15)
     assert is_prime_calls == [15, 15]

@@ -11,14 +11,14 @@ from thetatwist.qseries import QExpansion
 #: every name `import thetatwist` binds that does not start with '_',
 #: submodules left out (which of them are bound depends on what was imported)
 PUBLIC_NAMES = [
-    "AMBIGUOUS", "BUNDLED_LABELS", "CoefficientMismatch", "FrobeniusClass",
-    "InsufficientPrecision", "ModulusMismatch", "NONSPLIT",
+    "BUNDLED_LABELS", "CoefficientMismatch",
+    "InsufficientPrecision", "ModulusMismatch",
     "NotFound", "PUBLISHED_TWISTS", "ParseError",
-    "ProjPolyRecord", "QExpansion", "SPLIT", "SUPPORTED_WEIGHTS", "ScreeningReport",
+    "ProjPolyRecord", "QExpansion", "SUPPORTED_WEIGHTS", "ScreeningReport",
     "ThetaTwistError", "TwistCertificate", "UnsupportedWeight", "VerificationReport",
     "WeightIncongruent", "bundled_record", "check_twist", "delta_k", "eisenstein",
-    "frobenius_class", "is_prime", "legendre",
-    "load_poly_file", "parse_poly", "predicted_degree_pattern", "primes_upto",
+    "is_prime", "legendre",
+    "load_poly_file", "parse_poly", "primes_upto",
     "prove_congruence", "published_discrepancy", "screen_exceptional", "series_mul",
     "theta_power", "twist_bound", "twist_search", "verify_record", "weight_congruent",
 ]
@@ -38,7 +38,10 @@ GONE = {"theta": "qseries", "hasse": "qseries",
         "equal_upto": "qseries", "sturm_bound": "qseries",
         "ModPoly": "polyverify", "ddf": "polyverify", "is_squarefree_mod": "polyverify",
         "PrimeMismatch": "errors", "NotSquarefree": "errors",
-        "DuplicateTerm": "errors", "NonMonicWarning": "errors"}
+        "DuplicateTerm": "errors", "NonMonicWarning": "errors",
+        "FrobeniusClass": "galrep", "SPLIT": "galrep", "NONSPLIT": "galrep",
+        "AMBIGUOUS": "galrep", "frobenius_class": "galrep",
+        "predicted_degree_pattern": "galrep"}
 
 
 @pytest.mark.parametrize("name", GONE)

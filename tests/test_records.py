@@ -1,4 +1,4 @@
-"""Value semantics of the five record classes, and the package's import graph."""
+"""Value semantics of the four record classes, and the package's import graph."""
 
 import json
 import os
@@ -9,8 +9,6 @@ import pytest
 
 from thetatwist import (
     BUNDLED_LABELS,
-    SPLIT,
-    FrobeniusClass,
     ProjPolyRecord,
     ScreeningReport,
     TwistCertificate,
@@ -38,10 +36,9 @@ def _reports():
 
 
 def _records():
-    """One instance of each of the five classes, with the name of a field."""
+    """One instance of each of the four classes, with the name of a field."""
     reports = _reports()
     return [
-        (FrobeniusClass(SPLIT, 3), "kind"),
         (bundled_record(16, 13), "coeffs"),
         (reports[ScreeningReport], "verdict"),
         (reports[VerificationReport], "counts"),
@@ -90,9 +87,8 @@ def test_records_are_named_tuples(record, field):
 
 
 def test_records_keep_their_repr_and_defaults():
-    assert repr(FrobeniusClass(SPLIT, 3)) == "FrobeniusClass(kind='split', order=3)"
-    assert FrobeniusClass("ambiguous").order is None
     record = ProjPolyRecord((1, 0, 1))
+    assert repr(record) == "ProjPolyRecord(coeffs=(1, 0, 1), k=None, ell=None)"
     assert (record.k, record.ell, record.degree) == (None, None, 2)
 
 
