@@ -241,8 +241,7 @@ def rev_inverse_us():
 
 def wrong_records_us():
     """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
-    from thetatwist import (ProjPolyRecord, ThetaTwistError, bundled_record, primes_upto,
-                            verify_record)
+    from thetatwist import ProjPolyRecord, bundled_record, primes_upto, verify_record
     from thetatwist.polyverify import _ddf, _frobenius, _rev_inverse
 
     rng = random.Random(20250811)  # tests/test_acceptance.py's mutations, in its order
@@ -267,10 +266,7 @@ def wrong_records_us():
 
     def ddf():
         for fp, p, up in polys:
-            try:  # a tree whose _ddf raises for a reduction that is not squarefree
-                _ddf(_frobenius(fp, p, up), p)
-            except ThetaTwistError:
-                pass
+            _ddf(_frobenius(fp, p, up), p)
 
     return {
         f"criterion 4, {len(mutations)} mutations, pmax={MUTATION_PMAX}": {

@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedWeight,
     WeightIncongruent,
 )
-from .ffield import is_prime, legendre, primes_upto
+from .ffield import is_prime, primes_upto
 from .galrep import ScreeningReport, screen_exceptional
 from .polyverify import (
     BUNDLED_LABELS,

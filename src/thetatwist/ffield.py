@@ -1,13 +1,16 @@
 """Integer helpers for arithmetic mod a prime ell.
 
 Values mod ell are plain Python ints; every function here takes and returns
-ints.  Factorization is trial division, which keeps moduli up to about 10^6
-(and group orders ell +- 1) cheap.
+ints.  Factorization is trial division; it serves only the L of
+polyverify._has_pattern, a degree at most ell + 1.
+_projective_order is the one walk that decides the projective order of a
+Frobenius class, for the screen (capped at 5) and the verifier (capped at
+ell + 1).
 
 check_prime is the one primality prover behind the public entry points.  It
 proves primes below psi_13 = 3317044064679887385961981, where Miller-Rabin to
-the bases 2..41 is deterministic, and refuses every modulus from there up, as
-is_prime does.
+the bases 2..41 is deterministic, and refuses every modulus from there up
+through is_prime, the one place that range is refused.
 It remembers every modulus it has proved, so each prime runs Miller-Rabin
 once per process; a composite is never remembered and raises on every call.
 """
@@ -23,7 +26,7 @@ def is_prime(n):
     n < _PROVED_BELOW; from there up, where composites pass every base,
     ValueError."""
     if n >= _PROVED_BELOW:
-        raise ValueError(f"{n} is not below {_PROVED_BELOW}, the range is_prime proves")
+        raise ValueError(f"modulus {n} is not below {_PROVED_BELOW}, the proved range")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -57,8 +60,6 @@ def check_prime(m):
     if not isinstance(m, int):
         raise ValueError(f"modulus {m!r} is not an int")
     if m not in _PROVED:
-        if m >= _PROVED_BELOW:
-            raise ValueError(f"modulus {m} is not below {_PROVED_BELOW}, the proved range")
         if not is_prime(m):
             raise ValueError(f"modulus {m} is not prime")
         _PROVED.add(m)
@@ -90,14 +91,20 @@ def factorize(n):
     return out
 
 
-def legendre(a, ell):
-    """Legendre symbol (a / ell): 0 if ell | a, 1 for nonzero squares, -1 otherwise.
+def _projective_order(t, d, ell, most):
+    """The projective order of the class of x^2 - t x + d over F_ell, or None
+    when it exceeds most.
 
-    ell must be an odd prime: check_prime proves it first, so a composite
-    ell raises ValueError rather than answer Euler's criterion mod ell.
+    ell is a prime, d a unit and the discriminant t^2 - 4d nonzero mod ell;
+    none of this is checked.  With s = t^2/d - 2 = r + 1/r for the eigenvalue
+    ratio r != 1, V_n = r^n + r^-n satisfies V_0 = 2, V_1 = s and
+    V_(n+1) = s V_n - V_(n-1), and V_n - 2 = (r^n - 1)^2 / r^n, so the order
+    is the least n >= 1 with V_n = 2, n - 1 multiplications.
     """
-    check_prime(ell)
-    if ell == 2:
-        raise ValueError("Legendre symbol needs an odd modulus")
-    s = pow(a, (ell - 1) // 2, ell)
-    return -1 if s == ell - 1 else s
+    s = (t * t * pow(d, -1, ell) - 2) % ell
+    v, w, n = 2, s, 1  # V_(n-1), V_n
+    while w != 2:
+        if n == most:
+            return None
+        v, w, n = w, (s * w - v) % ell, n + 1
+    return n

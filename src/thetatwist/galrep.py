@@ -8,9 +8,10 @@ reconstructed from the classical congruences, not proofs; the report
 records the prime bound that was scanned.  The scan stops at a witness
 against each test (Serre; Swinnerton-Dyer), which an unexceptional pair has
 at small p, so it reads a 32-term delta_k first.  It asks of each p only
-whether the projective order exceeds 5, which _order_at_most_5 reads off
-s = t^2/d - 2 = r + 1/r, r the eigenvalue ratio, in closed form, so the
-screen factorizes nothing.  ell is proved prime once, as delta_k proves it.
+whether the projective order exceeds 5, which ffield._projective_order,
+the walk the verifier uses too, answers capped at 5, so the screen
+factorizes nothing.  Square classes are Euler's criterion inline, and ell
+is proved prime once per call, as delta_k proves it.
 
 ScreeningReport is a collections.namedtuple subclass, an immutable tuple
 with named fields.
@@ -18,7 +19,7 @@ with named fields.
 
 from collections import namedtuple
 
-from .ffield import legendre, primes_upto
+from .ffield import _projective_order, primes_upto
 from .qseries import _check_delta, delta_k
 
 
@@ -85,16 +86,6 @@ def _reducible_j(k, ell, coeffs):
     return None
 
 
-def _order_at_most_5(t, d, ell):
-    """Whether the class of x^2 - t x + d, of nonzero discriminant mod the
-    prime ell >= 5, has projective order at most 5.  With s = t^2/d - 2 =
-    r + 1/r for the eigenvalue ratio r != 1, r has order 2, 3 or 4 exactly
-    when s is -2, -1 or 0, and order 5 exactly when r^-2 * Phi_5(r) =
-    s^2 + s - 1 vanishes."""
-    s = (t * t * pow(d, -1, ell) - 2) % ell
-    return s in (0, ell - 1, ell - 2) or (s * s + s - 1) % ell == 0
-
-
 def screen_exceptional(k, ell, bound):
     """Scan primes p <= bound for congruences that betray a small image.
 
@@ -109,9 +100,9 @@ def screen_exceptional(k, ell, bound):
     the all-clear report once it holds a witness against each test: a
     rootless p (x^2 - a_p x + p^(k-1) has no root mod ell, so no j
     passes), a non-residue p with a_p != 0, and a p of projective order
-    above 5.  The order witness is decided in closed form from
-    s = a_p^2 / p^(k-1) - 2 (_order_at_most_5), skipping a p whose
-    discriminant vanishes: its class may be scalar or not semisimple.
+    above 5.  The order witness comes from the shared walk of
+    _projective_order capped at 5, skipping a p whose discriminant
+    vanishes: its class may be scalar or not semisimple.
     Otherwise the flags come from the same pass, and the j search runs only
     when no p was rootless, so every flag is that of a full scan.
     The arguments are refused as delta_k refuses them, before any sieve or
@@ -123,18 +114,19 @@ def screen_exceptional(k, ell, bound):
     # nonres and large are None before a p bears on their test, 0 while
     # every such p fits it, and then the first p against it
     rootless = nonres = large = None
+    half = (ell - 1) // 2  # Euler's criterion: x^half is -1 at a non-residue
     coeffs = []  # (p, a_p) for the j search, while no p is rootless
     for p, a in _prime_coefficients(k, ell, bound):
         d = pow(p, k - 1, ell)
         disc = a * a - 4 * d
         if not rootless:
             coeffs.append((p, a))
-            if legendre(disc, ell) == -1:
+            if pow(disc, half, ell) == ell - 1:
                 rootless = p
-        if not nonres and legendre(p, ell) == -1:
+        if not nonres and pow(p, half, ell) == ell - 1:
             nonres = p if a else 0
         if not large and disc % ell:
-            large = 0 if _order_at_most_5(a, d, ell) else p
+            large = 0 if _projective_order(a, d, ell, 5) else p
         if rootless and nonres and large:
             break
 

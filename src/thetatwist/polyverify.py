@@ -8,9 +8,9 @@ verify_record checks it against the eigenform of weight k: for each prime
 p the distinct-degree factorization pattern of the polynomial mod p must
 equal the cycle type of Frobenius on the ell + 1 points of the projective
 line, which _admissible_patterns reads off (a_p mod ell, p^{k-1} mod ell):
-whether the discriminant is a square tells split from nonsplit, and the
-projective order is the least n with V_n(s) = 2 in the Lucas sequence of
-s = a_p^2 / p^{k-1} - 2.  The prediction is checked directly (_has_pattern:
+whether the discriminant is a square tells split from nonsplit, and
+ffield._projective_order finds the projective order, the least n with
+V_n(s) = 2 in the Lucas sequence of s = a_p^2 / p^{k-1} - 2.  The prediction is checked directly (_has_pattern:
 the trace of the Frobenius matrix, one walk of the Frobenius map and at
 most two gcds); only where it fails does _ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
@@ -44,7 +44,7 @@ from operator import mul as _imul
 
 from . import polyarith
 from .errors import ParseError
-from .ffield import check_prime, factorize, primes_upto
+from .ffield import _projective_order, check_prime, factorize, primes_upto
 from .qseries import MAX_PRECISION, _tuples, delta_k
 
 MATCH = "match"
@@ -444,21 +444,16 @@ def _admissible_patterns(t, d, ell):
     by the caller) and a unit d.  A zero discriminant t^2 - 4d returns the
     pair that trace and determinant cannot tell apart: all points fixed (a
     scalar) and one fixed point with one ell-cycle (not semisimple).
-    Otherwise the one pattern of the class: with s = t^2/d - 2 = r + 1/r for
-    the eigenvalue ratio r != 1, V_n = r^n + r^-n satisfies V_0 = 2,
-    V_1 = s and V_(n+1) = s V_n - V_(n-1), and V_n - 2 = (r^n - 1)^2 / r^n,
-    so the projective order n is the least n >= 1 with V_n = 2, n - 1
-    multiplications.  A split class (square discriminant) fixes its two
-    eigenlines and moves the other ell - 1 points in n-cycles; a nonsplit
-    class moves all ell + 1 in n-cycles.
+    Otherwise the one pattern of the class, whose projective order n comes
+    from _projective_order, which never exceeds ell + 1.  A split class
+    (square discriminant) fixes its two eigenlines and moves the other
+    ell - 1 points in n-cycles; a nonsplit class moves all ell + 1 in
+    n-cycles.
     """
     square = pow(t * t - 4 * d, (ell - 1) // 2, ell)  # Euler's criterion
     if not square:
         return (1,) * (ell + 1), (1, ell)
-    s = (t * t * pow(d, -1, ell) - 2) % ell
-    v, w, n = 2, s, 1  # V_(n-1), V_n
-    while w != 2:
-        v, w, n = w, (s * w - v) % ell, n + 1
+    n = _projective_order(t, d, ell, ell + 1)
     if square == 1:
         return ((1, 1) + (n,) * ((ell - 1) // n),)
     return ((n,) * ((ell + 1) // n),)

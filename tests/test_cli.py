@@ -96,6 +96,19 @@ def test_verify_poly_bundled(capsys):
     assert "consistent" in out and "0 FAIL" in out
 
 
+def test_verify_poly_full_text_prints_one_line_per_prime(capsys):
+    code, out, _ = run(
+        capsys, "verify-poly", "--weight", "16", "--ell", "13", "--pmax", "30", "--full"
+    )
+    assert code == 0
+    summary, *lines = out.splitlines()
+    assert summary.startswith("(16, 13) pmax=30: consistent")
+    assert lines[0] == "  p=2: match observed=(14,) predicted=(14,)"
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [line.split(":")[0] for line in lines] == [f"  p={p}" for p in primes]
+    assert all(" observed=" in line and " predicted=" in line for line in lines)
+
+
 def test_verify_poly_json_roundtrip(capsys):
     code, out, _ = run(
         capsys,

@@ -1,11 +1,9 @@
 import pytest
 
 from thetatwist import ffield
-from thetatwist.ffield import factorize, is_prime, legendre, primes_upto
+from thetatwist.ffield import factorize, is_prime, primes_upto
 
 import oracles
-
-SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def test_is_prime_against_naive():
@@ -45,7 +43,7 @@ def test_is_prime_refuses_the_range_it_cannot_prove():
     n, p, q = PSI_13
     assert n == p * q
     for m in (n, n + 1, 2**89 - 1):
-        with pytest.raises(ValueError, match=f"{m} is not below {n}, the range is_prime proves"):
+        with pytest.raises(ValueError, match=f"modulus {m} is not below {n}, the proved range"):
             is_prime(m)
     assert is_prime(n - 168)
     assert not any(is_prime(m) for m in range(n - 167, n))
@@ -71,28 +69,3 @@ def test_factorize():
             assert oracles.naive_is_prime(p)
             prod *= p ** e
         assert prod == n
-
-
-def test_legendre_examples():
-    assert legendre(4, 13) == 1
-    assert legendre(0, 13) == 0
-    assert legendre(6, 13) == -1
-    # enumerate the squares mod 13 independently
-    squares = {x * x % 13 for x in range(1, 13)}
-    assert squares == {1, 3, 4, 9, 10, 12}
-    for a in range(1, 13):
-        assert legendre(a, 13) == (1 if a in squares else -1)
-
-
-@pytest.mark.parametrize("a, ell", [(3, 15), (2, 9), (2, 21), (2, -7), (5, 1)])
-def test_legendre_refuses_a_modulus_that_is_not_prime(a, ell):
-    # unchecked, these read 12, 7, 16, -3 and -1
-    with pytest.raises(ValueError, match="is not prime"):
-        legendre(a, ell)
-
-
-def test_legendre_multiplicative():
-    for ell in SMALL_PRIMES:
-        for a in range(1, ell):
-            for b in range(1, ell):
-                assert legendre(a * b, ell) == legendre(a, ell) * legendre(b, ell)

@@ -2,18 +2,17 @@ from functools import lru_cache
 
 import pytest
 
-from thetatwist import galrep, qseries
+from thetatwist import ffield, galrep, qseries
 from thetatwist.errors import UnsupportedWeight
-from thetatwist.ffield import primes_upto
+from thetatwist.ffield import _projective_order, primes_upto
 from thetatwist.galrep import ScreeningReport, screen_exceptional
 from thetatwist.qseries import delta_k
 
 import oracles
 
 
-#: the primes at which _order_at_most_5 is judged against the projective
-#: order of the Frobenius class, that of its companion matrix; at 5,
-#: s^2 + s - 1 = (s - 2)^2 and its root s = 2 is the ambiguous locus
+#: the primes at which _projective_order capped at 5 is judged against the
+#: projective order of the Frobenius class, that of its companion matrix
 PREDICATE_ELLS = (5, 7, 11, 13, 23, 29, 31, 41, 61, 101, 211, 331)
 
 
@@ -23,16 +22,17 @@ def test_order_at_most_5_agrees_with_frobenius_class():
         for t in range(ell):
             for d in range(1, ell):
                 if (t * t - 4 * d) % ell:
-                    small = oracles.projective_order(t, d, ell) <= 5
-                    assert galrep._order_at_most_5(t, d, ell) == small, (t, d, ell)
+                    order = oracles.projective_order(t, d, ell)
+                    capped = order if order <= 5 else None
+                    assert _projective_order(t, d, ell, 5) == capped, (t, d, ell)
                     tested += 1
     assert tested == 170664
 
 
 def test_screen_calls_neither_frobenius_class_nor_factorize():
-    # galrep binds neither name, so the screen cannot reach them
-    assert not hasattr(galrep, "frobenius_class")
-    assert not hasattr(galrep, "factorize")
+    # galrep binds none of these names, so the screen cannot reach them
+    for name in ("frobenius_class", "factorize", "legendre", "_order_at_most_5"):
+        assert not hasattr(galrep, name), name
     cases = [(16, 13, 200), (12, 691, 2000), (16, 59, 2000), (12, 23, 200),
              (26, 1000003, 200), (16, 999983, 200)]
     reports = []
@@ -42,6 +42,21 @@ def test_screen_calls_neither_frobenius_class_nor_factorize():
     assert [rep.verdict == "possibly exceptional" for rep in reports] == [
         False, True, True, True, False, False
     ]
+
+
+def test_screen_proves_ell_once_per_call_not_per_prime(monkeypatch):
+    # ell is proved through qseries' own binding before the scan; no tested
+    # p reaches ffield.check_prime
+    screen_exceptional(26, 1000003, 200)  # warm: ell proved, series cached
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+
+    monkeypatch.setattr(ffield, "check_prime", counted)
+    rep = screen_exceptional(26, 1000003, 200)
+    assert rep.verdict == "likely unexceptional"
+    assert calls == []
 
 
 def test_screen_unexceptional_pairs():

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from thetatwist import ffield
-from thetatwist.ffield import is_prime, legendre
+from thetatwist.ffield import is_prime
 from thetatwist.galrep import screen_exceptional
 from thetatwist.polyverify import bundled_record, verify_record
 from thetatwist.qseries import SUPPORTED_WEIGHTS, delta_k
@@ -85,5 +85,5 @@ def test_a_modulus_that_is_not_an_int_is_refused_before_the_memory(is_prime_call
 def test_a_composite_ell_is_tested_on_every_call(is_prime_calls):
     for _ in range(2):
         with pytest.raises(ValueError, match="15 is not prime"):
-            legendre(1, 15)
+            ffield.check_prime(15)
     assert is_prime_calls == [15, 15]

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "ProjPolyRecord", "QExpansion", "SUPPORTED_WEIGHTS", "ScreeningReport",
     "ThetaTwistError", "TwistCertificate", "UnsupportedWeight", "VerificationReport",
     "WeightIncongruent", "bundled_record", "check_twist", "delta_k", "eisenstein",
-    "is_prime", "legendre",
+    "is_prime",
     "load_poly_file", "parse_poly", "primes_upto",
     "prove_congruence", "published_discrepancy", "screen_exceptional", "series_mul",
     "theta_power", "twist_bound", "twist_search", "verify_record", "weight_congruent",
@@ -41,7 +41,7 @@ GONE = {"theta": "qseries", "hasse": "qseries",
         "DuplicateTerm": "errors", "NonMonicWarning": "errors",
         "FrobeniusClass": "galrep", "SPLIT": "galrep", "NONSPLIT": "galrep",
         "AMBIGUOUS": "galrep", "frobenius_class": "galrep",
-        "predicted_degree_pattern": "galrep"}
+        "predicted_degree_pattern": "galrep", "legendre": "ffield"}
 
 
 @pytest.mark.parametrize("name", GONE)

@@ -119,6 +119,20 @@ def test_series_mul_commutative_associative():
         )
 
 
+def test_a_series_needs_its_constant_coefficient():
+    with pytest.raises(ValueError, match="at least the constant coefficient"):
+        QExpansion(13, [])
+
+
+def test_qexpansion_repr_and_equality():
+    assert repr(QExpansion(13, [0, 1, 24], 12)) == "QExpansion(ell=13, prec=2, k=12, [0, 1, 11])"
+    assert repr(QExpansion(13, range(10))) == (
+        "QExpansion(ell=13, prec=9, k=None, [0, 1, 2, 3, 4, 5, ...])"
+    )
+    f = QExpansion(13, [0, 1, 2])
+    assert f != (0, 1, 2) and not f == [0, 1, 2]
+
+
 def test_coeff_never_zero_extends():
     f = QExpansion(13, [0, 1, 2])
     assert f.coeff(2) == 2
@@ -263,6 +277,8 @@ def test_theta_power():
     assert t2.coeffs == tuple(n * n * c % 13 for n, c in enumerate(f.coeffs))
     assert theta_power(f, 2).weight == t2.weight
     assert theta_power(f, 0) is f
+    with pytest.raises(ValueError, match="theta exponent must be nonnegative"):
+        theta_power(f, -1)
 
 
 def test_theta_fermat_identity():
