@@ -7,11 +7,12 @@ against the coefficients of delta_k.  These are heuristic candidate flags
 reconstructed from the classical congruences, not proofs; the report
 records the prime bound that was scanned.  The scan stops at a witness
 against each test (Serre; Swinnerton-Dyer), which an unexceptional pair has
-at small p, so it reads a 32-term delta_k first.  It asks of each p only
-whether the projective order exceeds 5, which ffield._projective_order,
-the walk the verifier uses too, answers capped at 5, so the screen
-factorizes nothing.  Square classes are Euler's criterion inline, and ell
-is proved prime once per call, as delta_k proves it.
+at small p, so it reads a_p for p <= 31 off a table of the integer a_p,
+reduced mod ell, and builds delta_k mod ell only to go past 31.  It asks
+of each p only whether the projective order exceeds 5, which
+ffield._projective_order, the walk the verifier uses too, answers capped at
+5, so the screen factorizes nothing.  Square classes are Euler's criterion
+inline, and ell is proved prime once per call, as delta_k proves it.
 
 ScreeningReport is a collections.namedtuple subclass, an immutable tuple
 with named fields.
@@ -55,20 +56,40 @@ class ScreeningReport(
         return rep
 
 
-#: every unexceptional pair with ell < 3000 has its three witnesses at p <= 31
-_FIRST_STAGE = 32
+_SMALL_PRIMES = primes_upto(31)
+#: a_p(delta_k) over Z at each p of _SMALL_PRIMES, one row per weight k,
+#: read per call and reduced mod ell: every unexceptional pair with
+#: ell < 3000 has its three witnesses at p <= 31, so its screen builds no series
+_SMALL_AP = {
+    12: "-24 252 4830 -16744 534612 -577738 -6905934 10661420 18643272 128406630"
+        " -52843168",
+    16: "216 -3348 52110 2822456 20586852 -190073338 1646527986 1563257180"
+        " 9451116072 -36902568330 71588483552",
+    18: "-528 -4284 -1025850 3225992 -753618228 2541064526 -5429742318 1487499860"
+        " -317091823464 2433410602590 -8849722053088",
+    20: "456 50652 -2377410 -16917544 -16212108 50421615062 225070099506"
+        " -1710278572660 14036534788872 1137835269510 -104626880141728",
+    22: "-288 -128844 21640950 -768078808 -94724929188 -80621789794 3052282930002"
+        " -7920788351740 -73845437470344 -4253031736469010 1900541176310432",
+    26: "-48 -195804 -741989850 39080597192 8419515299052 -81651045335314"
+        " -2519900028948078 -6082056370308940 -94995280296320424"
+        " -271246959476737410 4291666067521509152",
+}
 
 
 def _prime_coefficients(k, ell, bound):
-    """(p, a_p mod ell) for each prime p <= bound but ell, ascending, from
-    delta_k to precision min(bound, _FIRST_STAGE) and then to bound."""
-    done = 0
-    for n0 in (min(bound, _FIRST_STAGE), bound):
-        a = delta_k(k, ell, n0).coeffs
-        for p in primes_upto(n0):
-            if p > done and p != ell:
+    """(p, a_p mod ell) for each prime p <= bound but ell, ascending: from
+    _SMALL_AP for p <= 31, and past 31 from delta_k to precision bound."""
+    for p, a in zip(_SMALL_PRIMES, _SMALL_AP[k].split()):
+        if p > bound:
+            return
+        if p != ell:
+            yield p, int(a) % ell
+    if bound > 31:
+        a = delta_k(k, ell, bound).coeffs
+        for p in primes_upto(bound):
+            if p > 31 and p != ell:
                 yield p, a[p]
-        done = n0
 
 
 def _reducible_j(k, ell, coeffs):
@@ -95,18 +116,21 @@ def screen_exceptional(k, ell, bound):
     (the orders occurring in the exceptional polyhedral subgroups).
     The verdict is "likely unexceptional" only when all three are clear.
 
-    One pass over the primes in increasing order, on delta_k to precision
-    min(bound, 32) and past that to bound (_prime_coefficients), stops at
-    the all-clear report once it holds a witness against each test: a
-    rootless p (x^2 - a_p x + p^(k-1) has no root mod ell, so no j
-    passes), a non-residue p with a_p != 0, and a p of projective order
-    above 5.  The order witness comes from the shared walk of
-    _projective_order capped at 5, skipping a p whose discriminant
-    vanishes: its class may be scalar or not semisimple.
+    One pass over the primes in increasing order, on the integer a_p of
+    _SMALL_AP reduced mod ell for p <= 31 and past that on delta_k to
+    precision bound (_prime_coefficients), stops at the all-clear report
+    once it holds a witness against each test: a rootless p
+    (x^2 - a_p x + p^(k-1) has no root mod ell, so no j passes), a
+    non-residue p with a_p != 0, and a p of projective order above 5.  The
+    order witness comes from the shared walk of _projective_order capped at
+    5, skipping a p whose discriminant vanishes: its class may be scalar or
+    not semisimple.  An unexceptional pair with ell < 3000 finds all three
+    at p <= 31 and builds no series.
     Otherwise the flags come from the same pass, and the j search runs only
     when no p was rootless, so every flag is that of a full scan.
-    The arguments are refused as delta_k refuses them, before any sieve or
-    series, and a bound below 2, where every test would pass vacuously.
+    The arguments are refused as delta_k refuses them, ell proved prime
+    included, before any sieve or series, and a bound below 2, where every
+    test would pass vacuously.
     """
     _check_delta(k, ell, bound)
     if bound < 2:

@@ -10,9 +10,10 @@ equal the cycle type of Frobenius on the ell + 1 points of the projective
 line, which _admissible_patterns reads off (a_p mod ell, p^{k-1} mod ell):
 whether the discriminant is a square tells split from nonsplit, and
 ffield._projective_order finds the projective order, the least n with
-V_n(s) = 2 in the Lucas sequence of s = a_p^2 / p^{k-1} - 2.  The prediction is checked directly (_has_pattern:
-the trace of the Frobenius matrix, one walk of the Frobenius map and at
-most two gcds); only where it fails does _ddf, a plain degree-by-degree
+V_n(s) = 2 in the Lucas sequence of s = a_p^2 / p^{k-1} - 2.  The
+prediction is checked directly (_has_pattern: the number of roots in F_p,
+read off the trace of the Frobenius matrix, one walk of the Frobenius map
+and at most one gcd); only where it fails does _ddf, a plain degree-by-degree
 distinct-degree factorization, run, to tell a FAIL from a reduction that
 is not squarefree.  Both report a miss as None: _has_pattern when no
 predicted pattern holds, _ddf for a reduction that is not squarefree,
@@ -223,8 +224,8 @@ def _frobenius(f, p, u):
     and return coefficient lists of length n with entries in [0, p), and
     trace is the trace of the Frobenius matrix Q mod p: the sum over i < n
     of the coefficient of x^i in x^(i*p) mod f, slot i of row i, read off
-    the reduced rows with one shift and one mask each.  For a squarefree f
-    it is the number of linear factors mod p (see _has_pattern).  The maps
+    the reduced rows with one shift and one mask each.  It is the number of
+    distinct roots of f in F_p, mod p (see _has_pattern).  The maps
     work on packed ints (polyarith) with the slot width of polyarith.barrett
     for slots up to bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the
     Frobenius rows x^(i*p) mod f, i < n, stay packed from first to last,
@@ -326,65 +327,55 @@ def _has_pattern(setup, p, *patterns):
     runs on a miss.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
 
-    The trace lemma: for a squarefree f the trace t of the Frobenius matrix
-    Q (setup's trace) is N_1 mod p, N_1 the number of linear factors of f.
-    F_p[x]/f is the product of the fields F_{p^d} of its factors, Q acts on
-    each as its Frobenius map, whose characteristic polynomial is x^d - 1 by
-    the normal basis theorem, and the trace of that is 1 for d = 1 and 0
-    otherwise (Berlekamp's Q-matrix counts factors the same way).  So, with
+    The trace lemma: the trace t of the Frobenius matrix Q (setup's trace)
+    is N_1 mod p, N_1 the number of distinct roots of f in F_p.  F_p[x]/f
+    is the product of the local rings F_p[x]/g^e of its factors g; Q maps
+    each power of the maximal ideal g into the next, so it acts as zero on
+    the nilpotent part and as the Frobenius map of F_{p^d} on the residue
+    field, d = deg g, whose characteristic polynomial is x^d - 1 by the
+    normal basis theorem, and the trace of that is 1 for d = 1 and 0
+    otherwise (Berlekamp's Q-matrix counts factors the same way).  As
+    0 <= N_1 <= p, N_1 = t when t != 0; when t == 0, N_1 = p if f(0) == 0
+    and N_1 = 0 otherwise.  So every check knows N_1 exactly, and with
     n = deg f:
-      0. t == a mod p, checked before any walk: a squarefree f with N_1 = a
-         passes, and a non-squarefree one has no pattern to lose;
+      0. N_1 == a, checked before any walk;
       1. deg f == a + bL is not checked: in verify_record both are ell + 1,
          as the record is monic of that degree;
       2. h_L == x, where h_d = x^{p^d} mod f is walked with the Frobenius
          map.  This holds exactly when f | x^{p^L} - x, that is when f is
          squarefree and the degree of every factor divides L;
-      3. for L > 1, G = gcd(f, prod (h_m - x) mod f) over m = L/q for the
-         primes q | L, and m = 1 for p <= n, has degree a and, for p <= n,
-         divides h_1 - x = x^p - x: gcd(h_1 - x, G) == G.
-    After step 2 a factor of degree e divides h_m - x exactly when e | m.
-    Every proper divisor of L divides 1 or some L/q, and L divides none of
-    them, so G is the product of the factors of degree below L (the linear
-    ones included, as 1 divides every m).  For p <= n step 3 makes these a
-    distinct linear factors.  For p > n step 2 has proved f squarefree, so
-    step 0 gives N_1 == a mod p, and as both lie in [0, n] with n < p, it
-    gives N_1 = a; then deg G == a leaves no factor of degree strictly
-    between 1 and L, G needs no m = 1 term and no divisibility test, and
-    for a prime L the product is empty and no gcd runs.  For p <= n the
-    trace only fixes N_1 mod p (over F_3 three linear factors read as
-    none), so step 3 keeps the m = 1 term and the test.  Either way the
-    n - a degrees left are all L, b of them.  Conversely f with pattern
-    {1^a, L^b} passes every step.
+      3. for a composite L, G = gcd(f, prod (h_m - x) mod f) over m = L/q
+         for the primes q | L has degree a.
+    After step 2 f is squarefree with every factor of degree dividing L,
+    and by step 0 exactly a of them are linear.  A factor of degree e
+    divides h_m - x exactly when e | m.  Every proper divisor of L above 1
+    divides some L/q, and L divides none of them, so G is the product of
+    the factors of degree below L, the a linear ones included, and
+    deg G == a leaves no factor of degree strictly between 1 and L.  For a
+    prime L there is no such degree: the product is empty and no gcd runs.
+    Either way the n - a degrees left are all L, b of them, and a check
+    runs at most one gcd.  Conversely f with pattern {1^a, L^b} passes
+    every step.
     """
     work, frobenius, mulmod, trace = setup
     n = len(work) - 1
     x = [0, 1] + [0] * (n - 2)
-    exact = p > n  # the trace is the exact count of linear factors
+    roots = trace or (p if work[0] == 0 else 0)  # N_1, the distinct roots in F_p
     for pattern in patterns:
         a, top = pattern.count(1), pattern[-1]
-        if trace != a % p:
+        if roots != a:
             continue
-        steps = {top // q for q in factorize(top)}
-        if exact:
-            steps.discard(1)
-        else:
-            steps.add(1)
+        steps = {top // q for q in factorize(top)} - {1}
         h, product = x, None
         for d in range(1, top + 1):
             h = frobenius(h)
-            if d < top and d in steps:
+            if d in steps:
                 u = list(h)
                 u[1] = (u[1] - 1) % p
                 product = u if product is None else mulmod(product, u)
-                if d == 1:
-                    u1 = u
         if h != x:
             continue
-        if product is None:  # L = 1, or L prime and p > n
-            return pattern
-        g = _gcd(work, product, p)
-        if len(g) - 1 == a and (exact or _gcd(u1, g, p) == g):
+        if product is None or len(_gcd(work, product, p)) - 1 == a:
             return pattern
     return None
 

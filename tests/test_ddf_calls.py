@@ -4,10 +4,10 @@ Each prime's predicted pattern is checked directly, and the DDF, the only
 factorization path, runs just where that check fails: at the primes skipped
 as ramified and at the primes that FAIL.  verify_record reaches it through
 _ddf, which takes the Frobenius set-up of the pattern check, so each tested
-prime builds exactly one set-up.  Above deg f the trace of the Frobenius
-matrix counts the linear factors, so the pattern check runs its second gcd,
-the divisibility test, only at primes p <= deg f, and no gcd at all where
-the predicted degree L is prime.  On a correct record every DDF call ends
+prime builds exactly one set-up.  The trace of the Frobenius matrix and
+f(0) give the exact number of roots in F_p at every prime, so the pattern
+check runs at most one gcd, and none at all where the predicted degree L
+is 1 or prime.  On a correct record every DDF call ends
 at its squarefree test, so the degree loop runs only at FAIL primes.
 The polyverify module bindings of _ddf, _frobenius, _has_pattern and _gcd
 are wrapped, since verify_record and _has_pattern look them up there.  tables verifies each projective representation once: the (26, 13)
@@ -156,17 +156,16 @@ def pattern_checks(monkeypatch):
     return checks
 
 
-def test_pattern_check_divides_only_at_small_primes(pattern_checks):
+def test_pattern_check_runs_at_most_one_gcd(pattern_checks):
     for k, ell in BUNDLED_LABELS:
         verify_record(bundled_record(k, ell), k, ell, 1000)
     assert len(pattern_checks) == 1002
     for p, n, tops, gcds in pattern_checks:
-        if p > n:
-            # at most the gcd G of step 3, and none where every L is 1 or prime
-            assert gcds <= 1, (p, n, tops)
-            if all(top == 1 or is_prime(top) for top in tops):
-                assert gcds == 0, (p, n, tops)
-    # the divisibility test, gcd(x^p - x, G) == G, is a second gcd at p <= deg f
-    # only; without the trace there would be 993 of G and 993 of the test
-    assert sum(gcds == 2 for p, n, tops, gcds in pattern_checks if p <= n) == 30
-    assert sum(check[3] for check in pattern_checks) == 694
+        # at most the gcd G of step 3, at every p, and none where every L
+        # is 1 or prime
+        assert gcds <= 1, (p, n, tops)
+        if all(top == 1 or is_prime(top) for top in tops):
+            assert gcds == 0, (p, n, tops)
+    # without the exact root count there would be 993 of G and 993 of the
+    # divisibility test gcd(x^p - x, G) == G
+    assert sum(check[3] for check in pattern_checks) == 656

@@ -16,7 +16,7 @@ import oracles
 PREDICATE_ELLS = (5, 7, 11, 13, 23, 29, 31, 41, 61, 101, 211, 331)
 
 
-def test_order_at_most_5_agrees_with_frobenius_class():
+def test_projective_order_capped_at_5_agrees_with_oracle():
     tested = 0
     for ell in PREDICATE_ELLS:
         for t in range(ell):
@@ -147,14 +147,40 @@ def test_screening_report_from_json_keeps_a_reducible_j():
     assert ScreeningReport.from_json_dict(rep.to_json_dict()) == rep
 
 
+#: (a, b) with delta_k = delta * E4^a * E6^b, the normalized cusp form of
+#: weight 12 + 4a + 6b, since each S_k is one-dimensional
+_MONOMIALS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+
+
+def test_small_prime_table_equals_the_integer_oracle():
+    primes = primes_upto(31)
+    delta, e4, e6 = oracles.eta24_int(31), oracles.eisenstein_int(4, 31), oracles.eisenstein_int(6, 31)
+    assert set(galrep._SMALL_AP) == set(_MONOMIALS) == set(qseries.SUPPORTED_WEIGHTS)
+    for k, (a, b) in _MONOMIALS.items():
+        f = delta
+        for g in [e4] * a + [e6] * b:
+            f = oracles.poly_mul_int(f, g, 31)
+        row = [int(x) for x in galrep._SMALL_AP[k].split()]
+        assert row == [f[p] for p in primes], k
+        # Deligne's bound |a_p| <= 2 p^((k-1)/2)
+        assert all(f[p] ** 2 <= 4 * p ** (k - 1) for p in primes), k
+        for ell in (5, 13, 691, 1000003):
+            series = delta_k(k, ell, 31)
+            assert [x % ell for x in row] == [series.coeff(p) for p in primes], (k, ell)
+            assert list(galrep._prime_coefficients(k, ell, 31)) == [
+                (p, series.coeff(p)) for p in primes if p != ell
+            ], (k, ell)
+    assert int(galrep._SMALL_AP[12].split()[0]) == -24  # tau(2)
+    assert int(galrep._SMALL_AP[26].split()[-1]) == 4291666067521509152
+
+
 def test_unexceptional_screen_stops_at_the_first_stage():
-    # every witness of (26, 691) lies below 32, so nothing past the first
-    # stage is built, whatever the bound
+    # every witness of (26, 691) is at some p <= 31, read off the table, so
+    # no series is built, whatever the bound
     qseries.delta_k.cache_clear()
     rep = screen_exceptional(26, 691, 10**4)
     assert rep.verdict == "likely unexceptional" and rep.bound == 10**4
-    assert qseries._SERIES[26, 691].precision == galrep._FIRST_STAGE == 32
-    assert max(f.precision for f in qseries._SERIES.values()) == 32
+    assert qseries._SERIES == {}
 
 
 def test_exceptional_screen_builds_to_the_bound():
@@ -164,10 +190,11 @@ def test_exceptional_screen_builds_to_the_bound():
     assert qseries._SERIES[16, 59].precision == 2000
 
 
-def test_screen_below_the_first_stage_builds_to_the_bound():
+def test_screen_within_the_first_stage_builds_no_series():
+    # a bound of at most 31 reads every a_p off the table
     qseries.delta_k.cache_clear()
     assert screen_exceptional(12, 23, 20).dihedral_candidate
-    assert qseries._SERIES[12, 23].precision == 20
+    assert (12, 23) not in qseries._SERIES
 
 
 @pytest.mark.parametrize(
@@ -279,7 +306,7 @@ def test_screen_matches_naive_recomputation_on_the_exceptional_pairs(k, ell):
 
 def test_screen_flags_exactly_the_classical_exceptional_pairs():
     # every other pair with ell < 3000 has its three witnesses at p <= 31,
-    # so its screen builds no series past the first stage
+    # so its screen reads the table and builds no series
     flagged = set()
     for k in CLASSICAL_EXCEPTIONAL:
         for ell in primes_upto(2999)[2:]:
@@ -287,7 +314,7 @@ def test_screen_flags_exactly_the_classical_exceptional_pairs():
             if screen_exceptional(k, ell, 200).verdict == "possibly exceptional":
                 flagged.add((k, ell))
             else:
-                assert qseries._SERIES[k, ell].precision == 32, (k, ell)
+                assert qseries._SERIES == {}, (k, ell)
     assert flagged == {(k, ell) for k, ells in CLASSICAL_EXCEPTIONAL.items() for ell in ells}
 
 

@@ -337,6 +337,11 @@ def _irreducible(d, p, rng):
         # p > deg f, where the trace counts the linear factors exactly
         (11, (1, 2, 3)),
         (11, (1, 1, 4)),
+        # trace 0 with every element of F_p a root, where f(0) = 0 tells
+        # p roots from none, and trace 0 with no root
+        (2, (1, 1, 3)),
+        (5, (1, 1, 1, 1, 1, 2)),
+        (3, (2, 2)),
     ],
 )
 def test_ddf_and_has_pattern_match_trial_division_on_planted_mixes(p, degrees):
