@@ -14,7 +14,7 @@ PAIRS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
 print(f"{'k':>3} {'ell':>4} {'i':>3} {'k_prime':>8}   checked primes")
 for k, ell in PAIRS:
     i, kp, cert = twist_search(k, ell)
-    primes = [p for p, _, _ in cert.prime_checks]
+    primes = [p for p, _, _ in cert.checks]
     print(f"{k:>3} {ell:>4} {i:>3} {kp:>8}   p <= {cert.bound}: {primes}")
     note = published_discrepancy(k, ell, i, kp)
     if note:

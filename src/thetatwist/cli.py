@@ -2,13 +2,15 @@
 
 Exit codes are a stable contract: 0 success, 2 usage or unsupported input
 (including a scan with no prime to check), 3 search found nothing, 4 I/O
-problems, 5 verification failure.  All output is deterministic; --format
-json emits machine-readable documents that round-trip through the
-corresponding from_json_dict constructors.  A command that fails prints one
-"error: ..." line on stderr.  The one warning, the published-table note on
-the (22, 11) twist, is output: a "warning: ..." line on stdout in text, the
-"warning" key in JSON.  Each JSON document is json.dumps(doc,
-sort_keys=True): one line, keys sorted, non-ASCII escaped.
+problems, 5 verification failure.  All output is deterministic.  Each
+--format json document reads back through a from_json_dict: qexp's through
+QExpansion's, screen's ScreeningReport's, verify-poly's VerificationReport's
+and twist-search's "certificate" TwistCertificate's; tables lists such rows
+under "screening", "twists" and "verification".  A command that fails
+prints one "error: ..." line on stderr.  The one warning, the
+published-table note on the (22, 11) twist, is output: a "warning: ..."
+line on stdout in text, the "warning" key in JSON.  Each JSON document is
+json.dumps(doc, sort_keys=True): one line, keys sorted, non-ASCII escaped.
 
 Each call of main builds one parser, for the invoked command only, when the
 command name comes first; the full tree of build_parser() is built only for

@@ -21,7 +21,7 @@ with named fields.
 from collections import namedtuple
 
 from .ffield import _projective_order, primes_upto
-from .qseries import _check_delta, delta_k
+from .qseries import _check_delta, _read, delta_k
 
 
 class ScreeningReport(
@@ -37,23 +37,11 @@ class ScreeningReport(
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; a missing or unknown key is a ValueError,
-        and so is a k, ell or bound not an int (a bool is not), a flag not a
-        bool, a reducible_j neither None nor an int, or a verdict not a str."""
-        if not isinstance(d, dict) or set(d) != set(cls._fields):
-            raise ValueError(
-                f"a screening document has exactly the keys {', '.join(cls._fields)}"
-            )
-        rep = cls(**d)
-        kinds = [type(x) for x in rep]
-        if kinds[:4] + kinds[5:] != [int, int, int, bool, bool, bool, str] or not (
-            rep.reducible_j is None or kinds[4] is int
-        ):
-            raise ValueError(
-                "a screening report's k, ell and bound must be ints, its flags bools,"
-                " its reducible_j None or an int and its verdict a str"
-            )
-        return rep
+        """Inverse of to_json_dict; refuses what misfits the layout (qseries._read)."""
+        return cls(**_read(cls, d, {
+            "k": int, "ell": int, "bound": int, "reducible_candidate": bool,
+            "reducible_j": (None, int), "dihedral_candidate": bool, "small_image_candidate": bool,
+            "verdict": ("likely unexceptional", "possibly exceptional")}))
 
 
 _SMALL_PRIMES = primes_upto(31)

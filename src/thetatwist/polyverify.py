@@ -46,7 +46,7 @@ from operator import mul as _imul
 from . import polyarith
 from .errors import ParseError
 from .ffield import _projective_order, check_prime, factorize, primes_upto
-from .qseries import MAX_PRECISION, _tuples, delta_k
+from .qseries import MAX_PRECISION, _read, delta_k
 
 MATCH = "match"
 AMBIGUOUS_PASS = "ambiguous-pass"
@@ -403,29 +403,13 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; a document without outcomes reads as (),
-        and a missing or unknown key is a ValueError, and so is a k, ell or
-        pmax not an int (a bool is not), counts not an object of ints under
-        exactly the five count keys, failures not a list of ints, or
-        outcomes not a list."""
-        try:
-            rep = cls(**_tuples({"outcomes": [], **d}))
-        except TypeError:
-            raise ValueError(
-                "a verification document has exactly the keys k, ell, pmax, counts,"
-                " failures, and optionally outcomes"
-            ) from None
-        if (
-            [type(x) for x in rep] != [int, int, int, tuple, dict, tuple]
-            or set(rep.counts) != set(_COUNT_KEYS.values())
-            or any(type(n) is not int for n in (*rep.counts.values(), *rep.failures))
-        ):
-            raise ValueError(
-                "a verification report's k, ell and pmax must be ints, its counts an"
-                f" object of ints under exactly the keys {', '.join(_COUNT_KEYS.values())},"
-                " its failures a list of ints and its outcomes a list"
-            )
-        return rep
+        """Inverse of to_json_dict, a document without outcomes read as ();
+        refuses what misfits the layout (qseries._read)."""
+        pattern = [int, ...]
+        outcome = [int, tuple(_COUNT_KEYS), (pattern, None), (pattern, [pattern, pattern], None)]
+        layout = {"k": int, "ell": int, "pmax": int, "outcomes": [outcome, ...],
+                  "counts": dict.fromkeys(_COUNT_KEYS.values(), int), "failures": [int, ...]}
+        return cls(**_read(cls, d, layout, outcomes=[]))
 
 
 def _admissible_patterns(t, d, ell):

@@ -118,26 +118,54 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; rejects a document without "ell" and a
-        "coeffs" list, any level but 1, an ell not a prime int, and a weight
-        or coefficient not an int (a bool is not)."""
-        if not isinstance(d, dict) or "ell" not in d or not isinstance(d.get("coeffs"), list):
-            raise ValueError('a series document needs "ell" and a "coeffs" list')
-        if d.get("N") not in (None, 1):
-            raise ValueError(f"level {d['N']} is not supported, only level 1")
+        """Inverse of to_json_dict, a missing "N" or "k" read as None; refuses
+        what misfits the layout (_read) and an ell not prime (check_prime)."""
+        layout = {"ell": int, "N": (None, 1), "k": (None, int), "coeffs": [int, ...]}
+        d = _read(cls, d, layout, N=None, k=None)
         check_prime(d["ell"])
-        k, coeffs = d.get("k"), d["coeffs"]
-        if not (k is None or type(k) is int) or not all(type(c) is int for c in coeffs):
-            raise ValueError("the weight and the coefficients must be ints")
-        return cls(d["ell"], coeffs, k)
+        return cls(d["ell"], d["coeffs"], d["k"])
 
 
-def _tuples(x):
-    """x with every list in it, at any depth, made a tuple: a record's fields
-    as they were before the writer wrote each tuple as a JSON list."""
-    if isinstance(x, dict):
-        return {key: _tuples(value) for key, value in x.items()}
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+def _read(cls, d, layout, **defaults):
+    """The JSON document d of a cls, with each key of defaults it lacks
+    filled in, as _fit reads it; every from_json_dict reads through here."""
+    return _fit({**defaults, **d} if type(d) is dict else d, layout, cls.__name__)
+
+
+def _fit(x, layout, at):
+    """x with each list in it a tuple, as the record had it, if x fits
+    layout; else a ValueError naming the first misfit by its path at.
+
+    A layout is an exact type (a bool is not an int); a dict, an object with
+    exactly its keys; a list, a list (or tuple) fitting it item by item, or
+    as [layout, ...] one of any length; a tuple, a union; or a literal value.
+    """
+    if isinstance(layout, dict):
+        if type(x) is not dict or x.keys() != layout.keys():
+            raise ValueError(f"{at} must be an object with exactly the keys {', '.join(layout)}")
+        return {key: _fit(x[key], sub, f"{at}.{key}") for key, sub in layout.items()}
+    if isinstance(layout, tuple):
+        for option in layout:
+            try:
+                return _fit(x, option, at)
+            except ValueError:
+                pass
+    elif type(x) in (list, tuple) and isinstance(layout, list):
+        items = layout[:1] * len(x) if layout[1:] == [...] else layout
+        if len(x) == len(items):
+            return tuple([_fit(v, s, f"{at}[{i}]") for i, (v, s) in enumerate(zip(x, items))])
+    elif type(x) is layout or (type(x) is type(layout) and x == layout):
+        return x
+    raise ValueError(f"{at} is {x!r:.60}, not {_show(layout)}")
+
+
+def _show(layout):
+    """A layout as a message names it: int, 'FAIL', [int, ...], None or int."""
+    if isinstance(layout, list):
+        return f"[{', '.join(map(_show, layout))}]"
+    if isinstance(layout, tuple):
+        return " or ".join(map(_show, layout))
+    return getattr(layout, "__name__", "..." if layout is ... else repr(layout))
 
 
 def series_mul(f, g):

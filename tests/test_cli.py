@@ -9,10 +9,16 @@ import pytest
 
 from thetatwist import cli
 from thetatwist.cli import main
-from thetatwist.polyverify import BUNDLED_LABELS, VerificationReport, bundled_record, data_path
-from thetatwist.qseries import delta_k
-from thetatwist.galrep import ScreeningReport
-from thetatwist.twist import TwistCertificate
+from thetatwist.polyverify import (
+    BUNDLED_LABELS,
+    VerificationReport,
+    bundled_record,
+    data_path,
+    verify_record,
+)
+from thetatwist.qseries import QExpansion, delta_k
+from thetatwist.galrep import ScreeningReport, screen_exceptional
+from thetatwist.twist import TwistCertificate, twist_search
 
 
 def run(capsys, *argv):
@@ -232,6 +238,56 @@ def test_tables_json(capsys):
     assert found[(22, 11)] == (0, 12)
     warnings = [t["warning"] for t in doc["twists"] if t["warning"]]
     assert len(warnings) == 1
+
+
+def _tables_rows(doc):
+    """(read back, built in-process) for each screening, certificate and
+    verification row of a tables document at pmax, pbound and extended 60."""
+    rows = list(zip(BUNDLED_LABELS, doc["screening"], doc["twists"], doc["verification"]))
+    assert len(rows) == len(BUNDLED_LABELS)
+    for (k, ell), screening, twist, verification in rows:
+        yield ScreeningReport.from_json_dict(screening), screen_exceptional(k, ell, 60)
+        yield TwistCertificate.from_json_dict(twist["certificate"]), twist_search(k, ell, 60)[2]
+        record = bundled_record(k, ell)
+        yield VerificationReport.from_json_dict(verification), verify_record(record, k, ell, 60)
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (
+            ["qexp", "--weight", "16", "--ell", "13", "--terms", "30"],
+            lambda doc: [(QExpansion.from_json_dict(doc), delta_k(16, 13, 30))],
+        ),
+        (
+            ["twist-search", "--weight", "22", "--ell", "11", "--extended", "60"],
+            lambda doc: [
+                (TwistCertificate.from_json_dict(doc["certificate"]), twist_search(22, 11, 60)[2])
+            ],
+        ),
+        (
+            ["verify-poly", "--weight", "22", "--ell", "11", "--pmax", "60", "--full"],
+            lambda doc: [
+                (VerificationReport.from_json_dict(doc),
+                 verify_record(bundled_record(22, 11), 22, 11, 60))
+            ],
+        ),
+        (
+            ["screen", "--weight", "26", "--ell", "23", "--pbound", "60"],
+            lambda doc: [(ScreeningReport.from_json_dict(doc), screen_exceptional(26, 23, 60))],
+        ),
+        (
+            ["tables", "--pmax", "60", "--pbound", "60", "--extended", "60", "--full"],
+            lambda doc: list(_tables_rows(doc)),
+        ),
+    ],
+    ids=["qexp", "twist-search", "verify-poly --full", "screen", "tables --full"],
+)
+def test_every_json_document_reads_back_as_the_object_built_in_process(argv, pairs, capsys):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    for read, built in pairs(json.loads(out)):
+        assert type(read) is type(built) and read == built
 
 
 def _sha256s(out):

@@ -115,7 +115,8 @@ def test_screening_report_json_roundtrip():
 )
 def test_screening_report_from_json_refuses_a_document_of_another_structure(edit):
     doc = screen_exceptional(16, 13, 100).to_json_dict()
-    with pytest.raises(ValueError, match="a screening document has exactly the keys k, ell, bound"):
+    with pytest.raises(ValueError, match="ScreeningReport must be an object with exactly the keys"
+                                         " k, ell, bound"):
         ScreeningReport.from_json_dict(edit(doc))
 
 
@@ -131,13 +132,14 @@ def test_screening_report_from_json_refuses_a_document_of_another_structure(edit
         {"reducible_j": True},
         {"reducible_j": "0"},
         {"verdict": 1},
+        {"verdict": "foo"},  # was accepted
     ],
     ids=["k-true", "bound-str", "ell-str", "ell-float", "flag-str", "flag-int",
-         "j-true", "j-str", "verdict-int"],
+         "j-true", "j-str", "verdict-int", "verdict-unknown"],
 )
 def test_screening_report_from_json_refuses_a_wrong_typed_value(edit):
     doc = screen_exceptional(16, 13, 100).to_json_dict()
-    with pytest.raises(ValueError, match="a screening report's k, ell and bound must be ints"):
+    with pytest.raises(ValueError, match=rf"ScreeningReport\.{next(iter(edit))} is .*, not "):
         ScreeningReport.from_json_dict({**doc, **edit})
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 import warnings
 from itertools import product
@@ -571,7 +572,8 @@ def test_verification_report_json_roundtrip():
 )
 def test_verification_report_from_json_refuses_a_document_of_another_structure(edit):
     doc = verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict(full=True)
-    with pytest.raises(ValueError, match="a verification document has exactly the keys k, ell"):
+    with pytest.raises(ValueError, match="VerificationReport must be an object with exactly the keys"
+                                         " k, ell, pmax, outcomes, counts, failures"):
         VerificationReport.from_json_dict(edit(doc))
 
 
@@ -589,8 +591,25 @@ def test_verification_report_from_json_refuses_a_document_of_another_structure(e
 )
 def test_verification_report_from_json_refuses_a_wrong_typed_value(edit):
     doc = verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict(full=True)
-    with pytest.raises(ValueError, match="a verification report's k, ell and pmax must be ints"):
+    with pytest.raises(ValueError, match=rf"VerificationReport\.{next(iter(edit))} (is|must be) "):
         VerificationReport.from_json_dict({**doc, **edit})
+
+
+@pytest.mark.parametrize(
+    "outcomes, error",
+    [
+        ([["x"]], "outcomes[0] is ['x'], not [int, 'match' or"),
+        ([[2, "match", [1], [1]], 7], "outcomes[1] is 7, not [int, 'match' or"),
+        ([[2, "pass", None, None]], "outcomes[0][1] is 'pass', not 'match' or 'ambiguous-pass'"
+                                    " or 'skipped-ramified' or 'skipped-ell' or 'FAIL'"),
+    ],
+    ids=["one-item", "int-item", "unknown-status"],
+)
+def test_verification_report_from_json_refuses_an_outcome_it_cannot_read(outcomes, error):
+    # each was accepted, as any list passed for the outcomes
+    doc = verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()
+    with pytest.raises(ValueError, match=re.escape(f"VerificationReport.{error}")):
+        VerificationReport.from_json_dict({**doc, "outcomes": outcomes})
 
 
 @pytest.mark.parametrize(
@@ -609,8 +628,9 @@ def test_verification_report_from_json_refuses_a_wrong_typed_value(edit):
 def test_verification_report_from_json_refuses_counts_it_cannot_use(edit):
     # an empty counts made .ok raise KeyError, and a "0" read as a failure
     doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()))
-    with pytest.raises(ValueError, match="its counts an object of ints under exactly the keys"
-                                         " match, ambiguous_pass, skipped_ramified, skipped_ell, fail"):
+    with pytest.raises(ValueError, match=r"VerificationReport\.counts( must be an object with exactly the"
+                                         r" keys match, ambiguous_pass, skipped_ramified, skipped_ell,"
+                                         r" fail|\.\w+ is .*, not int)"):
         VerificationReport.from_json_dict({**doc, "counts": edit(doc["counts"])})
 
 
@@ -618,7 +638,7 @@ def test_verification_report_from_json_refuses_counts_it_cannot_use(edit):
                          ids=["str", "float", "bool", "null", "list"])
 def test_verification_report_from_json_refuses_failures_not_ints(failures):
     doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict()))
-    with pytest.raises(ValueError, match="its failures a list of ints"):
+    with pytest.raises(ValueError, match=r"VerificationReport\.failures\[0\] is .*, not int"):
         VerificationReport.from_json_dict({**doc, "failures": failures})
 
 

@@ -365,7 +365,7 @@ def test_qexpansion_json_roundtrip():
     assert QExpansion.from_json_dict(d) == f
     for level in (0, 2, 11):
         d["N"] = level
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(ValueError, match=rf"QExpansion\.N is {level}, not None or 1"):
             QExpansion.from_json_dict(d)
 
 
@@ -373,13 +373,13 @@ def test_qexpansion_json_roundtrip():
     "change, error",
     [
         # 13.0 gave a series with float coefficients, "13" a bare TypeError
-        ({"ell": 13.0}, "modulus 13.0 is not an int"),
-        ({"ell": "13"}, "modulus '13' is not an int"),
-        ({"coeffs": [1.5, 2]}, "must be ints"),
-        ({"k": 16.0}, "must be ints"),
-        ({"k": "16"}, "must be ints"),
-        ({"k": True}, "must be ints"),  # a bool is an int subclass
-        ({"coeffs": [True, 0]}, "must be ints"),
+        ({"ell": 13.0}, r"QExpansion\.ell is 13\.0, not int"),
+        ({"ell": "13"}, r"QExpansion\.ell is '13', not int"),
+        ({"coeffs": [1.5, 2]}, r"QExpansion\.coeffs\[0\] is 1\.5, not int"),
+        ({"k": 16.0}, r"QExpansion\.k is 16\.0, not None or int"),
+        ({"k": "16"}, r"QExpansion\.k is '16', not None or int"),
+        ({"k": True}, r"QExpansion\.k is True, not None or int"),  # a bool is an int subclass
+        ({"coeffs": [True, 0]}, r"QExpansion\.coeffs\[0\] is True, not int"),
     ],
     ids=["ell-float", "ell-str", "coeff-float", "k-float", "k-str", "k-bool", "coeff-bool"],
 )
@@ -397,11 +397,13 @@ def test_qexpansion_from_json_refuses_what_is_not_an_int(change, error):
         {"ell": 13, "k": 12},  # the two missing keys were a KeyError
         {"k": 12, "coeffs": [0, 1]},
         [13, [0, 1]],
+        {"ell": 13, "coeffs": [1, 2], "bogus": 1},  # was accepted
     ],
-    ids=["coeffs-int", "no-coeffs", "no-ell", "list"],
+    ids=["coeffs-int", "no-coeffs", "no-ell", "list", "unknown-key"],
 )
 def test_qexpansion_from_json_refuses_a_document_of_another_structure(doc):
-    with pytest.raises(ValueError, match='needs "ell" and a "coeffs" list'):
+    with pytest.raises(ValueError, match=r"QExpansion( must be an object with exactly the keys"
+                                         r" ell, N, k, coeffs|\.coeffs is 5, not \[int, \.\.\.\])"):
         QExpansion.from_json_dict(doc)
 
 

@@ -42,7 +42,7 @@ def _records():
         (bundled_record(16, 13), "coeffs"),
         (reports[ScreeningReport], "verdict"),
         (reports[VerificationReport], "counts"),
-        (reports[TwistCertificate], "prime_checks"),
+        (reports[TwistCertificate], "checks"),
     ]
 
 

@@ -1,4 +1,6 @@
 
+import re
+
 import pytest
 
 from thetatwist import cli, qseries, twist
@@ -60,16 +62,17 @@ def test_check_twist_20_17():
     f2 = delta_k(16, 17, 60)
     cert = check_twist(f1, f2, 2, extended=60)
     # all primes up to 25 except the ramified 17
-    assert [p for p, _, _ in cert.prime_checks] == [2, 3, 5, 7, 11, 13, 19, 23]
-    assert all(lhs == rhs for _, lhs, rhs in cert.prime_checks)
+    assert [p for p, _, _ in cert.checks] == [2, 3, 5, 7, 11, 13, 19, 23]
+    assert all(lhs == rhs for _, lhs, rhs in cert.checks)
     assert cert.bound == 25 and cert.extended_terms == 60
+    assert cert.prime_checks is cert.checks  # the name perfbench/layers.py reads
     cert.validate()
 
 
 def test_check_twist_self():
     f = delta_k(12, 13, 20)
     cert = check_twist(f, f, 0, extended=20)
-    assert all(lhs == rhs for _, lhs, rhs in cert.prime_checks)
+    assert all(lhs == rhs for _, lhs, rhs in cert.checks)
     cert.validate()
 
 
@@ -324,13 +327,30 @@ def test_certificate_from_json_refuses_a_field_that_is_not_an_int(key, replace):
     _, _, cert = twist_search(16, 13, extended=50)
     doc = cert.to_json_dict()
     doc[key] = replace(doc[key])
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match=rf"TwistCertificate\.{key} is .*, not int$"):
         TwistCertificate.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "checks, error",
+    [
+        (5, "checks is 5, not [[int, int, int], ...]"),
+        ([["a", "b"]], "checks[0] is ['a', 'b'], not [int, int, int]"),
+        ([[2, 8.0, 8]], "checks[0][1] is 8.0, not int"),
+        ([[2, 8]], "checks[0] is [2, 8], not [int, int, int]"),
+    ],
+    ids=["int", "str-pair", "float", "pair"],
+)
+def test_certificate_from_json_refuses_checks_not_int_triples(checks, error):
+    # each was read as it stood
+    doc = twist_search(16, 13, extended=50)[2].to_json_dict()
+    with pytest.raises(ValueError, match=re.escape(f"TwistCertificate.{error}")):
+        TwistCertificate.from_json_dict({**doc, "checks": checks})
 
 
 def test_certificate_validate_catches_corruption():
     _, _, cert = twist_search(16, 13, extended=50)
-    bad_checks = ((2, 1, 2),) + cert.prime_checks[1:]
+    bad_checks = ((2, 1, 2),) + cert.checks[1:]
     bad = TwistCertificate(
         ell=cert.ell,
         k1=cert.k1,
@@ -338,7 +358,7 @@ def test_certificate_validate_catches_corruption():
         i=cert.i,
         bound=cert.bound,
         extended_terms=cert.extended_terms,
-        prime_checks=bad_checks,
+        checks=bad_checks,
     )
     with pytest.raises(ValueError):
         bad.validate()
@@ -349,7 +369,7 @@ def test_certificate_validate_catches_corruption():
         i=cert.i + 1,
         bound=cert.bound,
         extended_terms=cert.extended_terms,
-        prime_checks=cert.prime_checks,
+        checks=cert.checks,
     )
     with pytest.raises(ValueError):
         incongruent.validate()
@@ -360,7 +380,7 @@ def _self_consistent(cert, **fields):
     other at the primes of its bound."""
     cert = cert._replace(**fields)
     primes = [p for p in primes_upto(cert.bound) if p != cert.ell]
-    return cert._replace(prime_checks=tuple((p, 0, 0) for p in primes))
+    return cert._replace(checks=tuple((p, 0, 0) for p in primes))
 
 
 def test_certificate_validate_rederives_from_series():
