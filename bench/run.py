@@ -8,13 +8,17 @@ records:
 
   - kernels_us: the per-prime costs of the Frobenius pattern check for a
     random monic f of degree n mod p, n in NS and p in PS: the _frobenius
-    set-up, given u = 1/rev(f) mod x^n reduced mod p as verify_record
-    gives it, one step of the Frobenius walk, one mulmod of two random
-    polynomials of degree below n and one _gcd of f with a random
-    polynomial of degree n - 1, in microseconds per call; and, as the cases
-    "ladder n=..,p=..", the set-up for each (n, p) in LADDER, where the
-    square and multiply ladder for x^p is a large share of it or where p
-    lies just below or above n;
+    set-up of a lane of p alone, given u = 1/rev(f) mod x^n reduced mod p
+    as verify_record gives it, one step of the Frobenius walk, one mulmod
+    of two random polynomials of degree below n and one _gcd of f with a
+    random polynomial of degree n - 1, in microseconds per call; as the
+    cases "ladder n=..,p=..", the set-up for each (n, p) in LADDER, where
+    the square and multiply ladder for x^p is a large share of it or where
+    p lies just below or above n; and, as the cases "lane k=..,ell=..,p=..",
+    the set-up and pattern check of the record LANE_RECORD for each run of
+    primes of LANES, as one lane ("lane_us") and as one lane per prime
+    ("one_prime_lanes_us"), in a tree that has lanes.  A tree from before
+    lanes takes the prime itself where a later one takes the lane (p,);
   - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
     of CLI_CALLS, with warm series caches and stdout captured;
   - verify_us_per_prime: verify_record over the six bundled records at
@@ -81,6 +85,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import random
@@ -99,6 +104,9 @@ PS = (31, 97, 997, 9973)
 #: (n, p) of the set-up cases that time the x^p ladder: p just below and
 #: just above n = 24, and large p at small n, where the ladder is most of it
 LADDER = ((24, 23), (24, 29), (12, 876706517), (4, 2**61 - 1))
+#: the record and the runs of consecutive primes of the lane cases
+LANE_RECORD = (26, 23)
+LANES = ((29, 31, 37, 41), (83, 89, 97), (401, 409, 419), (997, 1009))
 REPEATS = 5
 PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
@@ -159,9 +167,15 @@ def _per_call_us(call):
     return statistics.median(samples)
 
 
+def _one_prime(polyverify, p):
+    """What the tree's _frobenius takes for the prime p alone: the lane (p,),
+    or p itself in a tree from before lanes."""
+    return (p,) if hasattr(polyverify, "_lanes") else p
+
+
 def kernels():
     """Per-prime kernel times of the thetatwist on sys.path, as a dict."""
-    from thetatwist import polyverify
+    from thetatwist import bundled_record, delta_k, polyverify
 
     rng = random.Random(9)
     out = {}
@@ -174,9 +188,10 @@ def kernels():
             factors = random.Random(n * p)
             a, b = ([factors.randrange(p) for _ in range(n)] for _ in range(2))
             u = [c % p for c in polyverify._rev_inverse(f)]
-            frobenius, mulmod = polyverify._frobenius(f, p, u)[1:3]
+            lane = _one_prime(polyverify, p)
+            frobenius, mulmod = polyverify._frobenius(f, lane, u)[1:3]
             out[f"n={n},p={p}"] = {
-                "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p, u)),
+                "setup_us": _per_call_us(lambda: polyverify._frobenius(f, lane, u)),
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
                 "mulmod_us": _per_call_us(lambda: mulmod(a, b)),
                 "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
@@ -184,8 +199,29 @@ def kernels():
     for n, p in LADDER:
         f = [rng.randrange(p) for _ in range(n)] + [1]
         u = [c % p for c in polyverify._rev_inverse(f)]
+        lane = _one_prime(polyverify, p)
         out[f"ladder n={n},p={p}"] = {
-            "setup_us": _per_call_us(lambda: polyverify._frobenius(f, p, u)),
+            "setup_us": _per_call_us(lambda: polyverify._frobenius(f, lane, u)),
+        }
+    if not hasattr(polyverify, "_lanes"):
+        return out
+    k, ell = LANE_RECORD
+    coeffs = bundled_record(k, ell).coeffs
+    u = polyverify._rev_inverse(coeffs)
+    series = delta_k(k, ell, max(map(max, LANES)))
+
+    def check(lane):
+        N = math.prod(lane)
+        setup = polyverify._frobenius([c % N for c in coeffs], lane, [c % N for c in u])
+        return polyverify._has_pattern(setup, lane, [polyverify._admissible_patterns(
+            series.coeff(p), pow(p, k - 1, ell), ell) for p in lane])
+
+    for lane in LANES:
+        if None in check(lane):
+            raise RuntimeError(f"lane {lane} of ({k}, {ell}) has a miss")
+        out[f"lane k={k},ell={ell},p={lane[0]}..{lane[-1]}"] = {
+            "lane_us": _per_call_us(lambda: check(lane)),
+            "one_prime_lanes_us": _per_call_us(lambda: [check((p,)) for p in lane]),
         }
     return out
 
@@ -241,7 +277,7 @@ def rev_inverse_us():
 
 def wrong_records_us():
     """The cost of the two wrong_records_us calls on the thetatwist on sys.path."""
-    from thetatwist import ProjPolyRecord, bundled_record, primes_upto, verify_record
+    from thetatwist import ProjPolyRecord, bundled_record, polyverify, primes_upto, verify_record
     from thetatwist.polyverify import _ddf, _frobenius, _rev_inverse
 
     rng = random.Random(20250811)  # tests/test_acceptance.py's mutations, in its order
@@ -266,7 +302,7 @@ def wrong_records_us():
 
     def ddf():
         for fp, p, up in polys:
-            _ddf(_frobenius(fp, p, up), p)
+            _ddf(_frobenius(fp, _one_prime(polyverify, p), up), p)
 
     return {
         f"criterion 4, {len(mutations)} mutations, pmax={MUTATION_PMAX}": {
@@ -497,6 +533,7 @@ def main(argv=None):
         "rounds": args.rounds,
         "kernel_cases": {
             "n": list(NS), "p": list(PS), "ladder": [list(c) for c in LADDER], "repeats": REPEATS,
+            "lane_record": list(LANE_RECORD), "lanes": [list(lane) for lane in LANES],
         },
         "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,

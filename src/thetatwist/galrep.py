@@ -37,11 +37,18 @@ class ScreeningReport(
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of to_json_dict; refuses what misfits the layout (qseries._read)."""
-        return cls(**_read(cls, d, {
+        """Inverse of to_json_dict; refuses what misfits the layout (qseries._read),
+        and a reducible_candidate or verdict other than reducible_j and the flags give."""
+        report = cls(**_read(cls, d, {
             "k": int, "ell": int, "bound": int, "reducible_candidate": bool,
             "reducible_j": (None, int), "dihedral_candidate": bool, "small_image_candidate": bool,
             "verdict": ("likely unexceptional", "possibly exceptional")}))
+        flags = report.reducible_candidate, report.dihedral_candidate, report.small_image_candidate
+        if flags[0] != (report.reducible_j is not None) or report.verdict != (
+                "possibly exceptional" if any(flags) else "likely unexceptional"):
+            raise ValueError("ScreeningReport.reducible_candidate or verdict disagrees with"
+                             " reducible_j and the three flags")
+        return report
 
 
 _SMALL_PRIMES = primes_upto(31)

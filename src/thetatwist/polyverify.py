@@ -18,11 +18,16 @@ distinct-degree factorization, run, to tell a FAIL from a reduction that
 is not squarefree.  Both report a miss as None: _has_pattern when no
 predicted pattern holds, _ddf for a reduction that is not squarefree,
 which is skipped as ramified, as p = ell always is.
-Both share one set-up per prime: _frobenius builds the Frobenius map as a
-linear operator on packed integer rows (polyarith), with slot-wise Barrett
-reduction mod p.  verify_record takes monic records of degree ell + 1 only,
-as the labelled parse_poly does, and computes the u = 1/rev(f) mod x^n of
-that reduction mod f once over Z, reducing it mod each p.
+Both run on a set-up of _frobenius, the Frobenius map as a linear operator
+on packed integer rows (polyarith) with slot-wise Barrett reduction mod N,
+N the product of a lane of primes: (Z/N)[x]/f is by CRT one F_p[x]/f per
+p, so one step serves them all, and CRT idempotents select the copies
+that a step treats apart.  verify_record groups its primes greedily into
+lanes while barrett's slots for N stay native, 8 bytes at most (_lanes),
+and a prime the check misses gets a lane of its own for _ddf.
+verify_record takes monic records of degree ell + 1 only, as the labelled
+parse_poly does, and computes the u = 1/rev(f) mod x^n of that reduction
+mod f once over Z, reducing it mod each N.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  A report is its outcomes, one
@@ -41,6 +46,7 @@ the record mod p itself and calls the private kernels on coefficient lists.
 import os
 import re
 from collections import Counter, namedtuple
+from math import prod
 from operator import mul as _imul
 
 from . import polyarith
@@ -213,46 +219,49 @@ def _rev_inverse(f):
     return u
 
 
-def _frobenius(f, p, u):
-    """(f, frobenius, mulmod, trace): the Frobenius map of a monic f mod p.
+def _frobenius(f, lane, u):
+    """(f, frobenius, mulmod, trace, idempotents): the Frobenius map of a
+    monic f mod N, N the product of lane, a tuple of distinct primes.
 
-    f is a monic coefficient list of degree n >= 2 with entries in [0, p),
-    p a prime that is not checked (verify_record took it from a sieve), and
-    u is _rev_inverse(f) reduced mod p, which verify_record computes once
-    per record over Z.  One set-up serves both _has_pattern and _ddf at a
-    prime.  frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f take
-    and return coefficient lists of length n with entries in [0, p), and
-    trace is the trace of the Frobenius matrix Q mod p: the sum over i < n
-    of the coefficient of x^i in x^(i*p) mod f, slot i of row i, read off
-    the reduced rows with one shift and one mask each.  It is the number of
-    distinct roots of f in F_p, mod p (see _has_pattern).  The maps
+    The primes are not checked (verify_record took them from a sieve); f is
+    a monic coefficient list of degree n >= 2 with entries in [0, N), and u
+    is _rev_inverse(f) reduced mod N, which verify_record computes once per
+    record over Z.  Mod each p of lane, frobenius(h) = h^p mod f and
+    mulmod(a, b) = a * b mod f, on coefficient lists of length n with
+    entries in [0, N); trace is the trace of the Frobenius matrix Q: the
+    sum over i < n of the coefficient of x^i in x^(i*p) mod f, slot i of
+    row i, read off the reduced rows with one shift and one mask each, the
+    number of distinct roots of f in F_p, mod p (see _has_pattern); and
+    the idempotent of p is 1 mod p and 0 mod the other primes.  The maps
     work on packed ints (polyarith) with the slot width of polyarith.barrett
-    for slots up to bound = n(p - 1)^2 + p - 1.  x^p, its squarings and the
+    for slots up to bound = n(N - 1)^2 + N - 1.  x^p, its squarings and the
     Frobenius rows x^(i*p) mod f, i < n, stay packed from first to last,
     reduced mod f through the quotient.  The square and multiply ladder for
-    x^p starts at x^e, e the longest binary prefix of p below n: that power
-    is one slot and needs no reduction, so the squarings that stay below
-    degree n cost nothing, and for p < n none is left.  A product
-    c = L + x^n H of at most 2n slots has every slot reduced mod p at once
+    x^p starts at x^(p >> r), r the least shift that takes every p below n:
+    that power is one slot and needs no reduction, so the squarings that
+    stay below degree n cost nothing, and for p < n none is left.  A step
+    multiplies by x the copies whose p has its bit, c + e_S (x c - c), e_S
+    their idempotent (0 or 1 for one prime).  A product
+    c = L + x^n H of at most 2n slots has every slot reduced mod N at once
     (Barrett); then the quotient Q of c by f is the top n slots of
     H * rev(u), where u holds the first n terms of x^n / f in powers of
-    1/x, and c mod f is L + Q * (-f_low mod p) truncated to n slots.
-    Each of these products has n or fewer terms of (p - 1)^2 per slot, so
+    1/x, and c mod f is L + Q * (-f_low mod N) truncated to n slots.
+    Each of these products has n or fewer terms of (N - 1)^2 per slot, so
     every slot stays within bound.  The Frobenius map is one sum over the
     packed rows, sum(map(mul, h, rows)).  Its result and mulmod's are
-    reduced mod p slot-wise by the same Barrett reduction and read out as
-    they stand (polyarith.slots), with no % p per coefficient.
+    reduced mod N slot-wise by the same Barrett reduction and read out as
+    they stand (polyarith.slots), with no % N per coefficient.
     """
-    n = len(f) - 1
-    width, reduce = polyarith.barrett(p, n * (p - 1) ** 2 + p - 1, 2 * n)
+    n, N = len(f) - 1, prod(lane)
+    width, reduce = polyarith.barrett(N, n * (N - 1) ** 2 + N - 1, 2 * n)
     bits = 8 * width
     pack, slots = polyarith.pack, polyarith.slots
     u_rev = pack(u[::-1], width)
-    f_neg = pack([-c % p for c in f[:n]], width)
+    f_neg = pack([-c % N for c in f[:n]], width)
     top, middle = n * bits, (n - 1) * bits
     low = (1 << top) - 1
 
-    def remainder(c):  # a packed c mod f, slots within bound, not reduced mod p
+    def remainder(c):  # a packed c mod f, slots within bound, not reduced mod N
         c = reduce(c)
         q = reduce((c >> top) * u_rev >> middle)
         return (c & low) + (q * f_neg & low)
@@ -263,21 +272,25 @@ def _frobenius(f, p, u):
     def frobenius(h):
         return slots(reduce(sum(map(_imul, h, rows))), width, n)
 
-    e = p  # x^p mod f by square and multiply from x^e, x = one slot up
-    while e >= n:
-        e >>= 1
-    xp = 1 << e * bits
-    for bit in bin(p)[2 + e.bit_length() :]:
+    r = (max(lane) // n).bit_length()  # the least r with p >> r < n for every p
+    idempotents = [N // p * pow(N // p, -1, p) for p in lane]
+    copies = list(zip(idempotents, lane))
+    xp = reduce(sum(e << (p >> r) * bits for e, p in copies))  # x = one slot up
+    for i in reversed(range(r)):
+        e = sum(e for e, p in copies if p >> i & 1) % N
         xp *= xp
-        if bit == "1":
+        if e == 1:
             xp <<= bits
+        elif e:
+            xp = reduce(xp)
+            xp = (xp << bits) * e + xp * (N + 1 - e)
         xp = reduce(remainder(xp))
     rows = [1, xp]
     for _ in range(n - 2):
         rows.append(reduce(remainder(rows[-1] * xp)))
     mask = (1 << bits) - 1
-    trace = sum(row >> i * bits & mask for i, row in enumerate(rows)) % p
-    return f, frobenius, mulmod, trace
+    trace = sum(row >> i * bits & mask for i, row in enumerate(rows)) % N
+    return f, frobenius, mulmod, trace, idempotents
 
 
 def _ddf(setup, p):
@@ -316,15 +329,14 @@ def _ddf(setup, p):
     return tuple(out)  # ascending: the remainder's degree is at least d
 
 
-def _has_pattern(setup, p, *patterns):
-    """The first of patterns that equals _ddf(setup, p), or None if none does.
+def _has_pattern(setup, lane, candidates):
+    """Per p of lane, the one of its candidates that equals _ddf at p, or None.
 
-    Each pattern is a sorted tuple {1^a, L^b}: a ones and b copies of one
-    degree L (every pattern _admissible_patterns returns has this form).
-    A non-squarefree f has no pattern, so None is returned for it.  setup is
-    _frobenius(f, p, u) of a monic f of degree at least 2, one Frobenius
-    set-up that serves all the patterns and the _ddf that verify_record
-    runs on a miss.  Checking a known pattern needs no
+    setup is _frobenius(f, lane, u) of a monic f of degree at least 2, and
+    candidates holds per prime a tuple of patterns that differ in a: each
+    a sorted tuple {1^a, L^b}, a ones and b copies of one degree L, as
+    _admissible_patterns returns them.  A non-squarefree f has no pattern,
+    so None is returned for it.  Checking a known pattern needs no
     factorization (Rabin's irreducibility test is the case a = 0, b = 1).
 
     The trace lemma: the trace t of the Frobenius matrix Q (setup's trace)
@@ -356,28 +368,40 @@ def _has_pattern(setup, p, *patterns):
     Either way the n - a degrees left are all L, b of them, and a check
     runs at most one gcd.  Conversely f with pattern {1^a, L^b} passes
     every step.
+    In a lane, step 3 multiplies 1 + e_S (h_m - x - 1), e_S the idempotent
+    of the primes that take that m, so that mod p it is p's own product.
     """
-    work, frobenius, mulmod, trace = setup
-    n = len(work) - 1
+    work, frobenius, mulmod, trace, idempotents = setup
+    n, N = len(work) - 1, prod(lane)
     x = [0, 1] + [0] * (n - 2)
-    roots = trace or (p if work[0] == 0 else 0)  # N_1, the distinct roots in F_p
-    for pattern in patterns:
-        a, top = pattern.count(1), pattern[-1]
-        if roots != a:
-            continue
-        steps = {top // q for q in factorize(top)} - {1}
-        h, product = x, None
-        for d in range(1, top + 1):
-            h = frobenius(h)
-            if d in steps:
-                u = list(h)
-                u[1] = (u[1] - 1) % p
-                product = u if product is None else mulmod(product, u)
-        if h != x:
-            continue
-        if product is None or len(_gcd(work, product, p)) - 1 == a:
-            return pattern
-    return None
+    trying, steps, select = {}, {}, {}  # per j: pattern, m = L/q; per m: e_S
+    for j, (p, patterns, e) in enumerate(zip(lane, candidates, idempotents)):
+        roots = trace % p or (p if work[0] % p == 0 else 0)  # N_1, the distinct roots in F_p
+        for pattern in patterns:
+            if pattern.count(1) == roots:
+                trying[j], top = pattern, pattern[-1]
+                steps[j] = {top // q for q in factorize(top)} - {1}
+                for m in steps[j]:
+                    select[m] = (select.get(m, 0) + e) % N
+    h, product = [x], None  # h[d] = h_d
+    for d in range(1, max((pattern[-1] for pattern in trying.values()), default=0) + 1):
+        h.append(frobenius(h[-1]))
+        e = select.get(d)
+        if e:
+            u = list(h[d]) if e == 1 else [e * c % N for c in h[d]]
+            u[0], u[1] = (u[0] + 1 - e) % N, (u[1] - e) % N
+            product = u if product is None else mulmod(product, u)
+
+    def mod(a, p):  # a mod p, which a lane of p alone holds already
+        return a if p == N else [c % p for c in a]
+
+    found = [None] * len(lane)
+    for j, pattern in trying.items():
+        p = lane[j]
+        if mod(h[pattern[-1]], p) == x and (not steps[j] or len(
+                _gcd(mod(work, p), mod(product, p), p)) - 1 == pattern.count(1)):
+            found[j] = pattern
+    return found
 
 
 class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes counts failures")):
@@ -385,7 +409,7 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
 
     outcomes holds (p, status, observed, predicted) per prime.  counts, the
     number of primes per status under the status's count key, and failures,
-    the FAIL primes in order, are read off the outcomes by verify_record.
+    the FAIL primes in order, are read off the outcomes (_tally).
     """
 
     __slots__ = ()
@@ -404,12 +428,23 @@ class VerificationReport(namedtuple("VerificationReport", "k ell pmax outcomes c
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of to_json_dict, a document without outcomes read as ();
-        refuses what misfits the layout (qseries._read)."""
+        refuses what misfits the layout (qseries._read), and a document
+        whose counts or failures are not those its outcomes give."""
         pattern = [int, ...]
         outcome = [int, tuple(_COUNT_KEYS), (pattern, None), (pattern, [pattern, pattern], None)]
         layout = {"k": int, "ell": int, "pmax": int, "outcomes": [outcome, ...],
                   "counts": dict.fromkeys(_COUNT_KEYS.values(), int), "failures": [int, ...]}
-        return cls(**_read(cls, d, layout, outcomes=[]))
+        report = cls(**_read(cls, d, layout, outcomes=[]))
+        if "outcomes" in d and _tally(report.outcomes) != (report.counts, report.failures):
+            raise ValueError("VerificationReport counts and failures disagree with its outcomes")
+        return report
+
+
+def _tally(outcomes):
+    """(counts, failures) of a report, read off its outcomes."""
+    tally = Counter(status for _, status, _, _ in outcomes)
+    counts = {key: tally[status] for status, key in _COUNT_KEYS.items()}
+    return counts, tuple(p for p, status, _, _ in outcomes if status == FAIL)
 
 
 def _admissible_patterns(t, d, ell):
@@ -440,21 +475,22 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     For each unramified prime the observed distinct-degree multiset must be
     one of _admissible_patterns(a_p, p^(k-1), ell): the predicted cycle
     type, or either of the pair for a zero discriminant, which passes as
-    ambiguous.  The prediction is checked first with _has_pattern, all-fixed
-    before (1, ell) for the pair; when it holds, it is the observed pattern.
-    Only otherwise does _ddf run, on the same _frobenius set-up, to report
-    the observed pattern of a FAIL; its None, a reduction that is not
+    ambiguous.  The prediction is checked first with _has_pattern, on the
+    set-up of a lane (_lanes); when it holds, it is the observed pattern.
+    Only otherwise does _ddf run, on the set-up of the prime alone, to
+    report the observed pattern of a FAIL; its None, a reduction that is not
     squarefree, skips the prime as ramified.  Each prime appends one
     (p, status, observed, predicted), FAIL when observed is not a predicted
     pattern; the counts per status and the FAIL primes are read off the
-    outcomes after the scan.  With fail_fast the scan stops at the first
-    FAIL, which is enough for mutation testing.  Each p comes from
-    primes_upto's sieve, so the record is reduced mod p here, with no
+    outcomes after the scan (_tally).  With fail_fast every lane is one
+    prime and the scan stops at the first FAIL, which is enough for
+    mutation testing.  Each p comes from primes_upto's sieve, so the record
+    is reduced mod each lane's product N here, with no
     primality test.  After the label checks ell is proved prime
     (check_prime), and a record not monic of degree ell + 1 raises the
     labelled parse_poly's ValueError (_check_shape), both before any series
     is built; so every reduction keeps that degree and u = 1/rev(f) mod x^n
-    is computed once, over Z, and reduced mod p for each set-up.  The a_p
+    is computed once, over Z, and reduced mod N for each set-up.  The a_p
     come from delta_k(k, ell, pmax).  Raises ValueError too when no prime
     was compared, since an empty scan would otherwise read consistent.
     """
@@ -464,36 +500,58 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
         raise ValueError("record label disagrees with requested k")
     check_prime(ell)
     _check_shape(record.coeffs, ell)
+    coeffs, u = record.coeffs, _rev_inverse(record.coeffs)
     f = delta_k(k, ell, pmax)
-    u = _rev_inverse(record.coeffs)
-    outcomes = []
-    for p in primes_upto(pmax):
-        if p == ell:
-            outcomes.append((p, SKIPPED_ELL, None, None))
-            continue
-        candidates = _admissible_patterns(f.coeff(p), pow(p, k - 1, ell), ell)
-        predicted = candidates if len(candidates) > 1 else candidates[0]
-        setup = _frobenius([c % p for c in record.coeffs], p, [c % p for c in u])
-        observed = _has_pattern(setup, p, *candidates) or _ddf(setup, p)
-        if observed is None:
-            outcomes.append((p, SKIPPED_RAMIFIED, None, None))
-            continue
-        if observed not in candidates:
-            status = FAIL
-        else:
-            status = AMBIGUOUS_PASS if len(candidates) > 1 else MATCH
-        outcomes.append((p, status, observed, predicted))
-        if fail_fast and status == FAIL:
+
+    def setup(lane):
+        N = prod(lane)
+        return _frobenius([c % N for c in coeffs], lane, [c % N for c in u])
+
+    tested = [p for p in primes_upto(pmax) if p != ell]
+    outcomes, stop = [], pmax
+    for lane in ((p,) for p in tested) if fail_fast else _lanes(tested, ell + 1):
+        candidates = [_admissible_patterns(f.coeff(p), pow(p, k - 1, ell), ell) for p in lane]
+        lane_setup = setup(lane)
+        found = _has_pattern(lane_setup, lane, candidates)
+        for p, patterns, observed in zip(lane, candidates, found):
+            if observed is None:
+                observed = _ddf(lane_setup if len(lane) == 1 else setup((p,)), p)
+            if observed is None:
+                outcomes.append((p, SKIPPED_RAMIFIED, None, None))
+                continue
+            if observed not in patterns:
+                status = FAIL
+            else:
+                status = AMBIGUOUS_PASS if len(patterns) > 1 else MATCH
+            outcomes.append((p, status, observed, patterns if len(patterns) > 1 else patterns[0]))
+        if fail_fast and outcomes[-1][1] == FAIL:
+            stop = lane[0]
             break
-    tally = Counter(status for _, status, _, _ in outcomes)
-    counts = {key: tally[status] for status, key in _COUNT_KEYS.items()}
+    if ell <= stop:
+        outcomes.append((ell, SKIPPED_ELL, None, None))
+        outcomes.sort()
+    counts, failures = _tally(outcomes)
     if counts["match"] + counts["ambiguous_pass"] + counts["fail"] == 0:
         raise ValueError(
             f"no prime p <= {pmax} could be checked "
             f"({counts['skipped_ramified']} ramified, {counts['skipped_ell']} ell skip)"
         )
-    failures = tuple(p for p, status, _, _ in outcomes if status == FAIL)
     return VerificationReport(k, ell, pmax, tuple(outcomes), counts, failures)
+
+
+def _lanes(primes, n):
+    """The primes in greedy runs of consecutive ones, each as long as the
+    slots of polyarith.barrett for its product N at degree n, which hold
+    n (N - 1)^2 + N - 1 and 9 N^2, stay native (8 bytes at most)."""
+    lanes = []
+    for p in primes:
+        N = prod(lanes[-1], start=p) if lanes else p
+        bound = max(n * (N - 1) ** 2 + N - 1, 9 * N * N)
+        if lanes and polyarith.slot_width(bound) in polyarith._CODES:
+            lanes[-1] += (p,)
+        else:
+            lanes.append((p,))
+    return lanes
 
 
 def data_path(k, ell, data_dir=None):

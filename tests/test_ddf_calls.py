@@ -2,17 +2,19 @@
 
 Each prime's predicted pattern is checked directly, and the DDF, the only
 factorization path, runs just where that check fails: at the primes skipped
-as ramified and at the primes that FAIL.  verify_record reaches it through
-_ddf, which takes the Frobenius set-up of the pattern check, so each tested
-prime builds exactly one set-up.  The trace of the Frobenius matrix and
-f(0) give the exact number of roots in F_p at every prime, so the pattern
-check runs at most one gcd, and none at all where the predicted degree L
-is 1 or prime.  On a correct record every DDF call ends
-at its squarefree test, so the degree loop runs only at FAIL primes.
-The polyverify module bindings of _ddf, _frobenius, _has_pattern and _gcd
-are wrapped, since verify_record and _has_pattern look them up there.  tables verifies each projective representation once: the (26, 13)
-record, which twists to the same delta_12 mod 13 as (16, 13) and has the
-same coefficients, gets the (16, 13) report relabelled.
+as ramified and at the primes that FAIL.  The check runs on lanes, runs of
+consecutive primes that share one Frobenius set-up mod their product; a
+prime it misses gets a set-up of its own, which _ddf takes, so a scan
+builds one set-up per lane and one per miss in a lane of several primes.
+The trace of the Frobenius matrix and f(0) give the exact number of roots
+in F_p at every prime, so the pattern check runs at most one gcd per prime,
+and none at all where the predicted degree L is 1 or prime.  On a correct
+record every DDF call ends at its squarefree test, so the degree loop runs
+only at FAIL primes.  The polyverify module bindings of _ddf, _frobenius,
+_has_pattern and _gcd are wrapped, since verify_record and _has_pattern
+look them up there.  tables verifies each projective representation once:
+the (26, 13) record, which twists to the same delta_12 mod 13 as (16, 13)
+and has the same coefficients, gets the (16, 13) report relabelled.
 """
 
 import json
@@ -60,9 +62,9 @@ def setup_calls(monkeypatch):
     calls = []
     frobenius = polyverify._frobenius
 
-    def counted(f, p, u):
-        calls.append(p)
-        return frobenius(f, p, u)
+    def counted(f, lane, u):
+        calls.append(lane)
+        return frobenius(f, lane, u)
 
     monkeypatch.setattr(polyverify, "_frobenius", counted)
     return calls
@@ -100,28 +102,47 @@ def _tested(rep):
     return [p for p, status, _, _ in rep.outcomes if status != "skipped-ell"]
 
 
-def test_one_setup_per_tested_prime_on_bundled_records(setup_calls):
+def _lanes_and_misses(rep, n):
+    """The set-ups verify_record builds for rep: each lane, then a lane of
+    one prime for each prime of it that reached _ddf, when it has several."""
+    fallback = {p for p, status, _, _ in rep.outcomes if status in FALLBACK}
+    expected = []
+    for lane in polyverify._lanes(_tested(rep), n):
+        expected.append(lane)
+        expected += [(p,) for p in lane if p in fallback and len(lane) > 1]
+    return expected
+
+
+def test_one_setup_per_lane_and_miss_on_bundled_records(setup_calls):
     for k, ell in BUNDLED_LABELS:
         setup_calls.clear()
         rep = verify_record(bundled_record(k, ell), k, ell, 1000)
-        assert setup_calls == _tested(rep), (k, ell)
+        assert setup_calls == _lanes_and_misses(rep, ell + 1), (k, ell)
 
 
-def test_one_setup_per_tested_prime_on_a_mutated_record(setup_calls, ddf_calls):
+def test_one_setup_per_lane_and_miss_on_a_mutated_record(setup_calls, ddf_calls):
     coeffs = list(bundled_record(26, 23).coeffs)
     coeffs[3] += 1
     rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200)
     assert rep.counts["fail"] >= 10
-    # the FAIL primes reach the DDF, which reuses the pattern check's set-up
-    assert setup_calls == _tested(rep)
+    # each FAIL prime reaches the DDF on a set-up of its own
+    assert setup_calls == _lanes_and_misses(rep, 24)
     assert set(ddf_calls) >= set(rep.failures)
+    # with fail_fast every lane holds one prime, whose set-up the DDF reuses
+    setup_calls.clear()
+    rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200, fail_fast=True)
+    assert setup_calls == [(p,) for p in _tested(rep)] and rep.failures == (rep.outcomes[-1][0],)
 
 
-def test_tables_builds_one_setup_per_prime_of_five_representations(setup_calls, capsys):
+def test_tables_builds_one_setup_per_lane_and_miss_of_five_representations(
+        setup_calls, ddf_calls, capsys):
     assert cli.main(["tables"]) == 0
     capsys.readouterr()
-    # six records would build 1002; the (26, 13) scan is the (16, 13) one
-    assert len(setup_calls) == 835
+    # one set-up per tested prime would be 835 for five records (1002 for
+    # six: the (26, 13) scan is the (16, 13) one); lanes make it 256, and
+    # each of the 7 ramified skips adds one
+    assert len(ddf_calls) == 7
+    assert len(setup_calls) == 256 + 7
 
 
 def test_tables_transports_the_report_it_would_compute(capsys):
@@ -134,22 +155,24 @@ def test_tables_transports_the_report_it_would_compute(capsys):
 
 @pytest.fixture
 def pattern_checks(monkeypatch):
-    """Per _has_pattern call: [p, deg f, the patterns' degrees L, _gcd calls]."""
-    checks, active = [], []
+    """Per prime of each _has_pattern call: [p, deg f, the patterns' degrees
+    L, _gcd calls at p]."""
+    checks, active = [], {}
     has_pattern, gcd = polyverify._has_pattern, polyverify._gcd
 
-    def tracked(setup, p, *patterns):
-        active.append([p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0])
-        checks.append(active[-1])
+    def tracked(setup, lane, candidates):
+        for p, patterns in zip(lane, candidates):
+            active[p] = [p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0]
+            checks.append(active[p])
         try:
-            return has_pattern(setup, p, *patterns)
+            return has_pattern(setup, lane, candidates)
         finally:
-            active.pop()
+            active.clear()
 
-    def counted(*args):
+    def counted(a, b, p):
         if active:  # the DDF fallback's calls are not counted
-            active[-1][3] += 1
-        return gcd(*args)
+            active[p][3] += 1
+        return gcd(a, b, p)
 
     monkeypatch.setattr(polyverify, "_has_pattern", tracked)
     monkeypatch.setattr(polyverify, "_gcd", counted)

@@ -34,8 +34,9 @@ def reduced(coeffs, p):
 
 
 def setup_of(f, p):
-    """_frobenius of a monic f mod p, with u as verify_record passes it."""
-    return _frobenius(f, p, [c % p for c in _rev_inverse(f)])
+    """_frobenius of a monic f mod p, a lane of one prime, with u as
+    verify_record passes it."""
+    return _frobenius(f, (p,), [c % p for c in _rev_inverse(f)])
 
 
 def ddf(f, p):
@@ -164,7 +165,10 @@ def test_ddf_planted_block_shapes(p, degrees):
 
 
 def has_pattern(f, p, *patterns):
-    return _has_pattern(setup_of(f, p), p, *patterns)
+    """The first of patterns that _has_pattern finds in f mod p, each
+    checked on its own, as two of them may share their number of ones."""
+    setup = setup_of(f, p)
+    return next((pt for pt in patterns if _has_pattern(setup, (p,), [(pt,)])[0]), None)
 
 
 @settings(max_examples=200, deadline=None)

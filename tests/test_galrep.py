@@ -143,6 +143,25 @@ def test_screening_report_from_json_refuses_a_wrong_typed_value(edit):
         ScreeningReport.from_json_dict({**doc, **edit})
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"reducible_candidate": True},
+        {"reducible_j": 0},
+        {"verdict": "possibly exceptional"},
+        {"dihedral_candidate": True},
+        {"reducible_candidate": True, "reducible_j": 0},
+    ],
+    ids=["reducible-flag", "reducible-j", "verdict", "dihedral-flag", "reducible-both"],
+)
+def test_screening_report_from_json_refuses_a_verdict_its_flags_do_not_give(edit):
+    # each was accepted, "likely unexceptional" with a flag set among them
+    doc = screen_exceptional(16, 13, 100).to_json_dict()
+    assert doc["verdict"] == "likely unexceptional" and doc["reducible_j"] is None
+    with pytest.raises(ValueError, match="ScreeningReport.reducible_candidate or verdict disagrees"):
+        ScreeningReport.from_json_dict({**doc, **edit})
+
+
 def test_screening_report_from_json_keeps_a_reducible_j():
     rep = screen_exceptional(12, 691, 50)
     assert rep.reducible_j == 0

@@ -32,8 +32,9 @@ import oracles
 
 
 def _setup(f, p):
-    """_frobenius of a monic f mod p, with u as verify_record passes it."""
-    return _frobenius(f, p, [c % p for c in _rev_inverse(f)])
+    """_frobenius of a monic f mod p, a lane of one prime, with u as
+    verify_record passes it."""
+    return _frobenius(f, (p,), [c % p for c in _rev_inverse(f)])
 
 
 def _monic(f, p):
@@ -312,7 +313,8 @@ def _matches_trial_division(f, p):
     setup = _setup(f, p)
     assert _ddf(setup, p) == expected, (p, f)  # None for a non-squarefree f
     for pattern in oracles.degree_patterns(len(f) - 1):
-        assert (_has_pattern(setup, p, pattern) == pattern) == (pattern == expected), (p, f, pattern)
+        found = _has_pattern(setup, (p,), [(pattern,)])
+        assert (found == [pattern]) == (pattern == expected), (p, f, pattern)
     return expected
 
 
@@ -562,6 +564,24 @@ def test_verification_report_json_roundtrip():
 @pytest.mark.parametrize(
     "edit",
     [
+        lambda doc: {**doc, "outcomes": [
+            [7, "FAIL", [12], [1, 1, 10]] if o[0] == 7 else o for o in doc["outcomes"]]},
+        lambda doc: {**doc, "failures": [7]},
+        lambda doc: {**doc, "counts": {**doc["counts"], "match": doc["counts"]["match"] + 1}},
+    ],
+    ids=["outcome-fail", "failures", "counts"],
+)
+def test_verification_report_from_json_refuses_counts_its_outcomes_do_not_give(edit):
+    # each was accepted: an edited outcome read back ok, with no failure
+    doc = json.loads(json.dumps(verify_record(bundled_record(22, 11), 22, 11, 60).to_json_dict(full=True)))
+    assert [7, "match", [1, 1, 10], [1, 1, 10]] in doc["outcomes"]
+    with pytest.raises(ValueError, match="VerificationReport counts and failures disagree with its outcomes"):
+        VerificationReport.from_json_dict(edit(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
         lambda doc: {},  # each was a TypeError
         lambda doc: {"foo": 1},
         lambda doc: [1],
@@ -703,7 +723,7 @@ def test_frobenius_setup_matches_long_division(p):
             ]
             # frobenius(x) is x^p mod f, the top of the ladder
             powers = [(h, _pow_mod(h, p, f, p)) for h in (x, a, top)]
-            work, frobenius, mulmod, got = _frobenius(f, p, u)
+            work, frobenius, mulmod, got, _ = _frobenius(f, (p,), u)
             assert work == f, (n, low)
             assert got == trace % p, (n, low)
             for g, h, expected in products:
