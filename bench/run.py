@@ -14,11 +14,17 @@ records:
     random polynomial of degree n - 1, in microseconds per call; as the
     cases "ladder n=..,p=..", the set-up for each (n, p) in LADDER, where
     the square and multiply ladder for x^p is a large share of it or where
-    p lies just below or above n; and, as the cases "lane k=..,ell=..,p=..",
+    p lies just below or above n; as the cases "lane k=..,ell=..,p=..",
     the set-up and pattern check of the record LANE_RECORD for each run of
     primes of LANES, as one lane ("lane_us") and as one lane per prime
-    ("one_prime_lanes_us"), in a tree that has lanes.  A tree from before
-    lanes takes the prime itself where a later one takes the lane (p,);
+    ("one_prime_lanes_us"), in a tree that has lanes; and, as the cases
+    "lane gcd k=..,ell=..,p=..", the step-3 gcds of that pattern check for
+    each run of GCD_LANES: the _gcd calls the lane's check makes, recorded
+    and replayed ("lane_gcd_us" where one call serves the lane,
+    "one_prime_gcds_us" where each prime has its own), and in a tree with
+    a lane kernel one call per prime on its reductions too.  A tree from
+    before lanes takes the prime itself where a later one takes the lane
+    (p,), and so does the _gcd of a tree from before the lane kernel;
   - cli_main_us: the in-process time of one `thetatwist.cli.main` call for each
     of CLI_CALLS, with warm series caches and stdout captured;
   - verify_us_per_prime: verify_record over the six bundled records at
@@ -107,6 +113,8 @@ LADDER = ((24, 23), (24, 29), (12, 876706517), (4, 2**61 - 1))
 #: the record and the runs of consecutive primes of the lane cases
 LANE_RECORD = (26, 23)
 LANES = ((29, 31, 37, 41), (83, 89, 97), (401, 409, 419), (997, 1009))
+#: the runs of LANES whose step-3 gcds the "lane gcd" cases time
+GCD_LANES = ((29, 31, 37, 41), (401, 409, 419))
 REPEATS = 5
 PROBED = Path(__file__).resolve().parent / "probed.py"
 RECORDS = ((16, 13), (20, 17), (22, 11), (22, 19), (26, 13), (26, 23))
@@ -173,6 +181,11 @@ def _one_prime(polyverify, p):
     return (p,) if hasattr(polyverify, "_lanes") else p
 
 
+def _lane_gcd(polyverify):
+    """True where the tree's _gcd takes a lane, a tuple of primes, not p."""
+    return polyverify._gcd.__code__.co_varnames[2] == "lane"
+
+
 def kernels():
     """Per-prime kernel times of the thetatwist on sys.path, as a dict."""
     from thetatwist import bundled_record, delta_k, polyverify
@@ -189,12 +202,13 @@ def kernels():
             a, b = ([factors.randrange(p) for _ in range(n)] for _ in range(2))
             u = [c % p for c in polyverify._rev_inverse(f)]
             lane = _one_prime(polyverify, p)
+            gcd_lane = (p,) if _lane_gcd(polyverify) else p
             frobenius, mulmod = polyverify._frobenius(f, lane, u)[1:3]
             out[f"n={n},p={p}"] = {
                 "setup_us": _per_call_us(lambda: polyverify._frobenius(f, lane, u)),
                 "walk_step_us": _per_call_us(lambda: frobenius(h)),
                 "mulmod_us": _per_call_us(lambda: mulmod(a, b)),
-                "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, p)),
+                "gcd_us": _per_call_us(lambda: polyverify._gcd(f, h, gcd_lane)),
             }
     for n, p in LADDER:
         f = [rng.randrange(p) for _ in range(n)] + [1]
@@ -223,6 +237,27 @@ def kernels():
             "lane_us": _per_call_us(lambda: check(lane)),
             "one_prime_lanes_us": _per_call_us(lambda: [check((p,)) for p in lane]),
         }
+    gcd = polyverify._gcd
+    for lane in GCD_LANES:
+        calls = []
+
+        def recorded(a, b, primes):
+            calls.append((list(a), list(b), primes))
+            return gcd(a, b, primes)
+
+        polyverify._gcd = recorded  # _has_pattern looks _gcd up in its module
+        try:
+            check(lane)
+        finally:
+            polyverify._gcd = gcd
+        if _lane_gcd(polyverify):
+            alone = [([c % p for c in a], [c % p for c in b], (p,))
+                     for a, b, primes in calls for p in primes]
+            times = {"lane_gcd_us": _per_call_us(lambda: [gcd(*call) for call in calls]),
+                     "one_prime_gcds_us": _per_call_us(lambda: [gcd(*call) for call in alone])}
+        else:
+            times = {"one_prime_gcds_us": _per_call_us(lambda: [gcd(*call) for call in calls])}
+        out[f"lane gcd k={k},ell={ell},p={lane[0]}..{lane[-1]}"] = dict(times, calls=len(calls))
     return out
 
 
@@ -534,6 +569,7 @@ def main(argv=None):
         "kernel_cases": {
             "n": list(NS), "p": list(PS), "ladder": [list(c) for c in LADDER], "repeats": REPEATS,
             "lane_record": list(LANE_RECORD), "lanes": [list(lane) for lane in LANES],
+            "gcd_lanes": [list(lane) for lane in GCD_LANES],
         },
         "cli_calls": CLI_CALLS,
         "verify_pmax": VERIFY_PMAX,

@@ -23,11 +23,9 @@ on packed integer rows (polyarith) with slot-wise Barrett reduction mod N,
 N the product of a lane of primes: (Z/N)[x]/f is by CRT one F_p[x]/f per
 p, so one step serves them all, and CRT idempotents select the copies
 that a step treats apart.  verify_record groups its primes greedily into
-lanes while barrett's slots for N stay native, 8 bytes at most (_lanes),
-and a prime the check misses gets a lane of its own for _ddf.
-verify_record takes monic records of degree ell + 1 only, as the labelled
-parse_poly does, and computes the u = 1/rev(f) mod x^n of that reduction
-mod f once over Z, reducing it mod each N.
+lanes while barrett's slots for N stay native, 8 bytes at most (_lanes).
+A lane's check runs one _gcd, a lockstep Euclid mod N, and a prime it
+misses goes to _ddf, which sets up p alone only for a squarefree reduction.
 
 This is a consistency test across many primes, not a proof of correctness:
 reports say how far the scan went.  A report is its outcomes, one
@@ -46,7 +44,7 @@ the record mod p itself and calls the private kernels on coefficient lists.
 import os
 import re
 from collections import Counter, namedtuple
-from math import prod
+from math import gcd, prod
 from operator import mul as _imul
 
 from . import polyarith
@@ -157,53 +155,59 @@ def _strip(c):
     return c
 
 
-def _monic(a, p):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
+def _gcd(a, b, lane):
+    """Per p of lane, the monic gcd of a and b mod p, in lane's order.
 
-
-def _gcd(a, b, p):
-    """Monic gcd of two coefficient lists with entries in [0, p).
-
-    One loop of Euclid: a is reduced by b, gcd(a, 0) = monic(a) and
-    gcd(0, 0) = [].  The normal step, deg a = deg b + 1, takes its quotient
-    c1 x + c0 in one pass over the coefficients, r_i = a_i - c0 b_i -
-    c1 b_(i-1), instead of two shifts; c0 makes r at deg b vanish, and the
-    strip drops it.  Any other step pops one leading coefficient of a per
-    shift, in place, until deg a = deg b + 1 or deg a < deg b.
+    a and b have entries in [0, N), N the product of lane, distinct primes;
+    gcd(a, 0) = monic(a), gcd(0, 0) = [].  Euclid runs mod N, the primes in
+    lockstep, while the divisor's leading coefficient c is a unit; else the
+    lane splits at g = gcd(c, N) (dynamic evaluation, Della Dora, Dicrescenzo
+    and Duval): the primes of g drop c, the others keep it, each branch mod
+    its own product.  The normal step, deg a = deg b + 1, takes its quotient
+    c1 x + c0 in one pass, r_i = a_i - c0 b_i - c1 b_(i-1); c0 makes r at
+    deg b vanish, and the strip drops it.  Any other step pops one leading
+    coefficient of a per shift, until deg a = deg b + 1 or deg a < deg b.
     """
-    a, b = list(a), _strip(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        while len(a) > db:
-            if len(a) == db + 2:
-                up = [0, *b]  # b times x, so that up[i] = b_(i-1)
-                c1 = a[-1] * inv % p
-                c0 = (a[-2] - c1 * up[-2]) * inv % p
-                a = [(x - c0 * y - c1 * z) % p for x, y, z in zip(a, b, up)]
+    out, branches = {}, [(list(a), _strip(list(b)), lane, prod(lane))]
+    while branches:
+        a, b, primes, N = branches.pop()
+        while b:
+            try:
+                inv = pow(b[-1], -1, N)
+            except ValueError:  # split at g = gcd(c, N); c is 0 mod g, and stripped
+                g = gcd(b[-1], N)
+                for M in (g, N // g):
+                    branches.append(([x % M for x in a], _strip([x % M for x in b]),
+                                     tuple(p for p in primes if M % p == 0), M))
                 break
-            c = a.pop()
-            if c:
-                c = c * inv % p
-                s = len(a) - db
-                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return _monic(a, p)
-
-
-def _deriv(a, p):
-    return _strip([i * a[i] % p for i in range(1, len(a))])
+            db = len(b) - 1
+            while len(a) > db:
+                if len(a) == db + 2:
+                    up = [0, *b]  # b times x, so that up[i] = b_(i-1)
+                    c1 = a[-1] * inv % N
+                    c0 = (a[-2] - c1 * up[-2]) * inv % N
+                    a = [(x - c0 * y - c1 * z) % N for x, y, z in zip(a, b, up)]
+                    break
+                c = a.pop()
+                if c:
+                    c = c * inv % N
+                    s = len(a) - db
+                    a[s:] = [(x - c * y) % N for x, y in zip(a[s:], b)]
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, a
+        else:  # a is the gcd mod N, its leading coefficient a unit unless a is the input
+            for p in primes:
+                g = _strip(a if p == N else [x % p for x in a])
+                inv = pow(g[-1], -1, p) if g else 1
+                out[p] = g if inv == 1 else [x * inv % p for x in g]
+    return list(map(out.get, lane))
 
 
 def _is_squarefree(f, p):
     """True iff the nonzero coefficient list f mod the prime p is squarefree:
     gcd(f, f') = 1, a vanishing derivative handled by the gcd."""
-    return len(_gcd(f, _deriv(f, p), p)) == 1
+    return len(_gcd(f, [i * f[i] % p for i in range(1, len(f))], (p,))[0]) == 1
 
 
 def _rev_inverse(f):
@@ -220,37 +224,36 @@ def _rev_inverse(f):
 
 
 def _frobenius(f, lane, u):
-    """(f, frobenius, mulmod, trace, idempotents): the Frobenius map of a
-    monic f mod N, N the product of lane, a tuple of distinct primes.
+    """(f, frobenius, mulmod, trace, idempotents, xp, u): the Frobenius map
+    of a monic f mod N, N the product of lane, a tuple of distinct primes.
 
     The primes are not checked (verify_record took them from a sieve); f is
-    a monic coefficient list of degree n >= 2 with entries in [0, N), and u
-    is _rev_inverse(f) reduced mod N, which verify_record computes once per
-    record over Z.  Mod each p of lane, frobenius(h) = h^p mod f and
-    mulmod(a, b) = a * b mod f, on coefficient lists of length n with
-    entries in [0, N); trace is the trace of the Frobenius matrix Q: the
-    sum over i < n of the coefficient of x^i in x^(i*p) mod f, slot i of
-    row i, read off the reduced rows with one shift and one mask each, the
-    number of distinct roots of f in F_p, mod p (see _has_pattern); and
-    the idempotent of p is 1 mod p and 0 mod the other primes.  The maps
-    work on packed ints (polyarith) with the slot width of polyarith.barrett
-    for slots up to bound = n(N - 1)^2 + N - 1.  x^p, its squarings and the
-    Frobenius rows x^(i*p) mod f, i < n, stay packed from first to last,
-    reduced mod f through the quotient.  The square and multiply ladder for
-    x^p starts at x^(p >> r), r the least shift that takes every p below n:
-    that power is one slot and needs no reduction, so the squarings that
-    stay below degree n cost nothing, and for p < n none is left.  A step
-    multiplies by x the copies whose p has its bit, c + e_S (x c - c), e_S
-    their idempotent (0 or 1 for one prime).  A product
-    c = L + x^n H of at most 2n slots has every slot reduced mod N at once
-    (Barrett); then the quotient Q of c by f is the top n slots of
-    H * rev(u), where u holds the first n terms of x^n / f in powers of
-    1/x, and c mod f is L + Q * (-f_low mod N) truncated to n slots.
-    Each of these products has n or fewer terms of (N - 1)^2 per slot, so
-    every slot stays within bound.  The Frobenius map is one sum over the
-    packed rows, sum(map(mul, h, rows)).  Its result and mulmod's are
-    reduced mod N slot-wise by the same Barrett reduction and read out as
-    they stand (polyarith.slots), with no % N per coefficient.
+    monic of degree n >= 2 with entries in [0, N), and u is _rev_inverse(f)
+    mod N, which verify_record computes once per record over Z.  Mod each p
+    of lane, frobenius(h) = h^p mod f and mulmod(a, b) = a * b mod f, on
+    lists of n entries in [0, N); trace is the trace of the Frobenius matrix
+    Q, the sum over i < n of slot i of the reduced row x^(i*p) mod f (one
+    shift and one mask each), the number of distinct roots of f in F_p,
+    mod p (see _has_pattern); the idempotent of p is 1 mod p and 0 mod the
+    other primes; xp is x^p mod f, as a list; and u is returned as given.
+    The maps work on packed ints (polyarith) with the slot width of
+    polyarith.barrett for slots up to bound = n(N - 1)^2 + N - 1.  x^p, its
+    squarings and the Frobenius rows x^(i*p) mod f, i < n, stay packed from
+    first to last, reduced mod f through the quotient.  The square and
+    multiply ladder for x^p starts at x^(p >> r), r the least shift that
+    takes every p below n: that power is one slot and needs no reduction, so
+    the squarings that stay below degree n cost nothing, and for p < n none
+    is left.  A step multiplies by x the copies whose p has its bit,
+    c + e_S (x c - c), e_S their idempotent (0 or 1 for one prime).  A
+    product c = L + x^n H of at most 2n slots has every slot reduced mod N
+    at once (Barrett); then the quotient Q of c by f is the top n slots of
+    H * rev(u), where u holds the first n terms of x^n / f in powers of 1/x,
+    and c mod f is L + Q * (-f_low mod N) truncated to n slots.  Each of
+    these products has n or fewer terms of (N - 1)^2 per slot, so every slot
+    stays within bound.  The Frobenius map is one sum over the packed rows,
+    sum(map(mul, h, rows)).  Its result and mulmod's are reduced mod N
+    slot-wise by the same Barrett reduction and read out as they stand
+    (polyarith.slots), with no % N per coefficient.
     """
     n, N = len(f) - 1, prod(lane)
     width, reduce = polyarith.barrett(N, n * (N - 1) ** 2 + N - 1, 2 * n)
@@ -276,8 +279,9 @@ def _frobenius(f, lane, u):
     idempotents = [N // p * pow(N // p, -1, p) for p in lane]
     copies = list(zip(idempotents, lane))
     xp = reduce(sum(e << (p >> r) * bits for e, p in copies))  # x = one slot up
-    for i in reversed(range(r)):
-        e = sum(e for e, p in copies if p >> i & 1) % N
+    selectors = ([lane[0] >> i & 1 for i in reversed(range(r))] if len(lane) == 1 else
+                 [sum(e for e, p in copies if p >> i & 1) % N for i in reversed(range(r))])
+    for e in selectors:
         xp *= xp
         if e == 1:
             xp <<= bits
@@ -290,36 +294,36 @@ def _frobenius(f, lane, u):
         rows.append(reduce(remainder(rows[-1] * xp)))
     mask = (1 << bits) - 1
     trace = sum(row >> i * bits & mask for i, row in enumerate(rows)) % N
-    return f, frobenius, mulmod, trace, idempotents
+    return f, frobenius, mulmod, trace, idempotents, slots(xp, width, n), u
 
 
 def _ddf(setup, p):
-    """Degree multiset of the irreducible factors of a monic f, or None.
+    """Degree multiset of the irreducible factors of a monic f mod p, or None.
 
-    setup is _frobenius(f, p, u).  A non-squarefree f returns None, as a
-    miss of _has_pattern does.
+    setup is _frobenius(f, lane, u) for a lane holding p.  f mod p is tested
+    first: None if it is not squarefree, as a miss of _has_pattern; else it
+    is walked on setup, or for a longer lane on p's own set-up, built here.
     Distinct-degree factorization: a factor of degree e divides x^{p^d} - x
-    exactly when e | d.  x^{p^d} mod f is advanced by the Frobenius map
-    h -> sum h_i x^{ip}, one packed matrix-vector product per degree step
-    (von zur Gathen-Shoup).  At each d = 1, 2, ... the gcd of f with
+    exactly when e | d.  x^{p^d} mod f starts at the set-up's x^p and steps
+    by the Frobenius map h -> sum h_i x^{ip}, one packed matrix-vector
+    product (von zur Gathen-Shoup).  At each d = 1, 2, ... the gcd of f with
     x^{p^d} - x is the product of its factors of degree dividing d, so its
     degree less that of the factors counted at the e | d, e < d, is the
     degree-d part, a multiple of d; nothing is divided out.  The scan stops
     once 2d exceeds the degree not yet counted, which is then one
     irreducible factor.  Only the degrees are returned, never the factors.
     """
-    work, frobenius = setup[:2]
+    work = setup[0] if len(setup[4]) == 1 else [c % p for c in setup[0]]
     if not _is_squarefree(work, p):
         return None
-    left = len(work) - 1
-    out = []
-    h = [0, 1] + [0] * (left - 2)  # the Frobenius iterate x^{p^d} mod f, starting at x
-    d = 1
+    if len(setup[4]) > 1:
+        setup = _frobenius(work, (p,), [c % p for c in setup[6]])
+    frobenius, h = setup[1], setup[5]  # h = x^{p^d} mod f, at d = 1
+    left, out, d = len(work) - 1, [], 1
     while 2 * d <= left:
-        h = frobenius(h)
-        u = list(h)
-        u[1] = (u[1] - 1) % p
-        new = len(_gcd(work, u, p)) - 1 - sum(e for e in out if d % e == 0)
+        h = frobenius(h) if d > 1 else h
+        u = [h[0], (h[1] - 1) % p, *h[2:]]  # h - x
+        new = len(_gcd(work, u, (p,))[0]) - 1 - sum(e for e in out if d % e == 0)
         assert new % d == 0, "the degree-d part must be a multiple of d"
         out.extend([d] * (new // d))
         left -= new
@@ -367,11 +371,11 @@ def _has_pattern(setup, lane, candidates):
     prime L there is no such degree: the product is empty and no gcd runs.
     Either way the n - a degrees left are all L, b of them, and a check
     runs at most one gcd.  Conversely f with pattern {1^a, L^b} passes
-    every step.
-    In a lane, step 3 multiplies 1 + e_S (h_m - x - 1), e_S the idempotent
-    of the primes that take that m, so that mod p it is p's own product.
+    every step.  In a lane, step 3 multiplies 1 + e_S (h_m - x - 1), e_S
+    the idempotent of the primes that take that m, so mod p it is p's own
+    product, and one _gcd serves them all.  The walk starts at x^p.
     """
-    work, frobenius, mulmod, trace, idempotents = setup
+    work, frobenius, mulmod, trace, idempotents, xp, _ = setup
     n, N = len(work) - 1, prod(lane)
     x = [0, 1] + [0] * (n - 2)
     trying, steps, select = {}, {}, {}  # per j: pattern, m = L/q; per m: e_S
@@ -383,24 +387,27 @@ def _has_pattern(setup, lane, candidates):
                 steps[j] = {top // q for q in factorize(top)} - {1}
                 for m in steps[j]:
                     select[m] = (select.get(m, 0) + e) % N
-    h, product = [x], None  # h[d] = h_d
-    for d in range(1, max((pattern[-1] for pattern in trying.values()), default=0) + 1):
+    h, product = [x, xp], None  # h[d] = h_d; every m is at least 2
+    for d in range(2, max((pattern[-1] for pattern in trying.values()), default=0) + 1):
         h.append(frobenius(h[-1]))
         e = select.get(d)
         if e:
             u = list(h[d]) if e == 1 else [e * c % N for c in h[d]]
             u[0], u[1] = (u[0] + 1 - e) % N, (u[1] - e) % N
             product = u if product is None else mulmod(product, u)
-
-    def mod(a, p):  # a mod p, which a lane of p alone holds already
-        return a if p == N else [c % p for c in a]
-
     found = [None] * len(lane)
     for j, pattern in trying.items():
-        p = lane[j]
-        if mod(h[pattern[-1]], p) == x and (not steps[j] or len(
-                _gcd(mod(work, p), mod(product, p), p)) - 1 == pattern.count(1)):
+        if [c % lane[j] for c in h[pattern[-1]]] == x:
             found[j] = pattern
+    gcds = [j for j in trying if found[j] and steps[j]]
+    if gcds:
+        primes = tuple(lane[j] for j in gcds)
+        M = prod(primes)
+        if M != N:
+            work, product = [c % M for c in work], [c % M for c in product]
+        for j, g in zip(gcds, _gcd(work, product, primes)):
+            if len(g) - 1 != found[j].count(1):
+                found[j] = None
     return found
 
 
@@ -477,8 +484,8 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     type, or either of the pair for a zero discriminant, which passes as
     ambiguous.  The prediction is checked first with _has_pattern, on the
     set-up of a lane (_lanes); when it holds, it is the observed pattern.
-    Only otherwise does _ddf run, on the set-up of the prime alone, to
-    report the observed pattern of a FAIL; its None, a reduction that is not
+    Only otherwise does _ddf run, on the lane's set-up, to report the
+    observed pattern of a FAIL; its None, a reduction that is not
     squarefree, skips the prime as ramified.  Each prime appends one
     (p, status, observed, predicted), FAIL when observed is not a predicted
     pattern; the counts per status and the FAIL primes are read off the
@@ -502,27 +509,20 @@ def verify_record(record, k, ell, pmax, fail_fast=False):
     _check_shape(record.coeffs, ell)
     coeffs, u = record.coeffs, _rev_inverse(record.coeffs)
     f = delta_k(k, ell, pmax)
-
-    def setup(lane):
-        N = prod(lane)
-        return _frobenius([c % N for c in coeffs], lane, [c % N for c in u])
-
     tested = [p for p in primes_upto(pmax) if p != ell]
     outcomes, stop = [], pmax
     for lane in ((p,) for p in tested) if fail_fast else _lanes(tested, ell + 1):
         candidates = [_admissible_patterns(f.coeff(p), pow(p, k - 1, ell), ell) for p in lane]
-        lane_setup = setup(lane)
-        found = _has_pattern(lane_setup, lane, candidates)
+        N = prod(lane)
+        setup = _frobenius([c % N for c in coeffs], lane, [c % N for c in u])
+        found = _has_pattern(setup, lane, candidates)
         for p, patterns, observed in zip(lane, candidates, found):
-            if observed is None:
-                observed = _ddf(lane_setup if len(lane) == 1 else setup((p,)), p)
+            observed = observed or _ddf(setup, p)
             if observed is None:
                 outcomes.append((p, SKIPPED_RAMIFIED, None, None))
                 continue
-            if observed not in patterns:
-                status = FAIL
-            else:
-                status = AMBIGUOUS_PASS if len(patterns) > 1 else MATCH
+            status = (FAIL if observed not in patterns
+                      else AMBIGUOUS_PASS if len(patterns) > 1 else MATCH)
             outcomes.append((p, status, observed, patterns if len(patterns) > 1 else patterns[0]))
         if fail_fast and outcomes[-1][1] == FAIL:
             stop = lane[0]

@@ -3,18 +3,21 @@
 Each prime's predicted pattern is checked directly, and the DDF, the only
 factorization path, runs just where that check fails: at the primes skipped
 as ramified and at the primes that FAIL.  The check runs on lanes, runs of
-consecutive primes that share one Frobenius set-up mod their product; a
-prime it misses gets a set-up of its own, which _ddf takes, so a scan
-builds one set-up per lane and one per miss in a lane of several primes.
-The trace of the Frobenius matrix and f(0) give the exact number of roots
-in F_p at every prime, so the pattern check runs at most one gcd per prime,
-and none at all where the predicted degree L is 1 or prime.  On a correct
-record every DDF call ends at its squarefree test, so the degree loop runs
-only at FAIL primes.  The polyverify module bindings of _ddf, _frobenius,
-_has_pattern and _gcd are wrapped, since verify_record and _has_pattern
-look them up there.  tables verifies each projective representation once:
-the (26, 13) record, which twists to the same delta_12 mod 13 as (16, 13)
-and has the same coefficients, gets the (16, 13) report relabelled.
+consecutive primes that share one Frobenius set-up mod their product; _ddf
+takes a prime it misses on that set-up and tests the reduction mod p for
+squarefreeness first, building a set-up of p alone only to walk a
+squarefree one, so a scan builds one set-up per lane and one per FAIL in a
+lane of several primes.  The trace of the Frobenius matrix and f(0) give
+the exact number of roots in F_p at every prime, so the pattern check runs
+at most one gcd per prime, and none at all where the predicted degree L is
+1 or prime; the gcds of a lane's primes are one lockstep Euclid.  On a
+correct record every DDF call ends at its squarefree test, so the degree
+loop runs only at FAIL primes.  The polyverify module bindings of _ddf,
+_frobenius, _has_pattern and _gcd are wrapped, since verify_record, _ddf
+and _has_pattern look them up there.  tables verifies each projective
+representation once: the (26, 13) record, which twists to the same
+delta_12 mod 13 as (16, 13) and has the same coefficients, gets the
+(16, 13) report relabelled.
 """
 
 import json
@@ -37,23 +40,29 @@ def ddf_ends():
 
 @pytest.fixture
 def ddf_calls(monkeypatch, ddf_ends):
-    calls = []
-    ddf = polyverify._ddf
+    calls, steps = [], []
+    ddf, frobenius_setup = polyverify._ddf, polyverify._frobenius
 
-    def counted(setup, p):
-        calls.append(p)
-        steps = []
+    def counting(setup):  # setup with its Frobenius steps counted
         frobenius = setup[1]
 
         def step(h):
-            steps.append(p)
+            steps.append(1)
             return frobenius(h)
 
-        result = ddf((setup[0], step, *setup[2:]), p)
+        return (setup[0], step, *setup[2:])
+
+    def counted(setup, p):
+        calls.append(p)
+        steps.clear()
+        result = ddf(counting(setup), p)
         ddf_ends.append((result, len(steps)))
         return result
 
     monkeypatch.setattr(polyverify, "_ddf", counted)
+    # the set-up of p alone that _ddf builds for a walk counts its steps too
+    monkeypatch.setattr(polyverify, "_frobenius", lambda f, lane, u: counting(
+        frobenius_setup(f, lane, u)))
     return calls
 
 
@@ -102,31 +111,35 @@ def _tested(rep):
     return [p for p, status, _, _ in rep.outcomes if status != "skipped-ell"]
 
 
-def _lanes_and_misses(rep, n):
+def _lanes_and_fails(rep, n):
     """The set-ups verify_record builds for rep: each lane, then a lane of
-    one prime for each prime of it that reached _ddf, when it has several."""
-    fallback = {p for p, status, _, _ in rep.outcomes if status in FALLBACK}
+    one prime for each prime of it that FAILs, when it has several: the
+    squarefree misses, which _ddf walks."""
     expected = []
     for lane in polyverify._lanes(_tested(rep), n):
         expected.append(lane)
-        expected += [(p,) for p in lane if p in fallback and len(lane) > 1]
+        expected += [(p,) for p in lane if p in rep.failures and len(lane) > 1]
     return expected
 
 
-def test_one_setup_per_lane_and_miss_on_bundled_records(setup_calls):
+def test_one_setup_per_lane_and_miss_on_bundled_records(setup_calls, ddf_calls):
     for k, ell in BUNDLED_LABELS:
         setup_calls.clear()
+        ddf_calls.clear()
         rep = verify_record(bundled_record(k, ell), k, ell, 1000)
-        assert setup_calls == _lanes_and_misses(rep, ell + 1), (k, ell)
+        # the ramified skips reach _ddf but build no set-up of their own
+        assert setup_calls == _lanes_and_fails(rep, ell + 1) == polyverify._lanes(
+            _tested(rep), ell + 1), (k, ell)
+        assert len(ddf_calls) == rep.counts["skipped_ramified"], (k, ell)
 
 
 def test_one_setup_per_lane_and_miss_on_a_mutated_record(setup_calls, ddf_calls):
     coeffs = list(bundled_record(26, 23).coeffs)
     coeffs[3] += 1
     rep = verify_record(ProjPolyRecord(tuple(coeffs)), 26, 23, 200)
-    assert rep.counts["fail"] >= 10
-    # each FAIL prime reaches the DDF on a set-up of its own
-    assert setup_calls == _lanes_and_misses(rep, 24)
+    assert rep.counts["fail"] >= 10 and rep.counts["skipped_ramified"] >= 1
+    # each FAIL prime reaches the DDF and is walked on a set-up of its own
+    assert setup_calls == _lanes_and_fails(rep, 24)
     assert set(ddf_calls) >= set(rep.failures)
     # with fail_fast every lane holds one prime, whose set-up the DDF reuses
     setup_calls.clear()
@@ -140,9 +153,9 @@ def test_tables_builds_one_setup_per_lane_and_miss_of_five_representations(
     capsys.readouterr()
     # one set-up per tested prime would be 835 for five records (1002 for
     # six: the (26, 13) scan is the (16, 13) one); lanes make it 256, and
-    # each of the 7 ramified skips adds one
+    # the 7 ramified skips, which _ddf finds not squarefree, add none
     assert len(ddf_calls) == 7
-    assert len(setup_calls) == 256 + 7
+    assert len(setup_calls) == 256
 
 
 def test_tables_transports_the_report_it_would_compute(capsys):
@@ -156,23 +169,26 @@ def test_tables_transports_the_report_it_would_compute(capsys):
 @pytest.fixture
 def pattern_checks(monkeypatch):
     """Per prime of each _has_pattern call: [p, deg f, the patterns' degrees
-    L, _gcd calls at p]."""
+    L, _gcd calls that served p, _gcd calls in the check of p's lane]."""
     checks, active = [], {}
     has_pattern, gcd = polyverify._has_pattern, polyverify._gcd
 
     def tracked(setup, lane, candidates):
+        calls = [0]  # shared by the lane's primes
         for p, patterns in zip(lane, candidates):
-            active[p] = [p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0]
+            active[p] = [p, len(setup[0]) - 1, {pattern[-1] for pattern in patterns}, 0, calls]
             checks.append(active[p])
         try:
             return has_pattern(setup, lane, candidates)
         finally:
             active.clear()
 
-    def counted(a, b, p):
+    def counted(a, b, lane):
         if active:  # the DDF fallback's calls are not counted
-            active[p][3] += 1
-        return gcd(a, b, p)
+            active[lane[0]][4][0] += 1
+            for p in lane:
+                active[p][3] += 1
+        return gcd(a, b, lane)
 
     monkeypatch.setattr(polyverify, "_has_pattern", tracked)
     monkeypatch.setattr(polyverify, "_gcd", counted)
@@ -183,12 +199,13 @@ def test_pattern_check_runs_at_most_one_gcd(pattern_checks):
     for k, ell in BUNDLED_LABELS:
         verify_record(bundled_record(k, ell), k, ell, 1000)
     assert len(pattern_checks) == 1002
-    for p, n, tops, gcds in pattern_checks:
+    for p, n, tops, gcds, (lane_gcds,) in pattern_checks:
         # at most the gcd G of step 3, at every p, and none where every L
-        # is 1 or prime
-        assert gcds <= 1, (p, n, tops)
+        # is 1 or prime; one Euclid serves every prime of a lane
+        assert gcds <= lane_gcds <= 1, (p, n, tops)
         if all(top == 1 or is_prime(top) for top in tops):
             assert gcds == 0, (p, n, tops)
     # without the exact root count there would be 993 of G and 993 of the
-    # divisibility test gcd(x^p - x, G) == G
+    # divisibility test gcd(x^p - x, G) == G; the 656 G run as 294 lane calls
     assert sum(check[3] for check in pattern_checks) == 656
+    assert sum({id(check[4]): check[4][0] for check in pattern_checks}.values()) == 294

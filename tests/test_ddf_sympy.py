@@ -100,8 +100,8 @@ def test_poly_gcd_matches_sympy(p, common, a, b):
     # and length-one lists give constants
     fa = reduced(poly_mul_mod(common, a, p), p)
     fb = reduced(poly_mul_mod(common, b, p), p)
-    assert _gcd(fa, fb, p) == sympy_gcd(fa, fb, p)
-    assert _gcd(fa, (), p) == sympy_gcd(fa, [], p)
+    assert _gcd(fa, fb, (p,)) == [sympy_gcd(fa, fb, p)]
+    assert _gcd(fa, (), (p,)) == [sympy_gcd(fa, [], p)]
 
 
 def _is_irreducible(coeffs, p):

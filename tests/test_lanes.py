@@ -3,7 +3,9 @@
 A lane's set-up works in (Z/N)[x]/f, N the product of its primes, which is
 by CRT one copy of F_p[x]/f per prime.  Every value it computes must reduce
 mod each p to what the set-up of p alone computes, and every per-prime
-answer of the pattern check must be that of a lane of p alone.
+answer of the pattern check must be that of a lane of p alone, and the
+lane's one Euclid mod N must give each prime the gcd of its reductions,
+however often the lane splits where a leading coefficient is not a unit.
 verify_record groups its primes greedily, as long as polyarith.barrett's
 slots for N stay native.
 """
@@ -20,6 +22,7 @@ from thetatwist.polyverify import (
     _admissible_patterns,
     _ddf,
     _frobenius,
+    _gcd,
     _has_pattern,
     _lanes,
     _rev_inverse,
@@ -27,6 +30,8 @@ from thetatwist.polyverify import (
     verify_record,
 )
 from thetatwist.qseries import delta_k
+
+import oracles
 
 
 def _setup(coeffs, lane):
@@ -109,10 +114,96 @@ def test_fail_fast_checks_one_prime_per_lane(monkeypatch):
     assert rep.outcomes[-1][1] == "FAIL" and rep.counts["fail"] == 1
 
 
+def _crt(per_prime, lane):
+    """The coefficient list mod the product N of lane that reduces to
+    per_prime[j] mod lane[j], padded with zeros to the longest, unstripped."""
+    N = prod(lane)
+    out = [0] * max(map(len, per_prime), default=0)
+    for p, poly in zip(lane, per_prime):
+        e = N // p * pow(N // p, -1, p)
+        for i, c in enumerate(poly):
+            out[i] = (out[i] + e * c) % N
+    return out
+
+
+def _each_alone(a, b, lane):
+    return [oracles.poly_gcd([c % p for c in a], [c % p for c in b], p) for p in lane]
+
+
+LANE = (5, 7, 11)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # b's top coefficient is 0 mod 7 alone: 7 drops it, 5 and 11 keep it,
+        # and gcd(x^2 - 1, x - 1) = x - 1 mod 5 and 11 but 1 mod 7
+        pytest.param(_crt([(4, 0, 1), (6, 0, 1), (10, 0, 1)], LANE),
+                     _crt([(4, 1), (3, 0), (10, 1)], LANE), id="top-zero-mod-one-prime"),
+        # a split within a split: b's top vanishes mod 5 and 7, then mod 7 alone
+        pytest.param(_crt([(1, 2, 3, 4, 1)] * 3, LANE),
+                     _crt([(2, 3, 1, 0), (2, 0, 0, 0), (2, 3, 1, 1)], LANE), id="nested-splits"),
+        # b is 0 mod 7: gcd(a, 0) = monic(a) there, a unit gcd elsewhere
+        pytest.param(_crt([(1, 2, 3), (3, 0, 2), (1, 0, 1)], LANE),
+                     _crt([(2, 1), (0, 0), (3, 1)], LANE), id="b-zero-mod-one-prime"),
+        # a common factor x + 1 everywhere, and x + 2 too mod 11 alone
+        pytest.param(_crt([oracles.poly_mul_mod((1, 1), (3, 4, 1), p) for p in LANE], LANE),
+                     _crt([oracles.poly_mul_mod((1, 1), (2, 1), p) for p in LANE], LANE),
+                     id="common-factors-differ"),
+        # the input a's top coefficient is 0 mod 5 and 11, and a is unstripped
+        pytest.param(_crt([(3, 1, 0, 0), (3, 1, 2, 0), (3, 1, 0, 0)], LANE),
+                     _crt([(1, 1)] * 3, LANE), id="a-top-zero-mod-two-primes"),
+        pytest.param([], _crt([(3, 0, 2), (0, 0, 0), (1, 1)], LANE), id="a-empty"),
+        pytest.param(_crt([(3, 0, 2), (0, 5, 0), (1, 1)], LANE), [], id="b-empty"),
+        pytest.param([], [], id="both-empty"),
+        # constants: 35 is 0 mod 5 and both are 0 mod 7, so gcd(4, 0) = 1
+        # mod 5, gcd(0, 0) = [] mod 7 and gcd(3, 2) = 1 mod 11
+        pytest.param([14], [35], id="constants"),
+        pytest.param([7], [2], id="constant-zero-mod-one-prime"),
+    ],
+)
+def test_lane_gcd_gives_each_prime_its_own_gcd(a, b):
+    assert _gcd(a, b, LANE) == _each_alone(a, b, LANE)
+    assert _gcd(b, a, LANE) == _each_alone(b, a, LANE)
+
+
+def test_lane_gcd_splits_where_the_gcd_degrees_differ():
+    # gcd(x^2 - 1, x - 1) has degree 1 mod 5 and 11 and degree 0 mod 7,
+    # where b is the constant 3
+    a = _crt([(4, 0, 1), (6, 0, 1), (10, 0, 1)], LANE)
+    b = _crt([(4, 1), (3, 0), (10, 1)], LANE)
+    assert _gcd(a, b, LANE) == [[4, 1], [1], [10, 1]]
+    # a lane of one prime is Euclid mod p
+    assert _gcd([c % 7 for c in a], [c % 7 for c in b], (7,)) == [[1]]
+
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 SMALL_PRIMES = primes_upto(3000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from((2, 3, 5, 7, 13, 31, 997, 29611)), min_size=1, max_size=5,
+             unique=True),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+)
+def test_lane_gcd_matches_the_gcd_of_each_reduction(lane, common, seed):
+    # per prime, a and b share a random factor of degree up to common, so
+    # the primes' gcds differ in degree and the lane splits, often at 2 and 3
+    lane, rng = tuple(sorted(lane)), random.Random(seed)
+
+    def poly(p, degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(p)]
+
+    per_prime = {p: [poly(p, rng.randrange(common + 1)) for _ in range(3)] for p in lane}
+    a = _crt([oracles.poly_mul_mod(g, poly(p, rng.randrange(6)), p)
+              for p, (g, _, _) in per_prime.items()], lane)
+    b = _crt([oracles.poly_mul_mod(g, h, p) for p, (g, _, h) in per_prime.items()], lane)
+    assert _gcd(a, b, lane) == _each_alone(a, b, lane)
+    assert _gcd(b, a, lane) == _each_alone(b, a, lane)
 
 
 @settings(max_examples=80, deadline=None)
@@ -127,7 +218,8 @@ def test_a_lane_reduces_to_the_set_up_of_each_prime(low, lane, seed):
     coeffs, lane, n = low + [1], tuple(sorted(lane)), len(low)
     rng = random.Random(seed)
     N = prod(lane)
-    work, frobenius, mulmod, trace, _ = _setup(coeffs, lane)
+    work, frobenius, mulmod, trace, _, xp, u = _setup(coeffs, lane)
+    assert u == [c % N for c in _rev_inverse(coeffs)]
     x = [0, 1] + [0] * (n - 2)
     h, a, b = ([rng.randrange(N) for _ in range(n)] for _ in range(3))
     walk = [h]
@@ -135,11 +227,11 @@ def test_a_lane_reduces_to_the_set_up_of_each_prime(low, lane, seed):
         walk.append(frobenius(walk[-1]))
     product = mulmod(a, b)
     for p in lane:
-        one, frob_p, mulmod_p, trace_p, (e,) = _setup(coeffs, (p,))
+        one, frob_p, mulmod_p, trace_p, (e,), xp_p, _ = _setup(coeffs, (p,))
         assert e == 1
         assert [c % p for c in work] == one
         assert trace % p == trace_p
-        assert [c % p for c in frobenius(x)] == frob_p(x)
+        assert [c % p for c in frobenius(x)] == frob_p(x) == xp_p == [c % p for c in xp]
         own = [[c % p for c in h]]
         for _ in range(3):
             own.append(frob_p(own[-1]))

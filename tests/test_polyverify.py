@@ -184,14 +184,15 @@ def test_validate_label():
 
 
 def test_poly_gcd_mod():
+    # on lanes of one prime, each answer a list of one gcd
     f = (4, 0, 3)  # 3x^2 + 4
-    assert _gcd(f, (), 5) == [3, 0, 1]  # monic(f)
-    assert _gcd((), f, 5) == [3, 0, 1]
-    assert _gcd((), (), 5) == []
-    assert _gcd((), (3,), 5) == [1]
-    assert _gcd((3,), f, 5) == [1]
-    assert _gcd((4, 0, 1), (4, 1), 5) == [4, 1]  # gcd(x^2 - 1, x - 1)
-    assert _gcd((1, 5, 1), (5, 2), 7) == [6, 1]  # (x-1)^2 and its derivative
+    assert _gcd(f, (), (5,)) == [[3, 0, 1]]  # monic(f)
+    assert _gcd((), f, (5,)) == [[3, 0, 1]]
+    assert _gcd((), (), (5,)) == [[]]
+    assert _gcd((), (3,), (5,)) == [[1]]
+    assert _gcd((3,), f, (5,)) == [[1]]
+    assert _gcd((4, 0, 1), (4, 1), (5,)) == [[4, 1]]  # gcd(x^2 - 1, x - 1)
+    assert _gcd((1, 5, 1), (5, 2), (7,)) == [[6, 1]]  # (x-1)^2 and its derivative
 
 
 # each pair reaches one shape of Euclid step in _gcd
@@ -222,8 +223,8 @@ def test_poly_gcd_mod():
 )
 def test_gcd_step_shapes_match_oracle(a, b, p):
     expected = oracles.poly_gcd(a, b, p)
-    assert _gcd(a, b, p) == expected
-    assert _gcd(b, a, p) == oracles.poly_gcd(b, a, p)
+    assert _gcd(a, b, (p,)) == [expected]
+    assert _gcd(b, a, (p,)) == [oracles.poly_gcd(b, a, p)]
 
 
 def test_gcd_random_planted_factors_match_oracle():
@@ -235,7 +236,7 @@ def test_gcd_random_planted_factors_match_oracle():
             b = oracles.poly_mul_mod(common, [rng.randrange(p) for _ in range(rng.randrange(12))], p)
             while a and not a[-1]:
                 a.pop()
-            assert _gcd(a, b, p) == oracles.poly_gcd(a, b, p), (p, a, b)
+            assert _gcd(a, b, (p,)) == [oracles.poly_gcd(a, b, p)], (p, a, b)
 
 
 def test_is_squarefree_mod():
@@ -723,8 +724,9 @@ def test_frobenius_setup_matches_long_division(p):
             ]
             # frobenius(x) is x^p mod f, the top of the ladder
             powers = [(h, _pow_mod(h, p, f, p)) for h in (x, a, top)]
-            work, frobenius, mulmod, got, _ = _frobenius(f, (p,), u)
-            assert work == f, (n, low)
+            work, frobenius, mulmod, got, (e,), xp, same_u = _frobenius(f, (p,), u)
+            assert work == f and e == 1 and same_u == u, (n, low)
+            assert _reduced(xp, p, n) == powers[0][1], (n, low)
             assert got == trace % p, (n, low)
             for g, h, expected in products:
                 assert _reduced(mulmod(g, h), p, n) == expected, (n, low)
